@@ -20,8 +20,7 @@ from .meshes import (ArgumentError, GenerationError, MeshFileError,
 from .problems import UnknownProblemError
 from .solvers import SolveError
 from .sparse import RankDeficiencyError
-from .wind import (RemediationError, ValidationError, build_omega_plus_shrunk,
-                   diagnose)
+from .wind import RemediationError, ValidationError, diagnose
 
 _CONFIG_ERRORS = (ConfigError, UnknownProblemError, MeshFileError,
                   ArgumentError, GenerationError, ValidationError,
@@ -155,34 +154,19 @@ def _problem_setup(raw, seed):
                           "solvers directly" % name)
     eps = _as_float(raw, "eps", prob.default_eps)
     N = _as_int(raw, "N", 16)
-    if name == "ex5":
-        spec = problems.ex5_spec(eps)
-        mesh = experiments.interior_layer_mesh(
-            N, snap_rule=_scalar(raw, "snap_rule", experiments.EX5_SNAP_RULE))
-        mesh, dec = experiments._safe_decomposition(mesh, spec.b)
-    elif name == "ex6":
-        theta = _as_float(raw, "theta", 0.0)
-        spec = problems.ex6_spec(eps, theta=theta)
-        mesh = experiments.hemker_layered_mesh(
-            theta, snap_rule=_scalar(raw, "snap_rule", "hmin2/10"))
-        mesh, dec = experiments._safe_decomposition(mesh, spec.b)
-    elif name == "ex7":
-        spec = problems.ex7_spec(eps)
-        mesh = structured_triangulation(N, N,
-                                        domain=problems.GLAZING_DOMAIN)
-        delta = _as_float(raw, "shrink_delta", 2.0 / N)
-        dec = build_omega_plus_shrunk(mesh, spec.b, delta,
-                                      bounds=(-1.0, 1.0))
+    if name in ("ex5", "ex6", "ex7"):
+        case = experiments.Case((), eps, N=N,
+                                theta=_as_float(raw, "theta", 0.0))
+        return experiments.STUDIES[name].setup(raw, case)
+    spec = prob.build(eps)
+    if "kind" in raw or "fixture" in raw or "path" in raw:
+        mesh = _mesh_from_config(raw, seed)
     else:
-        spec = prob.build(eps)
-        if "kind" in raw or "fixture" in raw or "path" in raw:
-            mesh = _mesh_from_config(raw, seed)
-        else:
-            mesh = structured_triangulation(N, N)
-            amp = _as_float(raw, "perturb", 0.0)
-            if amp:
-                mesh = perturb_structured(mesh, amp, seed)
-        dec = experiments._decomposition(mesh, spec.b)
+        mesh = structured_triangulation(N, N)
+        amp = _as_float(raw, "perturb", 0.0)
+        if amp:
+            mesh = perturb_structured(mesh, amp, seed)
+    dec = experiments._decomposition(mesh, spec.b)
     return mesh, spec, dec
 
 
@@ -203,9 +187,9 @@ def _cmd_solve(args):
     raw = _load_config(args.config)
     mesh, spec, dec = _problem_setup(raw, args.seed)
     method = _scalar(raw, "method", "sms-supg")
-    if method not in experiments._METHODS:
+    if method not in experiments._SOLVE_METHODS:
         raise ConfigError("unknown method %r (known: %s)"
-                          % (method, ", ".join(experiments._METHODS)))
+                          % (method, ", ".join(experiments._SOLVE_METHODS)))
     u = experiments._solve_method(mesh, spec, method, decomposition=dec)
     over, under = metrics.over_undershoot(u)
     print("method: %s" % method)

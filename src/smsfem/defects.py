@@ -115,10 +115,9 @@ def kkt_min_singular(mesh, b, decomposition):
     spec = assembly.ProblemSpec(eps=0.0, b=b, f=0.0, c=0.0)
     ops = assembly.assemble_galerkin(mesh, spec, decomposition,
                                      with_constraints=True)
-    system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
-                                 ops.residual_load, ops.load).symmetrize()
-    M = system.matrix().toarray()
-    if M.shape[0] > 2000:
+    M = sparse.SaddleSystem(ops.S, ops.A, ops.E,
+                            ops.residual_load, ops.load).matrix()
+    if M.shape[0] > sparse.DENSE_LIMIT:
         raise sparse.CapacityError("matrix too large for dense diagnostic")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(M.toarray(), compute_uv=False)
     return float(s[-1] / s[0])

@@ -6,12 +6,17 @@ channel-with-hole problem and the recirculating vortex) and writes CSV
 tables plus whitespace x-y plot-data files.  Outputs embed the full
 configuration and seed as comment lines; apart from wall-time columns,
 data sections are byte-identical across reruns with the same seed.
+
+Each experiment id is one `Study` entry of `STUDIES`; `run` sweeps its
+cases and methods.
 """
 
 import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,41 +60,8 @@ def parse_config(path):
 
 _METHODS = ("galerkin", "supg", "supg-shishkin", "sms-galerkin", "sms-supg")
 
-_DESK = {
-    "ex1": dict(N=[5, 10, 20, 40], eps=[1e-4, 1e-8],
-                methods=["supg-shishkin", "sms-galerkin", "sms-supg"]),
-    "ex2": dict(N=[10, 20, 40], eps=[1e-8],
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "ex3": dict(N=[40], eps=[1e-8], grids=50,
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "ex4": dict(N=[20, 64], eps=[1e-8],
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "ex5": dict(N=[16, 64], eps=[1e-8],
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "ex6": dict(N=[], eps=[1e-8],
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "ex7": dict(N=[8, 20], eps=[1e-4, 1e-6, 1e-10, 1e-14],
-                methods=["supg", "sms-galerkin", "sms-supg"]),
-    "comp-ex2": dict(N=[10, 20, 40], eps=[1e-8],
-                     methods=["supg", "sms-galerkin", "sms-supg"]),
-    "comp-ex3": dict(N=[10, 20, 40], eps=[1e-8], grids=10,
-                     methods=["supg", "sms-galerkin", "sms-supg"]),
-    "comp-ex4": dict(N=[40], eps=[1e-8], grids=10,
-                     methods=["supg", "sms-galerkin", "sms-supg"]),
-    "comp-ex5": dict(N=[64], eps=[1e-8], grids=10,
-                     methods=["supg", "sms-galerkin", "sms-supg"]),
-    "comp-ex6": dict(N=[], eps=[1e-8], grids=10,
-                     methods=["supg", "sms-galerkin", "sms-supg"]),
-}
-
-_PAPER = {
-    "ex1": dict(N=[5, 10, 20, 40, 80, 160, 320]),
-    "ex3": dict(grids=200, N=[80]),
-    "comp-ex3": dict(grids=200, N=[10, 20, 40, 80]),
-    "comp-ex4": dict(grids=200),
-    "comp-ex5": dict(grids=200),
-    "comp-ex6": dict(grids=100),
-}
+# what _solve_method runs; supg-shishkin is ex1's oracle only
+_SOLVE_METHODS = tuple(m for m in _METHODS if m != "supg-shishkin")
 
 
 @dataclass
@@ -105,14 +77,16 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _DESK:
+        if self.experiment not in STUDIES:
             raise ConfigError("unknown experiment %r (known: %s)"
-                              % (self.experiment, ", ".join(sorted(_DESK))))
+                              % (self.experiment, ", ".join(sorted(STUDIES))))
         if self.scale not in ("desk", "paper"):
             raise ConfigError("scale must be 'desk' or 'paper'")
-        defaults = dict(_DESK[self.experiment])
+        study = STUDIES[self.experiment]
+        defaults = dict(methods=study.methods, N=study.N, eps=study.eps,
+                        grids=study.grids)
         if self.scale == "paper":
-            defaults.update(_PAPER.get(self.experiment, {}))
+            defaults.update(study.paper)
         if self.methods is None:
             self.methods = list(defaults["methods"])
         if self.N is None:
@@ -120,7 +94,7 @@ class ExperimentConfig:
         if self.eps is None:
             self.eps = list(defaults["eps"])
         if self.grids is None:
-            self.grids = defaults.get("grids")
+            self.grids = defaults["grids"]
         for m in self.methods:
             if m not in _METHODS:
                 raise ConfigError("unknown method %r (known: %s)"
@@ -135,6 +109,18 @@ def _cast(key, value, kind):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError("bad value for %s: %r" % (key, value))
+
+
+def _option(options, key, default, kind=str):
+    """One value of `key` from ExperimentConfig.options or a parse_config
+    mapping (whose values are lists)."""
+    v = options.get(key, default)
+    if isinstance(v, list):
+        if len(v) != 1:
+            raise ConfigError("%s given %d times, expected once"
+                              % (key, len(v)))
+        v = v[0]
+    return _cast(key, v, kind)
 
 
 def config_from_mapping(raw, experiment=None, out=None, seed=None, scale=None):
@@ -331,9 +317,10 @@ def _hemker_exit(origin, b):
     return np.asarray(origin) + min(ts) * np.asarray(b)
 
 
-def hemker_layered_mesh(theta=0.0, snap_rule="hmin2/10"):
+def hemker_layered_mesh(theta=0.0, snap_rule=EX5_SNAP_RULE):
     """Channel-with-hole fixture with the two tangential characteristic
-    layers snapped and embedded; retags y = -3 Dirichlet for theta > 0."""
+    layers snapped and embedded; retags y = -3 Dirichlet for theta > 0.
+    The layers are snapped with ex5's 'hmin2/10' rule by default."""
     mesh = fixtures.load("channel_hole")
     if theta > 0.0:
         edges = []
@@ -354,57 +341,167 @@ def hemker_layered_mesh(theta=0.0, snap_rule="hmin2/10"):
 
 
 # ---------------------------------------------------------------------------
-# individual experiments
+# cases: what one row of a study varies
 
 
-def _run_ex1(cfg):
-    """Layer-resolving tensor-grid oracle vs SMS on the coarse subdomain."""
-    prob = problems.catalog("ex1")
-    rows = []
-    curves = {}
-    for eps in cfg.eps:
-        spec = prob.build(eps)
-        exact = problems.ex1_exact(eps)
-        for N in cfg.N:
-            sx = 2.0 * eps * math.log(N)
-            sy = 1.5 * eps * math.log(2 * N)
-            coarse_spec = ProblemSpec(eps=eps, b=spec.b, f=spec.f)
-            cmesh = structured_triangulation(
-                N, N, domain=((0.0, 0.0), (1.0 - sx, 1.0 - sy)))
-            interior = sorted(set(range(cmesh.n_nodes))
-                              - cmesh.boundary_node_set())
-            decomposition = _decomposition(cmesh, spec.b)
-            oracle = None
-            for method in cfg.methods:
-                t0 = time.perf_counter()
-                if method == "supg-shishkin":
-                    u, omesh, _mask = solvers.solve_shishkin_oracle_2d(
-                        spec, N, sx, sy)
-                    wall = time.perf_counter() - t0
-                    # oracle nodes matching the interior coarse lattice
-                    xs = cmesh.nodes[interior]
-                    key = {(round(x, 12), round(y, 12)) for x, y in xs}
-                    onodes = [v for v in range(omesh.n_nodes)
-                              if (round(omesh.nodes[v][0], 12),
-                                  round(omesh.nodes[v][1], 12)) in key]
-                    err = metrics.linf_nodal_error(omesh, u, exact,
-                                                   nodes=onodes)
-                    oracle = err
-                else:
-                    u = _solve_method(cmesh, coarse_spec, method,
-                                      decomposition=decomposition)
-                    wall = time.perf_counter() - t0
-                    err = metrics.linf_nodal_error(cmesh, u, exact,
-                                                   nodes=interior)
-                rows.append((method, N, eps, err, wall))
-                curves.setdefault((method, eps), []).append((float(N), err))
-    files = [write_csv(os.path.join(cfg.out, "ex1.csv"),
-                       ["method", "N", "eps", "linf_coarse", "wall_time"],
-                       rows, _config_comments(cfg))]
-    for (method, eps), pts in sorted(curves.items()):
-        name = "ex1_%s_eps%s.dat" % (method, ("%.0e" % eps).replace("-", "m"))
-        files.append(write_plot_data(os.path.join(cfg.out, name), pts))
-    return files
+class Case(NamedTuple):
+    key: tuple              # the CSV columns that name the case
+    eps: float
+    N: int = None
+    seed: int = None        # random-grid seed; None for a regular grid
+    theta: float = 0.0      # channel wind angle
+
+
+def _square_cases(cfg):
+    return [Case((N, eps), eps, N=N) for eps in cfg.eps for N in cfg.N]
+
+
+def _grid_cases(cfg):
+    return [Case((g, cfg.seed + g), cfg.eps[0], N=cfg.N[0],
+                 seed=cfg.seed + g) for g in range(cfg.grids or 0)]
+
+
+def _n_grid_cases(cfg):
+    return [Case((N, cfg.eps[0]), cfg.eps[0], N=N,
+                 seed=cfg.seed + 1000 * N + g)
+            for N in cfg.N for g in range(cfg.grids or 0)]
+
+
+def _regular_then_grid_cases(cfg):
+    return ([Case(("regular",), cfg.eps[0], N=cfg.N[0])]
+            + [Case(("random-%d" % g,), cfg.eps[0], N=cfg.N[0],
+                    seed=cfg.seed + g) for g in range(cfg.grids or 0)])
+
+
+def _eps_cases(cfg):
+    return [Case((eps,), eps) for eps in cfg.eps]
+
+
+def _angle_cases(cfg):
+    n_theta = cfg.grids or 10
+    thetas = [(k + 1) * (math.pi / 4.0) / n_theta for k in range(n_theta)]
+    return [Case((theta,), cfg.eps[0], theta=theta) for theta in thetas]
+
+
+# ---------------------------------------------------------------------------
+# setups: mesh, spec and decomposition of one case
+
+
+def _ex1_widths(case):
+    return (2.0 * case.eps * math.log(case.N),
+            1.5 * case.eps * math.log(2 * case.N))
+
+
+def _ex1_coarse(options, case):
+    """SMS runs on the subdomain below the Shishkin transition points,
+    with homogeneous Dirichlet data."""
+    spec = problems.ex1_spec(case.eps)
+    sx, sy = _ex1_widths(case)
+    mesh = structured_triangulation(
+        case.N, case.N, domain=((0.0, 0.0), (1.0 - sx, 1.0 - sy)))
+    coarse_spec = ProblemSpec(eps=case.eps, b=spec.b, f=spec.f)
+    return mesh, coarse_spec, _decomposition(mesh, spec.b)
+
+
+def _unit_square(options, case, spec_of):
+    spec = spec_of(case.eps)
+    mesh = structured_triangulation(case.N, case.N)
+    return mesh, spec, _decomposition(mesh, spec.b)
+
+
+def _random_grid(options, case, spec_of):
+    spec = spec_of(case.eps)
+    mesh = mild_random_grid(case.N, spec.b, seed=case.seed)
+    return mesh, spec, _decomposition(mesh, spec.b)
+
+
+def _interior_layer(options, case, snap_rule):
+    spec = problems.ex5_spec(case.eps)
+    mesh = interior_layer_mesh(case.N,
+                               snap_rule=_option(options, "snap_rule",
+                                                 snap_rule),
+                               seed=case.seed)
+    mesh, dec = _safe_decomposition(mesh, spec.b)
+    return mesh, spec, dec
+
+
+def _channel(options, case):
+    spec = problems.ex6_spec(case.eps, theta=case.theta)
+    mesh = hemker_layered_mesh(case.theta,
+                               snap_rule=_option(options, "snap_rule",
+                                                 EX5_SNAP_RULE))
+    mesh, dec = _safe_decomposition(mesh, spec.b)
+    return mesh, spec, dec
+
+
+def _vortex(options, case):
+    """The wind is tangent to the whole boundary, so the constraint band
+    comes from an inset square."""
+    spec = problems.ex7_spec(case.eps)
+    mesh = structured_triangulation(case.N, case.N,
+                                    domain=problems.GLAZING_DOMAIN)
+    delta = _option(options, "shrink_delta", 2.0 / case.N, float)
+    return mesh, spec, build_omega_plus_shrunk(mesh, spec.b, delta,
+                                               bounds=(-1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# metrics of a solved method: (case, method, mesh, spec, dec, u) -> values
+
+
+def _interior(mesh):
+    return sorted(set(range(mesh.n_nodes)) - mesh.boundary_node_set())
+
+
+def _linf_interior(case, method, mesh, spec, dec, u):
+    return (metrics.linf_nodal_error(mesh, u, problems.ex1_exact(case.eps),
+                                     nodes=_interior(mesh)),)
+
+
+def _h1_inner(case, method, mesh, spec, dec, u):
+    """H1-seminorm error away from the unresolved outflow layers."""
+    bary = mesh.nodes[mesh.elements].mean(axis=1)
+    region = [k for k in range(mesh.n_elements)
+              if bary[k][0] < 1.0 - 1.0 / case.N
+              and bary[k][1] < 1.0 - 1.0 / case.N]
+    return (metrics.h1_seminorm_error(
+        mesh, u, problems.ex1_exact_gradient(case.eps), region=region),)
+
+
+def _conv_residual(case, method, mesh, spec, dec, u):
+    return (metrics.convective_residual_l2(mesh, u, spec, dec.omega_hat),)
+
+
+def _vortex_range(case, method, mesh, spec, dec, u):
+    lo, hi = float(u.min()), float(u.max())
+    if method.startswith("sms") and lo < -1e-10:
+        raise solvers.SolveError(
+            "negative SMS nodal value %.3e (method %s, N=%d, eps=%g)"
+            % (lo, method, case.N, case.eps))
+    return lo, hi
+
+
+def _ex1_solve(case, method, mesh, spec, dec):
+    """ex1's solve hook: the supg-shishkin oracle runs on its own
+    layer-resolving Shishkin grid and is measured at the coarse interior
+    nodes; every row carries the solve's wall time."""
+    exact = problems.ex1_exact(case.eps)
+    interior = _interior(mesh)
+    t0 = time.perf_counter()
+    if method == "supg-shishkin":
+        sx, sy = _ex1_widths(case)
+        u, omesh, _mask = solvers.solve_shishkin_oracle_2d(
+            problems.ex1_spec(case.eps), case.N, sx, sy)
+        wall = time.perf_counter() - t0
+        # oracle nodes matching the interior coarse lattice
+        key = {(round(x, 12), round(y, 12)) for x, y in mesh.nodes[interior]}
+        onodes = [v for v in range(omesh.n_nodes)
+                  if (round(omesh.nodes[v][0], 12),
+                      round(omesh.nodes[v][1], 12)) in key]
+        return metrics.linf_nodal_error(omesh, u, exact, nodes=onodes), wall
+    u = _solve_method(mesh, spec, method, decomposition=dec)
+    wall = time.perf_counter() - t0
+    return metrics.linf_nodal_error(mesh, u, exact, nodes=interior), wall
 
 
 _CROSSWIND = {10: (0.7701, 1.57), 20: (0.8783, 1.615), 40: (0.9365, 1.64)}
@@ -433,373 +530,275 @@ def _crosswind_parameters(cfg, mesh, spec, N):
                                    multiplier=multiplier)
 
 
-def _run_same_grid(cfg, h1=False):
-    """Same-grid comparison on the manufactured-layer problem; the SUPG
-    baseline carries crosswind diffusion."""
-    rows = []
-    for eps in cfg.eps:
-        spec = problems.ex1_spec(eps)
-        exact = problems.ex1_exact(eps)
-        grad = problems.ex1_exact_gradient(eps)
-        for N in cfg.N:
-            mesh = structured_triangulation(N, N)
-            interior = sorted(set(range(mesh.n_nodes))
-                              - mesh.boundary_node_set())
-            decomposition = _decomposition(mesh, spec.b)
-            if h1:
-                # measure away from the unresolved outflow layers
-                bary = mesh.nodes[mesh.elements].mean(axis=1)
-                region = [k for k in range(mesh.n_elements)
-                          if bary[k][0] < 1.0 - 1.0 / N
-                          and bary[k][1] < 1.0 - 1.0 / N]
-            for method in cfg.methods:
-                params = None
-                if method == "supg":
-                    params = _crosswind_parameters(cfg, mesh, spec, N)
-                u = _solve_method(mesh, spec, method,
-                                  decomposition=decomposition,
-                                  parameters=params)
-                if h1:
-                    err = metrics.h1_seminorm_error(mesh, u, grad,
-                                                    region=region)
-                    rows.append((method, N, eps, err))
-                else:
-                    err = metrics.linf_nodal_error(mesh, u, exact,
-                                                   nodes=interior)
-                    rows.append((method, N, eps, err))
-    name = "comp-ex2.csv" if h1 else "ex2.csv"
-    col = "h1_error" if h1 else "linf_interior"
-    return [write_csv(os.path.join(cfg.out, name),
-                      ["method", "N", "eps", col],
-                      rows, _config_comments(cfg))]
+# ---------------------------------------------------------------------------
+# further outputs from the main rows: (cfg, rows) -> (summaries, plots)
+# with summaries [(file, header, rows)] and plots [(file, points)]
 
 
-def run_random_study(cfg):
-    """Convective-residual errors of all methods over random mild grids;
-    per-grid table, SUPG-descending plot ordering and mean-ratio summary."""
-    rows = []
-    errors = {m: [] for m in cfg.methods}
-    N = cfg.N[0]
-    eps = cfg.eps[0]
-    spec = problems.ex3_spec(eps)
+def _ex1_curves(cfg, rows):
+    curves = {}
+    for method, N, eps, err, _wall in rows:
+        curves.setdefault((method, eps), []).append((float(N), err))
+    return [], [("ex1_%s_eps%s.dat" % (method, ("%.0e" % eps).replace("-", "m")),
+                 pts) for (method, eps), pts in sorted(curves.items())]
+
+
+def _ex3_summary(cfg, rows):
+    """Mean errors, mean SUPG/method ratios and the per-grid errors in
+    descending SUPG order."""
     grids = cfg.grids or 0
-    for g in range(grids):
-        mesh = mild_random_grid(N, spec.b, seed=cfg.seed + g)
-        decomposition = _decomposition(mesh, spec.b)
-        region = decomposition.omega_hat
-        for method in cfg.methods:
-            u = _solve_method(mesh, spec, method,
-                              decomposition=decomposition)
-            err = metrics.convective_residual_l2(mesh, u, spec, region)
-            errors[method].append(err)
-            rows.append((g, cfg.seed + g, method, err))
-    files = [write_csv(os.path.join(cfg.out, "ex3_grids.csv"),
-                       ["grid", "grid_seed", "method", "conv_residual_l2"],
-                       rows, _config_comments(cfg))]
-    summary = []
-    order = None
-    if grids and "supg" in errors:
-        order = np.argsort(-np.asarray(errors["supg"]), kind="stable")
+    errors = {m: np.asarray([err for _g, _s, method, err in rows
+                             if method == m]) for m in cfg.methods}
+    supg = errors.get("supg")
+    order = np.arange(grids)
+    if grids and supg is not None:
+        order = np.argsort(-supg, kind="stable")
+    summary, plots = [], []
     for method in cfg.methods:
-        vals = np.asarray(errors[method])
+        vals = errors[method]
         mean = float(vals.mean()) if grids else float("nan")
-        if method != "supg" and grids and "supg" in errors:
-            ratio = float(np.mean(np.asarray(errors["supg"]) / vals))
+        if method != "supg" and grids and supg is not None:
+            ratio = float(np.mean(supg / vals))
         else:
             ratio = float("nan")
         summary.append((method, mean, ratio))
         if grids:
-            idx = order if order is not None else np.arange(grids)
-            pts = [(float(i), float(vals[j])) for i, j in enumerate(idx)]
-            files.append(write_plot_data(
-                os.path.join(cfg.out, "ex3_%s.dat" % method), pts))
-    files.insert(1, write_csv(
-        os.path.join(cfg.out, "ex3_summary.csv"),
-        ["method", "mean_error", "mean_ratio_supg"],
-        summary, _config_comments(cfg)))
-    return files
+            plots.append(("ex3_%s.dat" % method,
+                          [(float(i), float(vals[j]))
+                           for i, j in enumerate(order)]))
+    return [("ex3_summary.csv", ["method", "mean_error", "mean_ratio_supg"],
+             summary)], plots
 
 
-def _run_comp_ex3(cfg):
-    """Mean convective-residual error vs N on mild grids, with the
-    log-log fit rate per method."""
-    eps = cfg.eps[0]
-    spec = problems.ex3_spec(eps)
-    rows = []
-    means = {m: [] for m in cfg.methods}
-    for N in cfg.N:
-        errs = {m: [] for m in cfg.methods}
-        for g in range(cfg.grids or 0):
-            mesh = mild_random_grid(N, spec.b, seed=cfg.seed + 1000 * N + g)
-            decomposition = _decomposition(mesh, spec.b)
-            region = decomposition.omega_hat
-            for method in cfg.methods:
-                u = _solve_method(mesh, spec, method,
-                                  decomposition=decomposition)
-                errs[method].append(metrics.convective_residual_l2(
-                    mesh, u, spec, region))
-        for method in cfg.methods:
-            mean = float(np.mean(errs[method])) if errs[method] else \
-                float("nan")
-            means[method].append((float(N), mean))
-            rows.append((method, N, eps, mean))
-    files = [write_csv(os.path.join(cfg.out, "comp-ex3.csv"),
-                       ["method", "N", "eps", "mean_conv_residual_l2"],
-                       rows, _config_comments(cfg))]
-    rates = []
+def _grid_means(cfg, rows):
+    """comp-ex3's table: each method's mean error over the grids of each N."""
+    errs = {}
+    for method, N, _eps, err in rows:
+        errs.setdefault((method, N), []).append(err)
+    return [(method, N, cfg.eps[0],
+             float(np.mean(errs[method, N])) if (method, N) in errs
+             else float("nan"))
+            for N in cfg.N for method in cfg.methods]
+
+
+def _rates(cfg, rows):
+    """Log-log fit of the mean error against h = 1/N per method."""
+    rates, plots = [], []
     for method in cfg.methods:
-        pts = [(n, e) for n, e in means[method] if e > 0.0]
-        slope = metrics.fit_rate(pts) if len(pts) >= 3 else float("nan")
-        rates.append((method, slope))
-        files.append(write_plot_data(
-            os.path.join(cfg.out, "comp-ex3_%s.dat" % method),
-            means[method]))
-    files.insert(1, write_csv(os.path.join(cfg.out, "comp-ex3_rates.csv"),
-                              ["method", "fit_rate"], rates,
-                              _config_comments(cfg)))
-    return files
+        means = [(float(N), mean) for m, N, _eps, mean in rows if m == method]
+        pts = [(1.0 / n, e) for n, e in means if e > 0.0]
+        rates.append((method, metrics.fit_rate(pts) if len(pts) >= 3
+                      else float("nan")))
+        plots.append(("comp-ex3_%s.dat" % method, means))
+    return [("comp-ex3_rates.csv", ["method", "fit_rate"], rates)], plots
 
 
-def _run_ex4(cfg):
-    """Parabolic-layer problem on regular grids: crosswind oscillation
-    and smearing measured on the mid-line."""
-    rows = []
-    files = []
-    for eps in cfg.eps:
-        spec = problems.ex4_spec(eps)
-        for N in cfg.N:
-            mesh = structured_triangulation(N, N)
-            decomposition = _decomposition(mesh, spec.b)
-            for method in cfg.methods:
-                u = _solve_method(mesh, spec, method,
-                                  decomposition=decomposition)
-                osc, smear = metrics.osc_smear(mesh, u)
-                rows.append((method, N, eps, osc, smear))
-                if N == max(cfg.N) and eps == cfg.eps[0]:
-                    path = os.path.join(cfg.out,
-                                        "ex4_%s_N%d.csv" % (method, N))
-                    write_node_values_csv(mesh, u, path,
-                                          comments=_config_comments(cfg))
-                    files.append(path)
-    files.insert(0, write_csv(os.path.join(cfg.out, "ex4.csv"),
-                              ["method", "N", "eps", "osc", "smear"],
-                              rows, _config_comments(cfg)))
-    return files
-
-
-def _run_comp_ex4(cfg):
-    """Directional-derivative oscillation measures on random mild grids
-    for the parabolic-layer problem."""
-    eps = cfg.eps[0]
-    N = cfg.N[0]
-    spec = problems.ex4_spec(eps)
-    rows = []
+def _worst_oscillation(cfg, rows):
     worst = {m: (0.0, 0.0) for m in cfg.methods}
-    for g in range(cfg.grids or 0):
-        mesh = mild_random_grid(N, spec.b, seed=cfg.seed + g)
-        decomposition = _decomposition(mesh, spec.b)
-        for method in cfg.methods:
-            u = _solve_method(mesh, spec, method,
-                              decomposition=decomposition)
-            para, exp = metrics.osc_para_exp(mesh, u)
-            rows.append((g, cfg.seed + g, method, para, exp))
-            worst[method] = (max(worst[method][0], para),
-                             max(worst[method][1], exp))
-    files = [write_csv(os.path.join(cfg.out, "comp-ex4.csv"),
-                       ["grid", "grid_seed", "method", "osc_para2",
-                        "osc_exp"],
-                       rows, _config_comments(cfg))]
-    files.append(write_csv(
-        os.path.join(cfg.out, "comp-ex4_summary.csv"),
-        ["method", "max_osc_para2", "max_osc_exp"],
-        [(m,) + worst[m] for m in cfg.methods], _config_comments(cfg)))
-    return files
+    for _g, _s, method, para, exp in rows:
+        worst[method] = (max(worst[method][0], para),
+                         max(worst[method][1], exp))
+    return [("comp-ex4_summary.csv",
+             ["method", "max_osc_para2", "max_osc_exp"],
+             [(m,) + worst[m] for m in cfg.methods])], []
 
 
-def _run_ex5(cfg):
-    """Interior characteristic layer from discontinuous inflow data on
-    regular grids with the layer embedded.
-
-    The layer is snapped with EX5_SNAP_RULE ('hmin2/10') unless the
-    `snap_rule` option names another rule; it keeps the grid rows where
-    smearing is measured in place (see interior_layer_mesh).  comp-ex5
-    uses the wider '2hmin2' threshold on random grids."""
-    rows = []
-    files = []
-    snap = cfg.options.get("snap_rule", EX5_SNAP_RULE)
-    for eps in cfg.eps:
-        spec = problems.ex5_spec(eps)
-        for N in cfg.N:
-            mesh = interior_layer_mesh(N, snap_rule=snap)
-            mesh, decomposition = _safe_decomposition(mesh, spec.b)
-            for method in cfg.methods:
-                u = _solve_method(mesh, spec, method,
-                                  decomposition=decomposition)
-                over, under = metrics.over_undershoot(u)
-                oi, si = metrics.osc_int_smear_int(mesh, u)
-                rows.append((method, N, eps, over, under, oi, si))
-                if N == max(cfg.N) and eps == cfg.eps[0]:
-                    path = os.path.join(cfg.out,
-                                        "ex5_%s_N%d.csv" % (method, N))
-                    write_node_values_csv(mesh, u, path,
-                                          comments=_config_comments(cfg))
-                    files.append(path)
-    files.insert(0, write_csv(
-        os.path.join(cfg.out, "ex5.csv"),
-        ["method", "N", "eps", "overshoot", "undershoot", "osc_int",
-         "smear_int"],
-        rows, _config_comments(cfg)))
-    return files
-
-
-def _run_comp_ex5(cfg):
-    """Interior-layer oscillation/smearing statistics over random grids
-    with the wider snapping threshold."""
-    eps = cfg.eps[0]
-    N = cfg.N[0]
-    spec = problems.ex5_spec(eps)
-    snap = cfg.options.get("snap_rule", "2hmin2")
-    rows = []
+def _random_grid_means(cfg, rows):
+    """Mean osc_int and smear_int over the random grids only."""
     acc = {m: [] for m in cfg.methods}
-
-    def one(tag, seed):
-        mesh = interior_layer_mesh(N, snap_rule=snap, seed=seed)
-        mesh, decomposition = _safe_decomposition(mesh, spec.b)
-        for method in cfg.methods:
-            u = _solve_method(mesh, spec, method,
-                              decomposition=decomposition)
-            oi, si = metrics.osc_int_smear_int(mesh, u)
-            rows.append((tag, method, oi, si))
-            if seed is not None:
-                acc[method].append((oi, si))
-
-    one("regular", None)
-    for g in range(cfg.grids or 0):
-        one("random-%d" % g, cfg.seed + g)
-    files = [write_csv(os.path.join(cfg.out, "comp-ex5.csv"),
-                       ["grid", "method", "osc_int", "smear_int"],
-                       rows, _config_comments(cfg))]
+    for tag, method, oi, si in rows:
+        if tag != "regular":
+            acc[method].append((oi, si))
     summary = []
     for method in cfg.methods:
         vals = np.asarray(acc[method]) if acc[method] else \
             np.full((1, 2), np.nan)
         summary.append((method, float(np.nanmean(vals[:, 0])),
                         float(np.nanmean(vals[:, 1]))))
-    files.append(write_csv(
-        os.path.join(cfg.out, "comp-ex5_summary.csv"),
-        ["method", "mean_osc_int", "mean_smear_int"],
-        summary, _config_comments(cfg)))
-    return files
+    return [("comp-ex5_summary.csv",
+             ["method", "mean_osc_int", "mean_smear_int"], summary)], []
 
 
-def _run_ex6(cfg):
-    """Channel-with-hole problem with the two characteristic layers
-    embedded; nodal over- and undershoots per method."""
-    rows = []
-    files = []
-    snap = cfg.options.get("snap_rule", "hmin2/10")
-    mesh = hemker_layered_mesh(0.0, snap_rule=snap)
-    for eps in cfg.eps:
-        spec = problems.ex6_spec(eps)
-        mesh, decomposition = _safe_decomposition(mesh, spec.b)
-        for method in cfg.methods:
-            u = _solve_method(mesh, spec, method,
-                              decomposition=decomposition)
-            over, under = metrics.over_undershoot(u)
-            rows.append((method, eps, over, under))
-            if eps == cfg.eps[0]:
-                path = os.path.join(cfg.out, "ex6_%s.csv" % method)
-                write_node_values_csv(mesh, u, path,
-                                      comments=_config_comments(cfg))
-                files.append(path)
-    files.insert(0, write_csv(os.path.join(cfg.out, "ex6.csv"),
-                              ["method", "eps", "overshoot", "undershoot"],
-                              rows, _config_comments(cfg)))
-    return files
+def _spread_curves(cfg, rows):
+    return [], [("comp-ex6_%s.dat" % m,
+                 [(theta, over - under)
+                  for method, theta, over, under in rows if method == m])
+                for m in cfg.methods]
 
 
-def _run_comp_ex6(cfg):
-    """Wind-angle sweep of the channel-with-hole problem; over- and
-    undershoots per angle with the layers re-embedded each time."""
-    eps = cfg.eps[0]
-    snap = cfg.options.get("snap_rule", "hmin2/10")
-    n_theta = cfg.grids or 10
-    thetas = [(k + 1) * (math.pi / 4.0) / n_theta for k in range(n_theta)]
-    rows = []
-    curves = {m: [] for m in cfg.methods}
-    for theta in thetas:
-        mesh = hemker_layered_mesh(theta, snap_rule=snap)
-        spec = problems.ex6_spec(eps, theta=theta)
-        mesh, decomposition = _safe_decomposition(mesh, spec.b)
-        for method in cfg.methods:
-            u = _solve_method(mesh, spec, method,
-                              decomposition=decomposition)
-            over, under = metrics.over_undershoot(u)
-            rows.append((method, theta, over, under))
-            curves[method].append((theta, over - under))
-    files = [write_csv(os.path.join(cfg.out, "comp-ex6.csv"),
-                       ["method", "theta", "overshoot", "undershoot"],
-                       rows, _config_comments(cfg))]
-    for method in cfg.methods:
-        files.append(write_plot_data(
-            os.path.join(cfg.out, "comp-ex6_%s.dat" % method),
-            curves[method]))
-    return files
+# ---------------------------------------------------------------------------
+# the study table
 
 
-def _run_ex7(cfg):
-    """Recirculating-vortex problem; the wind is tangent to the whole
-    boundary, so the constraint band comes from an inset square."""
-    rows = []
-    files = []
-    prob = problems.catalog("ex7")
-    for eps in cfg.eps:
-        spec = prob.build(eps)
-        for N in cfg.N:
-            mesh = structured_triangulation(N, N,
-                                            domain=problems.GLAZING_DOMAIN)
-            delta = float(cfg.options.get("shrink_delta", 2.0 / N))
-            decomposition = build_omega_plus_shrunk(mesh, spec.b, delta,
-                                                    bounds=(-1.0, 1.0))
-            for method in cfg.methods:
-                u = _solve_method(mesh, spec, method,
-                                  decomposition=decomposition)
-                lo, hi = float(u.min()), float(u.max())
-                rows.append((method, N, eps, lo, hi))
-                if method.startswith("sms") and lo < -1e-10:
-                    raise solvers.SolveError(
-                        "negative SMS nodal value %.3e (method %s, N=%d, "
-                        "eps=%g)" % (lo, method, N, eps))
-                if N == max(cfg.N) and eps == cfg.eps[0]:
-                    path = os.path.join(cfg.out,
-                                        "ex7_%s_N%d.csv" % (method, N))
-                    write_node_values_csv(mesh, u, path,
-                                          comments=_config_comments(cfg))
-                    files.append(path)
-    files.insert(0, write_csv(os.path.join(cfg.out, "ex7.csv"),
-                              ["method", "N", "eps", "min_value",
-                               "max_value"],
-                              rows, _config_comments(cfg)))
-    return files
+@dataclass(frozen=True)
+class Study:
+    """One experiment id.
+
+    cases(cfg) lists the cases; setup(options, case) builds a case's
+    mesh, spec and decomposition; metric(case, method, mesh, spec, dec, u)
+    gives the metric columns of a solved method.  The main CSV has one row
+    per case and method: the case key with the method inserted at
+    header.index('method'), then the metric columns.  rows(cfg, rows)
+    may aggregate those rows; outputs(cfg, rows) derives the summary CSVs
+    and plot data.  node_values writes each method's nodal solution for
+    the first eps (and the largest N).
+    """
+    header: tuple
+    cases: object
+    setup: object
+    metric: object = None
+    methods: tuple = ("supg", "sms-galerkin", "sms-supg")
+    N: tuple = ()
+    eps: tuple = (1e-8,)
+    grids: int = None
+    paper: dict = field(default_factory=dict)
+    table: str = None              # main CSV name; default '<id>.csv'
+    node_values: bool = False
+    rows: object = None
+    outputs: object = None
+    parameters: object = None      # SUPG parameters (cfg, mesh, spec, N)
+    solve: object = None           # replaces solve + metric (ex1 only)
 
 
-_RUNNERS = {
-    "ex1": _run_ex1,
-    "ex2": lambda cfg: _run_same_grid(cfg, h1=False),
-    "ex3": run_random_study,
-    "ex4": _run_ex4,
-    "ex5": _run_ex5,
-    "ex6": _run_ex6,
-    "ex7": _run_ex7,
-    "comp-ex2": lambda cfg: _run_same_grid(cfg, h1=True),
-    "comp-ex3": _run_comp_ex3,
-    "comp-ex4": _run_comp_ex4,
-    "comp-ex5": _run_comp_ex5,
-    "comp-ex6": _run_comp_ex6,
+STUDIES = {
+    # layer-resolving tensor-grid oracle vs SMS on the coarse subdomain
+    "ex1": Study(
+        header=("method", "N", "eps", "linf_coarse", "wall_time"),
+        cases=_square_cases, setup=_ex1_coarse, solve=_ex1_solve,
+        methods=("supg-shishkin", "sms-galerkin", "sms-supg"),
+        N=(5, 10, 20, 40), eps=(1e-4, 1e-8),
+        paper=dict(N=[5, 10, 20, 40, 80, 160, 320]), outputs=_ex1_curves),
+    # same-grid comparison on the manufactured-layer problem; the SUPG
+    # baseline carries crosswind diffusion
+    "ex2": Study(
+        header=("method", "N", "eps", "linf_interior"),
+        cases=_square_cases, setup=partial(_unit_square,
+                                           spec_of=problems.ex1_spec),
+        metric=_linf_interior, N=(10, 20, 40),
+        parameters=_crosswind_parameters),
+    # convective-residual errors over random mild grids
+    "ex3": Study(
+        header=("grid", "grid_seed", "method", "conv_residual_l2"),
+        cases=_grid_cases, setup=partial(_random_grid,
+                                         spec_of=problems.ex3_spec),
+        metric=_conv_residual, N=(40,), grids=50,
+        paper=dict(grids=200, N=[80]), table="ex3_grids.csv",
+        outputs=_ex3_summary),
+    # parabolic layers: crosswind oscillation and smearing on the mid-line
+    "ex4": Study(
+        header=("method", "N", "eps", "osc", "smear"),
+        cases=_square_cases, setup=partial(_unit_square,
+                                           spec_of=problems.ex4_spec),
+        metric=lambda c, m, mesh, spec, dec, u: metrics.osc_smear(mesh, u),
+        N=(20, 64), node_values=True),
+    # interior layer from discontinuous inflow data, embedded in regular
+    # grids with EX5_SNAP_RULE, which keeps the grid rows where smearing is
+    # measured in place (see interior_layer_mesh)
+    "ex5": Study(
+        header=("method", "N", "eps", "overshoot", "undershoot", "osc_int",
+                "smear_int"),
+        cases=_square_cases, setup=partial(_interior_layer,
+                                           snap_rule=EX5_SNAP_RULE),
+        metric=lambda c, m, mesh, spec, dec, u: (
+            metrics.over_undershoot(u) + metrics.osc_int_smear_int(mesh, u)),
+        N=(16, 64), node_values=True),
+    # channel with hole, both characteristic layers embedded
+    "ex6": Study(
+        header=("method", "eps", "overshoot", "undershoot"),
+        cases=_eps_cases, setup=_channel,
+        metric=lambda c, m, mesh, spec, dec, u: metrics.over_undershoot(u),
+        node_values=True),
+    # recirculating vortex; SMS must stay nonnegative
+    "ex7": Study(
+        header=("method", "N", "eps", "min_value", "max_value"),
+        cases=_square_cases, setup=_vortex, metric=_vortex_range,
+        N=(8, 20), eps=(1e-4, 1e-6, 1e-10, 1e-14), node_values=True),
+    # ex2 measured in the H1 seminorm
+    "comp-ex2": Study(
+        header=("method", "N", "eps", "h1_error"),
+        cases=_square_cases, setup=partial(_unit_square,
+                                           spec_of=problems.ex1_spec),
+        metric=_h1_inner, N=(10, 20, 40),
+        parameters=_crosswind_parameters),
+    # mean convective-residual error vs N on mild grids, with fit rates
+    "comp-ex3": Study(
+        header=("method", "N", "eps", "mean_conv_residual_l2"),
+        cases=_n_grid_cases, setup=partial(_random_grid,
+                                           spec_of=problems.ex3_spec),
+        metric=_conv_residual, N=(10, 20, 40), grids=10,
+        paper=dict(grids=200, N=[10, 20, 40, 80]), rows=_grid_means,
+        outputs=_rates),
+    # directional-derivative oscillation of ex4 on random mild grids
+    "comp-ex4": Study(
+        header=("grid", "grid_seed", "method", "osc_para2", "osc_exp"),
+        cases=_grid_cases, setup=partial(_random_grid,
+                                         spec_of=problems.ex4_spec),
+        metric=lambda c, m, mesh, spec, dec, u: metrics.osc_para_exp(mesh,
+                                                                     u),
+        N=(40,), grids=10, paper=dict(grids=200),
+        outputs=_worst_oscillation),
+    # ex5 on random grids with the wider snapping threshold
+    "comp-ex5": Study(
+        header=("grid", "method", "osc_int", "smear_int"),
+        cases=_regular_then_grid_cases,
+        setup=partial(_interior_layer, snap_rule="2hmin2"),
+        metric=lambda c, m, mesh, spec, dec, u: metrics.osc_int_smear_int(
+            mesh, u),
+        N=(64,), grids=10, paper=dict(grids=200),
+        outputs=_random_grid_means),
+    # wind-angle sweep of the channel, layers re-embedded at each angle
+    "comp-ex6": Study(
+        header=("method", "theta", "overshoot", "undershoot"),
+        cases=_angle_cases, setup=_channel,
+        metric=lambda c, m, mesh, spec, dec, u: metrics.over_undershoot(u),
+        grids=10, paper=dict(grids=100), outputs=_spread_curves),
 }
+
+
+def _node_file(cfg, case, method):
+    if case.eps != cfg.eps[0]:
+        return None
+    if case.N is None:
+        return "%s_%s.csv" % (cfg.experiment, method)
+    if case.N == max(cfg.N):
+        return "%s_%s_N%d.csv" % (cfg.experiment, method, case.N)
+    return None
 
 
 def run(cfg):
     """Run the configured experiment; returns the written file paths."""
     os.makedirs(cfg.out, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg)
+    study = STUDIES[cfg.experiment]
+    comments = _config_comments(cfg)
+    at = study.header.index("method")
+    rows, node_files = [], []
+    for case in study.cases(cfg):
+        mesh, spec, dec = study.setup(cfg.options, case)
+        for method in cfg.methods:
+            if study.solve is not None:
+                values = study.solve(case, method, mesh, spec, dec)
+            else:
+                params = None
+                if study.parameters is not None and method == "supg":
+                    params = study.parameters(cfg, mesh, spec, case.N)
+                u = _solve_method(mesh, spec, method, decomposition=dec,
+                                  parameters=params)
+                values = study.metric(case, method, mesh, spec, dec, u)
+                name = study.node_values and _node_file(cfg, case, method)
+                if name:
+                    path = os.path.join(cfg.out, name)
+                    write_node_values_csv(mesh, u, path, comments=comments)
+                    node_files.append(path)
+            rows.append(case.key[:at] + (method,) + case.key[at:]
+                        + tuple(values))
+    if study.rows is not None:
+        rows = study.rows(cfg, rows)
+    summaries, plots = study.outputs(cfg, rows) if study.outputs else ([], [])
+    table = study.table or cfg.experiment + ".csv"
+    return ([write_csv(os.path.join(cfg.out, table), study.header, rows,
+                       comments)]
+            + [write_csv(os.path.join(cfg.out, name), header, srows, comments)
+               for name, header, srows in summaries]
+            + node_files
+            + [write_plot_data(os.path.join(cfg.out, name), pts)
+               for name, pts in plots])

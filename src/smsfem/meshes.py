@@ -162,17 +162,6 @@ class Triangulation:
             self._edge_map = emap
         return self._edge_map
 
-    def neighbors(self, k):
-        """Element indices sharing an edge with element k."""
-        emap = self.edge_to_elements()
-        a, b, c = self.elements[k]
-        out = []
-        for i, j in ((a, b), (b, c), (c, a)):
-            for other in emap[(min(i, j), max(i, j))]:
-                if other != k:
-                    out.append(other)
-        return out
-
     def node_to_elements(self):
         nmap = [[] for _ in range(self.n_nodes)]
         for k, tri in enumerate(self.elements):

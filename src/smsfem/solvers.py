@@ -39,10 +39,7 @@ def solve_galerkin(mesh, spec, with_constraints=False):
     """Plain Galerkin solve; returns full nodal values."""
     ops = assembly.assemble_galerkin(mesh, spec,
                                      with_constraints=with_constraints)
-    try:
-        x = sparse.solve_symmetric_indefinite(ops.A, ops.load)
-    except sparse.RankDeficiencyError:
-        raise
+    x = sparse.solve_symmetric_indefinite(ops.A, ops.load)
     _check_residual(ops.A.csr, x, ops.load, "Galerkin")
     u = ops.lifting.copy()
     u[ops.free_nodes] = x
@@ -82,47 +79,55 @@ def solve_sms(mesh, spec, decomposition=None, base="galerkin",
                                      with_constraints=True)
     else:
         raise ValueError("base must be 'galerkin' or 'supg'")
-    return _solve_kkt(mesh, ops, method="sms-" + base)
-
-
-def _solve_kkt(mesh, ops, method):
-    n = ops.A.n_rows
-    m = ops.E.n_cols
-    system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
-                                 ops.residual_load, ops.load).symmetrize()
-    M = system.matrix()
-    asym = abs(M - M.T).max()
-    if asym > 1e-14 * max(abs(M).max(), 1e-300):
-        raise SolveError("saddle system lost symmetry: %.3e" % asym)
     try:
-        x = sparse.solve_symmetric_indefinite(system)
+        uf, t, z_free, residual, size = _solve_kkt(
+            ops, [ops.free_index[v] for v in ops.n_delta], "SMS")
     except sparse.RankDeficiencyError as exc:
         raise sparse.RankDeficiencyError(
             "SMS system singular; run diagnose/remediate on the mesh "
             "decomposition (%s)" % exc,
             near_null_vector=exc.near_null_vector) from exc
-    uf = x[:n]
-    t = x[n:n + m]
-    z_free = -x[n + m:]  # un-negate the symmetrizing substitution
-    residual = float(np.linalg.norm(M @ x - system.rhs())
-                     / max(np.linalg.norm(system.rhs()), 1.0))
-    # re-verify the constraint equation and the multiplier conditions
-    cons = ops.A.csr @ uf + ops.E.csr @ t - ops.load
-    rel = np.linalg.norm(cons) / max(np.linalg.norm(ops.load), 1.0)
-    if rel > 1e-8:
-        raise SolveError("SMS constraint equation residual %.3e" % rel)
-    zmax = np.abs(z_free).max() if z_free.size else 0.0
-    if zmax > 0:
-        znd = max(abs(z_free[ops.free_index[v]]) for v in ops.n_delta) \
-            if ops.n_delta else 0.0
-        if znd > 1e-10 * zmax:
-            raise SolveError("multiplier does not vanish on N_delta")
     u = ops.lifting.copy()
     u[ops.free_nodes] = uf
     z = np.zeros(mesh.n_nodes)
     z[ops.free_nodes] = z_free
-    return SmsSolution(u=u, z=z, t=np.asarray(t), n_delta=list(ops.n_delta),
-                       method=method, residual=residual, size=M.shape[0])
+    return SmsSolution(u=u, z=z, t=t, n_delta=list(ops.n_delta),
+                       method="sms-" + base, residual=residual, size=size)
+
+
+def _solve_kkt(ops, n_delta_free, what):
+    """Solve the SMS optimality system of ops (1D or 2D) and check it.
+
+    n_delta_free: free-node indices of N_delta, where the multiplier must
+    vanish.  Returns (u on free nodes, t, z on free nodes, relative KKT
+    residual, system size).
+    """
+    system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
+                                 ops.residual_load, ops.load)
+    M = system.matrix()
+    asym = abs(M - M.T).max()
+    if asym > 1e-14 * max(abs(M).max(), 1e-300):
+        raise SolveError("saddle system lost symmetry: %.3e" % asym)
+    x = sparse.solve_symmetric_indefinite(system)
+    n, m = system.n, system.m
+    uf = x[:n]
+    t = x[n:n + m]
+    z = -x[n + m:]  # un-negate the symmetrizing substitution
+    rhs = system.rhs()
+    residual = float(np.linalg.norm(M @ x - rhs)
+                     / max(np.linalg.norm(rhs), 1.0))
+    # re-verify the constraint equation and the multiplier conditions
+    cons = ops.A.csr @ uf + ops.E.csr @ t - ops.load
+    rel = np.linalg.norm(cons) / max(np.linalg.norm(ops.load), 1.0)
+    if rel > 1e-8:
+        raise SolveError("%s constraint equation residual %.3e" % (what, rel))
+    zmax = np.abs(z).max() if z.size else 0.0
+    if zmax > 0:
+        znd = max(abs(z[i]) for i in n_delta_free) if n_delta_free else 0.0
+        if znd > 1e-10 * zmax:
+            raise SolveError("%s multiplier does not vanish on N_delta"
+                             % what)
+    return uf, t, z, residual, M.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +148,12 @@ def solve_sms_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     minimized over (0, x_{J-1})."""
     ops = assembly.assemble_1d(mesh1d, eps, b, f, u_left, u_right)
     n = ops.A.n_rows
-    system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
-                                 ops.residual_load, ops.load).symmetrize()
-    x = sparse.solve_symmetric_indefinite(system)
-    uf = x[:n]
-    alpha = float(x[n])
-    z = -x[n + 1:]
-    cons = ops.A.csr @ uf + ops.E.csr @ np.array([alpha]) - ops.load
-    rel = np.linalg.norm(cons) / max(np.linalg.norm(ops.load), 1.0)
-    if rel > 1e-8:
-        raise SolveError("1D SMS constraint residual %.3e" % rel)
-    zmax = np.abs(z).max() if z.size else 0.0
-    if zmax > 0 and abs(z[n - 1]) > 1e-10 * zmax:
-        raise SolveError("1D multiplier does not vanish at x_{J-1}")
+    uf, t, z, residual, size = _solve_kkt(ops, [n - 1], "1D SMS")
     u = ops.lifting.copy()
     u[1:mesh1d.J] = uf
-    residual = float(np.linalg.norm(system.matrix() @ x - system.rhs())
-                     / max(np.linalg.norm(system.rhs()), 1.0))
     return SmsSolution(u=u, z=np.concatenate([[0.0], z, [0.0]]),
-                       t=np.array([alpha]), n_delta=[mesh1d.J - 1],
-                       method="sms-1d", residual=residual, size=2 * n + 1)
+                       t=t, n_delta=[mesh1d.J - 1],
+                       method="sms-1d", residual=residual, size=size)
 
 
 def solve_shishkin_oracle_1d(N, eps, b, f, sigma):

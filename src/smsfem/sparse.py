@@ -20,6 +20,11 @@ class CapacityError(ValueError):
     """Raised when a dense diagnostic is requested on too large a matrix."""
 
 
+# largest row count for which dense solves and SVDs run: 2000 rows of
+# float64 are 32 MB, a singular N=128 KKT (32,637 rows) would be 8.5 GB
+DENSE_LIMIT = 2000
+
+
 class RankDeficiencyError(RuntimeError):
     """Raised when a factorization is singular to working precision.
 
@@ -96,16 +101,14 @@ def from_csr(csr):
 
 
 class SaddleSystem:
-    """Block system of the constrained least-squares optimality conditions.
+    """Symmetric block system of the constrained least-squares optimality
+    conditions, with the multiplier entering as z~ = -z:
 
-    Unsymmetrized layout (multiplier z):
+        [ S   0   A^T ] [u ]   [residual_load]
+        [ 0   0   E^T ] [t ] = [0            ]
+        [ A   E   0   ] [z~]   [load         ]
 
-        [ S   0  -A^T ] [u]   [residual_load]
-        [ 0   0  -E^T ] [t] = [0            ]
-        [ A   E   0   ] [z]   [load         ]
-
-    The substitution z~ = -z makes the matrix symmetric; ``symmetrized``
-    records which convention ``matrix()`` returns.
+    The matrix is built once, on construction.
     """
 
     def __init__(self, S, A, E, residual_load, load):
@@ -114,38 +117,25 @@ class SaddleSystem:
         self.E = E
         self.residual_load = np.asarray(residual_load, dtype=float)
         self.load = np.asarray(load, dtype=float)
-        self.n = S.n_rows
-        self.m = E.n_cols
-        self.symmetrized = False
-
-    def matrix(self):
-        S = self.S.csr
-        A = self.A.csr
-        E = self.E.csr
-        n, m = self.n, self.m
-        sgn = 1.0 if self.symmetrized else -1.0
+        self.n = n = S.n_rows
+        self.m = m = E.n_cols
         Z_nm = sp.csr_matrix((n, m))
-        Z_mm = sp.csr_matrix((m, m))
-        Z_nn = sp.csr_matrix((n, n))
-        M = sp.bmat(
+        self._matrix = sp.bmat(
             [
-                [S, Z_nm, sgn * A.T],
-                [Z_nm.T, Z_mm, sgn * E.T],
-                [A, E, Z_nn],
+                [S.csr, Z_nm, A.csr.T],
+                [Z_nm.T, sp.csr_matrix((m, m)), E.csr.T],
+                [A.csr, E.csr, sp.csr_matrix((n, n))],
             ],
             format="csr",
         )
-        if M.shape != (2 * n + m, 2 * n + m):
+        if self._matrix.shape != (2 * n + m, 2 * n + m):
             raise StructuralError("inconsistent saddle block sizes")
-        return M
+
+    def matrix(self):
+        return self._matrix
 
     def rhs(self):
         return np.concatenate([self.residual_load, np.zeros(self.m), self.load])
-
-    def symmetrize(self):
-        """Switch to the z~ = -z convention; matrix() becomes symmetric."""
-        self.symmetrized = True
-        return self
 
 
 def solve_symmetric_indefinite(system, rhs=None):
@@ -190,6 +180,10 @@ def _direct_solve(M, r):
         return x
     except (RuntimeError, ValueError):
         pass
+    if n > DENSE_LIMIT:
+        raise RankDeficiencyError(
+            "sparse LU failed on %d unknowns; no dense fallback above %d "
+            "rows" % (n, DENSE_LIMIT))
     # dense fallback; also produces the near-null vector on failure
     A = M.toarray()
     try:
@@ -211,9 +205,9 @@ def _direct_solve(M, r):
 def min_singular_diagnostic(matrix):
     """Smallest singular value and right singular vector via dense SVD.
 
-    Guarded to matrices of at most 2000 rows.
+    Guarded to matrices of at most DENSE_LIMIT rows.
     """
-    if matrix.n_rows > 2000:
+    if matrix.n_rows > DENSE_LIMIT:
         raise CapacityError("matrix too large for dense diagnostic")
     A = matrix.toarray()
     u, s, vt = np.linalg.svd(A)

@@ -83,6 +83,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_solve_rejects_oracle_method(tmp_path, capsys):
+    # supg-shishkin is ex1's oracle; the error names the solve methods
+    cfg = _write(tmp_path, "o.cfg",
+                 "problem = ex4\nmethod = supg-shishkin\nN = 4\n")
+    assert cli.main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(known: galerkin, supg, sms-galerkin, sms-supg)" in err
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # plain Galerkin on an even grid with eps = 0 is rank deficient
     cfg = _write(tmp_path, "g.cfg",

@@ -1,10 +1,12 @@
 """Config parsing and the experiment harness: defaults, determinism and
 output formats."""
 
+import os
+
 import numpy as np
 import pytest
 
-from smsfem import experiments
+from smsfem import experiments, metrics
 from smsfem.experiments import (ConfigError, ExperimentConfig,
                                 config_from_mapping, mild_random_grid,
                                 parse_config, run, write_csv,
@@ -160,3 +162,95 @@ def test_same_grid_crosswind_override(tmp_path):
             if not l.startswith("#")]
     assert rows[0] == "method,N,eps,linf_interior"
     assert rows[1].startswith("supg,15,")
+
+
+def _data(path):
+    return [line for line in open(path).read().splitlines()
+            if not line.startswith("#")]
+
+
+def test_comp_ex3_rate_fits_error_against_h(tmp_path):
+    cfg = ExperimentConfig(experiment="comp-ex3", N=[4, 8, 16], grids=1,
+                           out=str(tmp_path))
+    table, rates = run(cfg)[:2]
+    means = {}
+    for line in _data(table)[1:]:
+        method, N, _eps, mean = line.split(",")
+        means.setdefault(method, []).append((1.0 / int(N), float(mean)))
+    got = dict(line.split(",") for line in _data(rates)[1:])
+    assert sorted(got) == sorted(cfg.methods)
+    for method, pts in means.items():
+        assert float(got[method]) == metrics.fit_rate(pts)
+
+
+_CROSSWIND_N8 = {"delta_c": "8:0.7", "delta_multiplier": "8:1.5"}
+_M3 = ("supg", "sms-galerkin", "sms-supg")
+
+# experiment id -> (tiny config, returned file names, header of each CSV)
+_TINY = {
+    "ex1": (dict(N=[4], eps=[1e-8]),
+            ["ex1.csv"] + ["ex1_%s_eps1em08.dat" % m for m in
+                           ("sms-galerkin", "sms-supg", "supg-shishkin")],
+            {"ex1.csv": "method,N,eps,linf_coarse,wall_time"}),
+    "ex2": (dict(N=[8], options=_CROSSWIND_N8), ["ex2.csv"],
+            {"ex2.csv": "method,N,eps,linf_interior"}),
+    "ex3": (dict(N=[8], grids=1),
+            ["ex3_grids.csv", "ex3_summary.csv"]
+            + ["ex3_%s.dat" % m for m in _M3],
+            {"ex3_grids.csv": "grid,grid_seed,method,conv_residual_l2",
+             "ex3_summary.csv": "method,mean_error,mean_ratio_supg"}),
+    "ex4": (dict(N=[8]), ["ex4.csv"] + ["ex4_%s_N8.csv" % m for m in _M3],
+            {"ex4.csv": "method,N,eps,osc,smear"}),
+    "ex5": (dict(N=[8]), ["ex5.csv"] + ["ex5_%s_N8.csv" % m for m in _M3],
+            {"ex5.csv": "method,N,eps,overshoot,undershoot,osc_int,"
+                        "smear_int"}),
+    "ex6": (dict(), ["ex6.csv"] + ["ex6_%s.csv" % m for m in _M3],
+            {"ex6.csv": "method,eps,overshoot,undershoot"}),
+    "ex7": (dict(N=[8], eps=[1e-4]),
+            ["ex7.csv"] + ["ex7_%s_N8.csv" % m for m in _M3],
+            {"ex7.csv": "method,N,eps,min_value,max_value"}),
+    "comp-ex2": (dict(N=[8], options=_CROSSWIND_N8), ["comp-ex2.csv"],
+                 {"comp-ex2.csv": "method,N,eps,h1_error"}),
+    "comp-ex3": (dict(N=[4, 8], grids=1),
+                 ["comp-ex3.csv", "comp-ex3_rates.csv"]
+                 + ["comp-ex3_%s.dat" % m for m in _M3],
+                 {"comp-ex3.csv": "method,N,eps,mean_conv_residual_l2",
+                  "comp-ex3_rates.csv": "method,fit_rate"}),
+    "comp-ex4": (dict(N=[8], grids=1),
+                 ["comp-ex4.csv", "comp-ex4_summary.csv"],
+                 {"comp-ex4.csv": "grid,grid_seed,method,osc_para2,osc_exp",
+                  "comp-ex4_summary.csv":
+                      "method,max_osc_para2,max_osc_exp"}),
+    "comp-ex5": (dict(N=[8], grids=1),
+                 ["comp-ex5.csv", "comp-ex5_summary.csv"],
+                 {"comp-ex5.csv": "grid,method,osc_int,smear_int",
+                  "comp-ex5_summary.csv":
+                      "method,mean_osc_int,mean_smear_int"}),
+    "comp-ex6": (dict(grids=1),
+                 ["comp-ex6.csv"] + ["comp-ex6_%s.dat" % m for m in _M3],
+                 {"comp-ex6.csv": "method,theta,overshoot,undershoot"}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_TINY))
+def test_every_experiment_runs_deterministically(tmp_path, experiment):
+    kwargs, names, headers = _TINY[experiment]
+    texts = []
+    for tag in ("a", "b"):
+        paths = run(ExperimentConfig(experiment=experiment,
+                                     out=str(tmp_path / tag), **kwargs))
+        assert [os.path.basename(p) for p in paths] == names
+        for p in paths:
+            if p.endswith(".csv"):
+                header = _data(p)[0]
+                assert header == headers.get(os.path.basename(p),
+                                             "x,y,value")
+        texts.append([_data(p) for p in paths])
+    if experiment == "ex1":
+        # wall_time, the last column, differs between runs
+        for run_texts in texts:
+            run_texts[0] = [line.rsplit(",", 1)[0] for line in run_texts[0]]
+    assert texts[0] == texts[1]
+    for p, lines in zip(paths, texts[0]):
+        # a data line below the CSV header; plot data has no header
+        assert len(lines) > (1 if p.endswith(".csv") else 0)

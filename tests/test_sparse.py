@@ -90,6 +90,20 @@ def test_solve_singular_reports_near_null_vector():
     assert np.linalg.norm(m.csr @ v) <= 1e-12
 
 
+def test_solve_singular_above_dense_limit_skips_dense_fallback(monkeypatch):
+    # one zero row: splu fails, and no dense copy may be made at this size
+    n = sparse.DENSE_LIMIT + 1
+    m = sparse.compress([(i, i, 1.0) for i in range(n - 1)], n, n)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback ran")
+
+    monkeypatch.setattr(type(m.csr), "toarray", no_dense)
+    with pytest.raises(sparse.RankDeficiencyError) as exc:
+        sparse.solve_symmetric_indefinite(m, np.ones(n))
+    assert exc.value.near_null_vector is None
+
+
 def test_min_singular_identity():
     m = sparse.compress([(i, i, 1.0) for i in range(3)], 3, 3)
     smin, v = sparse.min_singular_diagnostic(m)
@@ -136,11 +150,7 @@ def _small_kkt_system():
 
 def test_saddle_symmetrize():
     system = _small_kkt_system()
-    m0 = system.matrix()
     n, m = system.n, system.m
-    # unsymmetrized layout carries -A^T and -E^T in the upper blocks
-    assert abs(m0[:n, n + m:] + m0[n + m:, :n].T).max() <= 1e-14
-    system.symmetrize()
     m1 = system.matrix()
     assert abs(m1 - m1.T).max() <= 1e-14 * max(abs(m1).max(), 1e-300)
     assert m1.shape == (2 * n + m, 2 * n + m)
@@ -152,7 +162,7 @@ def test_saddle_solve_matches_dense_oracle():
     mesh = uniform_mesh_1d(9, (0.0, 1.0 - sigma))
     ops = assembly.assemble_1d(mesh, 1e-8, 1.0, 1.0)
     system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
-                                 ops.residual_load, ops.load).symmetrize()
+                                 ops.residual_load, ops.load)
     x = sparse.solve_symmetric_indefinite(system)
     dense = np.linalg.solve(system.matrix().toarray(), system.rhs())
     assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
