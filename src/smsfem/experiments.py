@@ -274,10 +274,13 @@ def mild_random_grid(N, b, seed, amplitude=1.0 / 3.0):
     return perturb_structured(base, amplitude, seed, frozen=frozen)
 
 
-EX5_SNAP_RULE = "hmin2/10"
+# default snap rule of the embedded-layer meshes: interior_layer_mesh (ex5)
+# and hemker_layered_mesh (ex6, comp-ex6), and so of 'smsfem solve'
+SNAP_RULE = "hmin2/10"
+EX5_SNAP_RULE = SNAP_RULE
 
 
-def interior_layer_mesh(N, snap_rule=EX5_SNAP_RULE, seed=None,
+def interior_layer_mesh(N, snap_rule=SNAP_RULE, seed=None,
                         amplitude=1.0 / 3.0):
     """Unit-square grid with the oblique interior characteristic of the
     discontinuous-data problem snapped and embedded.
@@ -317,10 +320,10 @@ def _hemker_exit(origin, b):
     return np.asarray(origin) + min(ts) * np.asarray(b)
 
 
-def hemker_layered_mesh(theta=0.0, snap_rule=EX5_SNAP_RULE):
+def hemker_layered_mesh(theta=0.0, snap_rule=SNAP_RULE):
     """Channel-with-hole fixture with the two tangential characteristic
     layers snapped and embedded; retags y = -3 Dirichlet for theta > 0.
-    The layers are snapped with ex5's 'hmin2/10' rule by default."""
+    The layers are snapped with SNAP_RULE, 'hmin2/10', by default."""
     mesh = fixtures.load("channel_hole")
     if theta > 0.0:
         edges = []
@@ -429,7 +432,7 @@ def _channel(options, case):
     spec = problems.ex6_spec(case.eps, theta=case.theta)
     mesh = hemker_layered_mesh(case.theta,
                                snap_rule=_option(options, "snap_rule",
-                                                 EX5_SNAP_RULE))
+                                                 SNAP_RULE))
     mesh, dec = _safe_decomposition(mesh, spec.b)
     return mesh, spec, dec
 
@@ -692,13 +695,13 @@ STUDIES = {
         metric=lambda c, m, mesh, spec, dec, u: metrics.osc_smear(mesh, u),
         N=(20, 64), node_values=True),
     # interior layer from discontinuous inflow data, embedded in regular
-    # grids with EX5_SNAP_RULE, which keeps the grid rows where smearing is
+    # grids with SNAP_RULE, which keeps the grid rows where smearing is
     # measured in place (see interior_layer_mesh)
     "ex5": Study(
         header=("method", "N", "eps", "overshoot", "undershoot", "osc_int",
                 "smear_int"),
         cases=_square_cases, setup=partial(_interior_layer,
-                                           snap_rule=EX5_SNAP_RULE),
+                                           snap_rule=SNAP_RULE),
         metric=lambda c, m, mesh, spec, dec, u: (
             metrics.over_undershoot(u) + metrics.osc_int_smear_int(mesh, u)),
         N=(16, 64), node_values=True),

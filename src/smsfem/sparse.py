@@ -20,9 +20,16 @@ class CapacityError(ValueError):
     """Raised when a dense diagnostic is requested on too large a matrix."""
 
 
-# largest row count for which dense solves and SVDs run: 2000 rows of
-# float64 are 32 MB, a singular N=128 KKT (32,637 rows) would be 8.5 GB
+# largest row count for which dense SVDs run, in the diagnostics and for
+# the near-null vector of a singular solve: 2000 rows of float64 are 32 MB,
+# while the SVD of a singular 8,575-row KKT peaks above 4 GB
 DENSE_LIMIT = 2000
+
+# largest row count for which a failed sparse LU falls back to a dense
+# solve.  comp-ex5's singular N=64 random-grid KKTs (8,575 rows, 588 MB
+# dense) still take that path; a singular N=128 KKT (32,637 rows) would
+# need 8.5 GB and raises instead
+DENSE_SOLVE_LIMIT = 10000
 
 
 class RankDeficiencyError(RuntimeError):
@@ -180,10 +187,10 @@ def _direct_solve(M, r):
         return x
     except (RuntimeError, ValueError):
         pass
-    if n > DENSE_LIMIT:
+    if n > DENSE_SOLVE_LIMIT:
         raise RankDeficiencyError(
             "sparse LU failed on %d unknowns; no dense fallback above %d "
-            "rows" % (n, DENSE_LIMIT))
+            "rows" % (n, DENSE_SOLVE_LIMIT))
     # dense fallback; also produces the near-null vector on failure
     A = M.toarray()
     try:
@@ -192,6 +199,10 @@ def _direct_solve(M, r):
             return x
     except np.linalg.LinAlgError:
         pass
+    if n > DENSE_LIMIT:
+        raise RankDeficiencyError(
+            "dense LU singular on %d unknowns; no near-null SVD above %d "
+            "rows" % (n, DENSE_LIMIT))
     u, s, vt = np.linalg.svd(A)
     tol = s[0] * max(A.shape) * np.finfo(float).eps if s.size else 0.0
     if s.size == 0 or s[-1] <= tol:

@@ -92,13 +92,27 @@ def test_solve_singular_reports_near_null_vector():
 
 def test_solve_singular_above_dense_limit_skips_dense_fallback(monkeypatch):
     # one zero row: splu fails, and no dense copy may be made at this size
-    n = sparse.DENSE_LIMIT + 1
+    n = sparse.DENSE_SOLVE_LIMIT + 1
     m = sparse.compress([(i, i, 1.0) for i in range(n - 1)], n, n)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense fallback ran")
 
     monkeypatch.setattr(type(m.csr), "toarray", no_dense)
+    with pytest.raises(sparse.RankDeficiencyError) as exc:
+        sparse.solve_symmetric_indefinite(m, np.ones(n))
+    assert exc.value.near_null_vector is None
+
+
+def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
+    # dense LU runs at this size, but the near-null SVD does not
+    n = sparse.DENSE_LIMIT + 1
+    m = sparse.compress([(i, i, 1.0) for i in range(n - 1)], n, n)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     with pytest.raises(sparse.RankDeficiencyError) as exc:
         sparse.solve_symmetric_indefinite(m, np.ones(n))
     assert exc.value.near_null_vector is None
