@@ -225,8 +225,8 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     _neumann_load(mesh, spec, load)
 
     u_d, dir_nodes = dirichlet_lift(mesh, spec, with_constraints)
-    free = np.array([v for v in range(n) if v not in set(dir_nodes)],
-                    dtype=np.int64)
+    dir_set = set(dir_nodes)
+    free = np.array([v for v in range(n) if v not in dir_set], dtype=np.int64)
     free_index = {int(v): i for i, v in enumerate(free)}
 
     A_full = sparse.compress(a_trip, n, n)

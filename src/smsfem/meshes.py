@@ -135,6 +135,7 @@ class Triangulation:
             self.node_values.setdefault(i, v)
             self.node_values.setdefault(j, v)
         self._edge_map = None
+        self._node_map = None
         if audit:
             self.audit_conformity()
 
@@ -163,11 +164,14 @@ class Triangulation:
         return self._edge_map
 
     def node_to_elements(self):
-        nmap = [[] for _ in range(self.n_nodes)]
-        for k, tri in enumerate(self.elements):
-            for v in tri:
-                nmap[v].append(k)
-        return nmap
+        """Per node, the incident element indices in increasing order."""
+        if self._node_map is None:
+            nmap = [[] for _ in range(self.n_nodes)]
+            for k, tri in enumerate(self.elements):
+                for v in tri:
+                    nmap[v].append(k)
+            self._node_map = nmap
+        return self._node_map
 
     def boundary_node_set(self):
         out = set()

@@ -101,9 +101,8 @@ def upwind_element(mesh, node, b):
     d = -bvec / nb
     x = mesh.nodes[node]
     hits = []
-    for k, tri in enumerate(mesh.elements):
-        if node not in tri:
-            continue
+    for k in mesh.node_to_elements()[node]:
+        tri = mesh.elements[k]
         others = [v for v in tri if v != node]
         e1 = mesh.nodes[others[0]] - x
         e2 = mesh.nodes[others[1]] - x
@@ -282,83 +281,79 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-def _ray_hits_triangle(x, d, tri_pts, tmin=1e-12):
-    """Does the ray x + t*d (t > tmin) intersect the triangle?
+# (rays x Omega_h+ triangles) pairs clipped at once: keeps each pair
+# temporary near 10^6 entries counting both coordinates
+RAY_CLIP_PAIRS = 500_000
 
-    Clips the parameter interval against the triangle's three edge
-    half-planes (triangle positively oriented).
+
+def _clip_rays(x, d, tri, tmin=1e-12):
+    """Clip the rays x + t*d (t > tmin) against every triangle.
+
+    x, d: (K, 2); tri: (J, 3, 2), positively oriented.  Each ray's
+    parameter interval is cut by the three edge half-planes of each
+    triangle.  Returns the (K, J) hit mask and entry parameters.  The
+    dot products go through np.vecdot, which rounds exactly as np.dot
+    does on one pair, so every decision matches the one-pair clip.
     """
-    lo, hi = tmin, np.inf
+    lo = np.full((len(x), len(tri)), tmin)
+    hi = np.full_like(lo, np.inf)
+    hit = np.ones(lo.shape, dtype=bool)
     for a in range(3):
-        p, q = tri_pts[a], tri_pts[(a + 1) % 3]
-        e = q - p
-        n = np.array([-e[1], e[0]])  # inward normal for ccw orientation
-        num = np.dot(n, x - p)
-        den = np.dot(n, d)
-        if abs(den) < 1e-300:
-            if num < -1e-14 * (np.linalg.norm(n) + 1.0):
-                return False
-            continue
-        t_cross = -num / den
-        if den > 0:
-            lo = max(lo, t_cross)
-        else:
-            hi = min(hi, t_cross)
-        if lo > hi:
-            return False
-    return lo <= hi
+        p = tri[:, a]
+        e = tri[:, (a + 1) % 3] - p
+        n = np.stack([-e[:, 1], e[:, 0]], axis=1)  # inward normal (ccw)
+        num = np.vecdot(n, x[:, None, :] - p)
+        den = np.vecdot(n, d[:, None, :])
+        # an edge parallel to the ray: miss when x is outside its line
+        hit &= ~((np.abs(den) < 1e-300)
+                 & (num < -1e-14 * (np.sqrt(np.vecdot(n, n)) + 1.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cross = -num / den
+        np.maximum(lo, t_cross, out=lo, where=den >= 1e-300)
+        np.minimum(hi, t_cross, out=hi, where=den <= -1e-300)
+    return hit & (lo <= hi), lo
 
 
-def element_downwind_of(mesh, decomposition, k, bf):
-    """True if the upwind ray from element k's barycenter hits Omega_h+."""
-    bary = mesh.nodes[mesh.elements[k]].mean(axis=0)
-    b = bf(bary)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return False
-    d = -b / nb
-    for j in decomposition.omega_plus:
-        if _ray_hits_triangle(bary, d, mesh.nodes[mesh.elements[j]]):
-            return True
-    return False
+def upwind_hits(mesh, decomposition, elements, bf):
+    """Clip the upwind ray from each element's barycenter against Omega_h+.
+
+    Returns (downwind, first): downwind[i] says whether the ray from
+    elements[i] meets Omega_h+, and first[i] is the Omega_h+ element it
+    enters first (the earliest in decomposition.omega_plus on ties), or
+    -1.  A zero wind casts no ray.
+    """
+    plus = np.asarray(decomposition.omega_plus, dtype=np.int64)
+    x = mesh.nodes[mesh.elements[elements]].mean(axis=1)
+    d = np.zeros_like(x)
+    lit = np.zeros(len(x), dtype=bool)
+    for i, bary in enumerate(x):
+        b = bf(bary)  # winds may be point callables: one call per ray
+        nb = np.linalg.norm(b)
+        if nb != 0.0:
+            d[i] = -b / nb
+            lit[i] = True
+    downwind = np.zeros(len(x), dtype=bool)
+    first = np.full(len(x), -1, dtype=np.int64)
+    if plus.size == 0:
+        return downwind, first
+    tri = mesh.nodes[mesh.elements[plus]]
+    step = max(1, RAY_CLIP_PAIRS // plus.size)
+    for s in range(0, len(x), step):
+        rows = slice(s, s + step)
+        hit, entry = _clip_rays(x[rows], d[rows], tri)
+        hit &= lit[rows, None]
+        downwind[rows] = hit.any(axis=1)
+        entry[~hit] = np.inf
+        j = entry.argmin(axis=1)
+        entered = entry[np.arange(len(j)), j] < np.inf
+        first[rows] = np.where(entered, plus[j], -1)
+    return downwind, first
 
 
 def first_upwind_hit(mesh, decomposition, k, bf):
     """Omega_h+ element first hit by the upwind ray from k's barycenter."""
-    bary = mesh.nodes[mesh.elements[k]].mean(axis=0)
-    b = bf(bary)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return None
-    d = -b / nb
-    best, best_t = None, np.inf
-    for j in decomposition.omega_plus:
-        t = _ray_entry_parameter(bary, d, mesh.nodes[mesh.elements[j]])
-        if t is not None and t < best_t:
-            best, best_t = j, t
-    return best
-
-
-def _ray_entry_parameter(x, d, tri_pts, tmin=1e-12):
-    lo, hi = tmin, np.inf
-    for a in range(3):
-        p, q = tri_pts[a], tri_pts[(a + 1) % 3]
-        e = q - p
-        n = np.array([-e[1], e[0]])
-        num = np.dot(n, x - p)
-        den = np.dot(n, d)
-        if abs(den) < 1e-300:
-            if num < -1e-14 * (np.linalg.norm(n) + 1.0):
-                return None
-            continue
-        t_cross = -num / den
-        if den > 0:
-            lo = max(lo, t_cross)
-        else:
-            hi = min(hi, t_cross)
-        if lo > hi:
-            return None
-    return lo
+    hit = int(upwind_hits(mesh, decomposition, [k], bf)[1][0])
+    return None if hit < 0 else hit
 
 
 def diagnose(decomposition, mesh, b):
@@ -394,6 +389,7 @@ def diagnose(decomposition, mesh, b):
                 if not set(mesh.elements[comp].ravel().tolist()) & pinned]
 
     nmap = mesh.node_to_elements()
+    is_downwind = upwind_hits(mesh, decomposition, hat, bf)[0]
 
     def opposite_edge_parallel(k, opp):
         tri = [int(v) for v in mesh.elements[k]]
@@ -406,8 +402,8 @@ def diagnose(decomposition, mesh, b):
                 * np.linalg.norm(e)), _edge_key(i, j)
 
     downwind, parallel = [], []
-    for k in hat:
-        if not element_downwind_of(mesh, decomposition, k, bf):
+    for k, down in zip(hat, is_downwind):
+        if not down:
             continue
         downwind.append(k)
         for opp in (int(v) for v in mesh.elements[k]):

@@ -1,18 +1,21 @@
 """Boundary classification, element decompositions and uniqueness
 diagnostics/remediation."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from smsfem import defects
-from smsfem.meshes import structured_triangulation
+from smsfem import defects, wind
+from smsfem.meshes import perturb_structured, structured_triangulation
 from smsfem.metrics import locate_point
 from smsfem.problems import glazing_wind
-from smsfem.wind import (UpwindNotFound, ValidationError, absorb_isolated,
-                         build_omega_plus, build_omega_plus_shrunk,
-                         classify_boundary, diagnose, remediate,
-                         upwind_element)
+from smsfem.wind import (OmegaPlusDecomposition, UpwindNotFound,
+                         ValidationError, absorb_isolated, build_omega_plus,
+                         build_omega_plus_shrunk, classify_boundary, diagnose,
+                         first_upwind_hit, remediate, upwind_element,
+                         upwind_hits, vector_field)
 
 
 def _edge_mid(mesh, k):
@@ -227,3 +230,107 @@ def test_absorb_isolated_removes_components():
     # no-op on a clean report
     clean = diagnose(merged, m, defects.WIND)
     assert absorb_isolated(m, merged, clean, defects.WIND) is merged
+
+
+# ---------------------------------------------------------------------------
+# the array ray clip against the one-pair reference clip
+
+
+def _clip_reference(x, d, tri_pts, tmin=1e-12):
+    """Entry parameter of the ray x + t*d (t > tmin) into the positively
+    oriented triangle, or None: the one-pair half-plane clip."""
+    lo, hi = tmin, np.inf
+    for a in range(3):
+        p, q = tri_pts[a], tri_pts[(a + 1) % 3]
+        e = q - p
+        n = np.array([-e[1], e[0]])  # inward normal for ccw orientation
+        num = np.dot(n, x - p)
+        den = np.dot(n, d)
+        if abs(den) < 1e-300:
+            if num < -1e-14 * (np.linalg.norm(n) + 1.0):
+                return None
+            continue
+        t_cross = -num / den
+        if den > 0:
+            lo = max(lo, t_cross)
+        else:
+            hi = min(hi, t_cross)
+        if lo > hi:
+            return None
+    return lo
+
+
+def _upwind_reference(mesh, omega_plus, k, bf):
+    """(downwind, first hit or -1) of element k by the one-pair clip."""
+    bary = mesh.nodes[mesh.elements[k]].mean(axis=0)
+    b = bf(bary)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        return False, -1
+    d = -b / nb
+    downwind, best, best_t = False, -1, np.inf
+    for j in omega_plus:
+        t = _clip_reference(bary, d, mesh.nodes[mesh.elements[j]])
+        if t is None:
+            continue
+        downwind = True
+        if t < best_t:
+            best, best_t = j, t
+    return downwind, best
+
+
+def _calm_left_half(p):
+    return np.array([max(p[0] - 0.5, 0.0), 0.0])
+
+
+# axis and diagonal winds run parallel to grid edges (den == 0); (1, 2)
+# sends barycenter rays through grid vertices; the calm left half casts
+# no ray
+_EDGE_CASE_WINDS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0),
+                    _calm_left_half]
+
+
+def _random_split(mesh, fraction, seed):
+    rng = np.random.default_rng(seed)
+    size = max(1, int(fraction * mesh.n_elements))
+    plus = rng.choice(mesh.n_elements, size=size, replace=False).tolist()
+    hat = sorted(set(range(mesh.n_elements)) - set(plus))
+    return OmegaPlusDecomposition(plus, hat, [], [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6),
+       st.sampled_from([0.0, 0.3]),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.one_of(st.sampled_from(_EDGE_CASE_WINDS),
+                 st.floats(min_value=0.0, max_value=2.0 * math.pi).map(
+                     lambda a: (math.cos(a), math.sin(a)))),
+       st.floats(min_value=0.05, max_value=0.6))
+@example(n=4, amplitude=0.0, seed=0, b=(1.0, 0.0), fraction=0.3)
+@example(n=5, amplitude=0.0, seed=1, b=(1.0, 2.0), fraction=0.5)
+def test_upwind_hits_match_one_pair_clip(n, amplitude, seed, b, fraction):
+    mesh = structured_triangulation(n, n)
+    if amplitude:
+        mesh = perturb_structured(mesh, amplitude, seed)
+    # an unsorted Omega_h+ list: first hits break ties in list order
+    dec = _random_split(mesh, fraction, seed)
+    bf = vector_field(b)
+    downwind, first = upwind_hits(mesh, dec, dec.omega_hat, bf)
+    ref = [_upwind_reference(mesh, dec.omega_plus, k, bf)
+           for k in dec.omega_hat]
+    assert downwind.tolist() == [r[0] for r in ref]
+    assert first.tolist() == [r[1] for r in ref]
+    for k, (_down, hit) in zip(dec.omega_hat, ref):
+        assert first_upwind_hit(mesh, dec, k, bf) == (None if hit < 0
+                                                      else hit)
+
+
+def test_upwind_hits_independent_of_chunking(monkeypatch):
+    mesh = perturb_structured(structured_triangulation(6, 6), 0.3, 5)
+    dec = _random_split(mesh, 0.3, 5)
+    bf = vector_field((1.0, 0.5))
+    whole = upwind_hits(mesh, dec, dec.omega_hat, bf)
+    monkeypatch.setattr(wind, "RAY_CLIP_PAIRS", 7)
+    chunked = upwind_hits(mesh, dec, dec.omega_hat, bf)
+    assert whole[0].tolist() == chunked[0].tolist()
+    assert whole[1].tolist() == chunked[1].tolist()
