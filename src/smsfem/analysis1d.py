@@ -62,12 +62,10 @@ def l_qh_cellwise(mesh1d, b):
 
 def residual_r(f, mesh1d, b):
     """r = (f, L_h q_h)_{L^2(0, x_{J-1})}."""
-    x = mesh1d.nodes
-    lq = l_qh_cellwise(mesh1d, b)
-    total = 0.0
-    for k in range(mesh1d.J - 1):  # cells 1..J-1
-        total += lq[k] * assembly._cell_integral(f, x[k], x[k + 1])
-    return total
+    # cells 1..J-1, summed in order
+    _lam, wf = assembly.gauss5_cells(f, mesh1d.nodes[:-1])
+    return assembly.ordered_sum(l_qh_cellwise(mesh1d, b)[:-1]
+                                * wf.sum(axis=1))
 
 
 def stability_bound(f, mesh1d, b):

@@ -4,17 +4,22 @@ Builds the Galerkin bilinear form A, the SUPG-stabilized form, the
 residual Gram matrix S over Omega_hat, the constraint selector E, load
 vectors and the Dirichlet lifting.  Quadrature: the diffusion term is
 exact (constant gradients); convection, reaction, load and the residual
-Gram use the 3-point mid-edge rule (exact for quadratics); Neumann edge
-terms use 2-point Gauss.
+Gram use the 3-point mid-edge rule (exact for quadratics, `midedge_rule`);
+Neumann edge terms use 2-point Gauss; 1D cell integrals use 5-point Gauss
+(`gauss5_cells`).
+
+All elements are assembled at once, as (K, 3, 3) local blocks and one
+coordinate-array build per matrix.  The products round exactly as the
+per-element loops they replaced (np.vecdot or batched matmul, whichever
+matches the loop's dot product; sums from +0.0 in element order).
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import sparse
-from .meshes import _edge_key
 from .wind import vector_field
 
 
@@ -72,9 +77,8 @@ def element_geometry(mesh):
     """Areas, constant basis gradients and vertex coords per element."""
     p = mesh.nodes[mesh.elements]
     v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-    det = ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-           - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1]))
-    area = 0.5 * det
+    area = mesh.areas()
+    det = 2.0 * area
     grads = np.empty((mesh.n_elements, 3, 2))
     grads[:, 0, 0] = (v1[:, 1] - v2[:, 1]) / det
     grads[:, 0, 1] = (v2[:, 0] - v1[:, 0]) / det
@@ -93,28 +97,78 @@ _MIDEDGE_PHI = np.array([
 ])
 
 
+def pointwise(fn, points, shape=()):
+    """Call fn once per point of a (..., 2) array; gather the values,
+    each of the given shape, into an array of shape (...) + shape."""
+    values = np.array([fn(q) for q in points.reshape(-1, 2)], dtype=float)
+    return values.reshape(points.shape[:-1] + shape)
+
+
+@dataclass
+class MidEdgeRule:
+    """The 3-point mid-edge rule (exact for quadratics) on K elements:
+    weight area/3 at the edge midpoints m01, m12, m20.  b, c and f hold
+    the coefficients there when the rule was built with a spec."""
+
+    area: np.ndarray                 # (K,)
+    grads: np.ndarray                # (K, 3, 2) constant basis gradients
+    points: np.ndarray               # (K, 3, 2)
+    b: Optional[np.ndarray] = None   # (K, 3, 2)
+    c: Optional[np.ndarray] = None   # (K, 3)
+    f: Optional[np.ndarray] = None   # (K, 3)
+
+    def gradient(self, u_local):
+        """Gradient (K, 2) of the P1 function with vertex values (K, 3)."""
+        return (u_local[:, None, :] @ self.grads)[:, 0]
+
+
+def midedge_rule(mesh, spec=None, elements=None):
+    """Mid-edge quadrature on the given elements (default all); with a
+    spec, b, c and f are evaluated at every point."""
+    area, grads, p = element_geometry(mesh)
+    if elements is not None:
+        area, grads, p = area[elements], grads[elements], p[elements]
+    rule = MidEdgeRule(area, grads, 0.5 * (p + np.roll(p, -1, axis=1)))
+    if spec is not None:
+        rule.b = pointwise(spec.b_fn, rule.points, (2,))
+        rule.c = pointwise(spec.c_fn, rule.points)
+        rule.f = pointwise(spec.f_fn, rule.points)
+    return rule
+
+
+def ordered_sum(terms):
+    """Sum of the terms in storage order, one after another, as a scalar
+    loop adds them; numpy's pairwise sum rounds differently."""
+    return np.cumsum(np.concatenate([[0.0], np.ravel(terms)]))[-1]
+
+
+def _qsum(x, y):
+    """sum over q of x[k, q, i] * y[k, q, j], added to +0.0 in quadrature
+    order, as numpy's sum adds."""
+    total = 0.0
+    for q in range(3):
+        total = total + x[:, q, :, None] * y[:, q, None, :]
+    return total
+
+
 def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
     if spec.eps <= 0:
         raise ValueError("SUPG parameters require eps > 0")
-    area, grads, p = element_geometry(mesh)
-    bary = p.mean(axis=1)
+    _area, grads, p = element_geometry(mesh)
+    b = pointwise(spec.b_fn, p.mean(axis=1), (2,))
+    nb = np.sqrt(np.vecdot(b, b))
+    on = nb != 0.0
+    nb, b, grads = nb[on], b[on], grads[on]
+    denom = np.abs((grads @ b[:, :, None])[:, :, 0]).sum(axis=1)
+    d = 2.0 * nb / denom
+    peclet = nb * d / (2.0 * spec.eps)
     delta = np.zeros(mesh.n_elements)
     pe = np.zeros(mesh.n_elements)
     diam = np.zeros(mesh.n_elements)
-    for k in range(mesh.n_elements):
-        b = spec.b_fn(bary[k])
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            continue
-        denom = np.abs(grads[k] @ b).sum()
-        d = 2.0 * nb / denom
-        peclet = nb * d / (2.0 * spec.eps)
-        diam[k] = d
-        pe[k] = peclet
-        if peclet > 1.0:
-            delta[k] = d / (2.0 * nb)
-        else:
-            delta[k] = d * d / (4.0 * spec.eps)
+    diam[on] = d
+    pe[on] = peclet
+    delta[on] = np.where(peclet > 1.0, d / (2.0 * nb),
+                         d * d / (4.0 * spec.eps))
     return SupgParameters(delta, pe, diam, delta_c=delta_c,
                           multiplier=multiplier)
 
@@ -175,6 +229,18 @@ def _neumann_load(mesh, spec, load):
             load[j] += spec.eps * w * g * s
 
 
+def _coo(elements, blocks, n):
+    """n x n matrix of the (K, 3, 3) element blocks, entries element-major."""
+    return sparse.compress(np.repeat(elements, 3, axis=1),
+                           np.tile(elements, (1, 3)), blocks, n, n)
+
+
+def _scatter(nodes, values, n):
+    """Nodal sums of the values, added one after another in storage order."""
+    return np.bincount(np.ravel(nodes), weights=np.ravel(values),
+                       minlength=n)
+
+
 def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     """Assemble the discrete operators.
 
@@ -183,70 +249,65 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     the residual load and the constraint selector E are also built.
     """
     n = mesh.n_nodes
-    area, grads, p = element_geometry(mesh)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))  # m01, m12, m20 per element
-
-    hat_set = set(decomposition.omega_hat) if decomposition is not None else set()
-    a_trip, s_trip = [], []
-    load = np.zeros(n)
-    resload = np.zeros(n)
-    for k in range(mesh.n_elements):
-        tri = mesh.elements[k]
-        w = area[k] / 3.0
-        bq = np.array([spec.b_fn(m) for m in mids[k]])
-        cq = np.array([spec.c_fn(m) for m in mids[k]])
-        fq = np.array([spec.f_fn(m) for m in mids[k]])
-        # L phi_i at the quadrature points: b.grad + c*phi
-        lq = bq @ grads[k].T + cq[:, None] * _MIDEDGE_PHI.T  # (q, i)
-        phi = _MIDEDGE_PHI.T                                  # (q, i)
-        local = w * (lq[:, :, None] * phi[:, None, :]).sum(axis=0).T
-        # local[i, j] = (L phi_j, phi_i); add exact diffusion
-        if spec.eps != 0.0:
-            local = local + spec.eps * area[k] * (grads[k] @ grads[k].T)
-        if supg is not None and supg.delta[k] != 0.0:
-            # test function b.grad(phi_i) (+ delta_c dx(phi_i))
-            wq = bq @ grads[k].T
-            if supg.delta_c != 0.0:
-                wq = wq + supg.delta_c * grads[k][:, 0][None, :]
-            dk = supg.multiplier * supg.delta[k]
-            local = local + dk * w * (lq[:, :, None] * wq[:, None, :]).sum(axis=0).T
-            for a in range(3):
-                load[tri[a]] += dk * w * (fq * wq[:, a]).sum()
-        for a in range(3):
-            load[tri[a]] += w * (fq * phi[:, a]).sum()
-            for bidx in range(3):
-                a_trip.append((tri[a], tri[bidx], local[a, bidx]))
-        if decomposition is not None and k in hat_set:
-            s_local = w * (lq[:, :, None] * lq[:, None, :]).sum(axis=0)
-            for a in range(3):
-                resload[tri[a]] += w * (fq * lq[:, a]).sum()
-                for bidx in range(3):
-                    s_trip.append((tri[a], tri[bidx], s_local[a, bidx]))
+    tri = mesh.elements
+    rule = midedge_rule(mesh, spec)
+    w = rule.area / 3.0
+    phi = _MIDEDGE_PHI.T[None]                       # (1, q, i)
+    bgrad = np.vecdot(rule.b[:, :, None, :], rule.grads[:, None, :, :])
+    # L phi_i at the quadrature points: b.grad + c*phi, shape (K, q, i)
+    lq = bgrad + rule.c[:, :, None] * phi
+    # local[k, i, j] = (L phi_j, phi_i); add exact diffusion
+    local = w[:, None, None] * _qsum(lq, phi).transpose(0, 2, 1)
+    if spec.eps != 0.0:
+        local = local + (spec.eps * rule.area)[:, None, None] * np.vecdot(
+            rule.grads[:, :, None, :], rule.grads[:, None, :, :])
+    load_nodes, load = tri, w[:, None] * (rule.f[:, :, None] * phi).sum(axis=1)
+    if supg is not None:
+        # test function b.grad(phi_i) (+ delta_c dx(phi_i)); elements
+        # with delta = 0 keep their Galerkin block as it is
+        on = supg.delta != 0.0
+        wq = bgrad[on]
+        if supg.delta_c != 0.0:
+            wq = wq + supg.delta_c * rule.grads[on][:, None, :, 0]
+        dw = supg.multiplier * supg.delta[on] * w[on]
+        local[on] = local[on] + dw[:, None, None] * _qsum(
+            lq[on], wq).transpose(0, 2, 1)
+        # per element, the SUPG load comes before the Galerkin load
+        supg_load = np.zeros_like(load)
+        supg_load[on] = dw[:, None] * (rule.f[on][:, :, None] * wq).sum(axis=1)
+        load_nodes = np.concatenate([tri, tri], axis=1)
+        load = np.concatenate([supg_load, load], axis=1)
+    load = _scatter(load_nodes, load, n)
     _neumann_load(mesh, spec, load)
 
     u_d, dir_nodes = dirichlet_lift(mesh, spec, with_constraints)
-    dir_set = set(dir_nodes)
-    free = np.array([v for v in range(n) if v not in dir_set], dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[dir_nodes] = False
+    free = np.flatnonzero(is_free)
     free_index = {int(v): i for i, v in enumerate(free)}
 
-    A_full = sparse.compress(a_trip, n, n)
+    A_full = _coo(tri, local, n)
     A_free = sparse.from_csr(A_full.csr[free][:, free])
     load_free = load[free] - A_full.csr[free] @ u_d
 
     ops = DiscreteOperators(A=A_free, load=load_free, lifting=u_d,
                             free_nodes=free, free_index=free_index)
     if decomposition is not None:
-        S_full = sparse.compress(s_trip, n, n)
+        hat = np.zeros(mesh.n_elements, dtype=bool)
+        hat[list(decomposition.omega_hat)] = True
+        lh = lq[hat]
+        S_full = _coo(tri[hat], w[hat, None, None] * _qsum(lh, lh), n)
+        resload = _scatter(tri[hat], w[hat, None]
+                           * (rule.f[hat][:, :, None] * lh).sum(axis=1), n)
         ops.S_full = S_full
         ops.S = sparse.from_csr(S_full.csr[free][:, free])
         ops.residual_load = resload[free] - S_full.csr[free] @ u_d
         nd = list(decomposition.n_delta)
-        e_trip = []
-        for col, v in enumerate(nd):
-            if v not in free_index:
+        for v in nd:
+            if not is_free[v]:
                 raise ValueError("constraint node %d is Dirichlet" % v)
-            e_trip.append((free_index[v], col, 1.0))
-        ops.E = sparse.compress(e_trip, free.size, len(nd))
+        ops.E = sparse.compress([free_index[v] for v in nd], range(len(nd)),
+                                np.ones(len(nd)), free.size, len(nd))
         ops.n_delta = nd
     return ops
 
@@ -272,21 +333,32 @@ def assemble_supg(mesh, spec, parameters=None, decomposition=None,
 _GAUSS5_X, _GAUSS5_W = np.polynomial.legendre.leggauss(5)
 
 
-def hat_moments_1d(f, mesh1d):
-    """Moments f_j = int f phi_j by 5-point Gauss per cell, j = 1..J-1."""
-    x = mesh1d.nodes
-    J = mesh1d.J
-    out = np.zeros(J + 1)
-    for k in range(J):
-        a, b = x[k], x[k + 1]
-        h = b - a
-        xq = 0.5 * (a + b) + 0.5 * h * _GAUSS5_X
-        wq = 0.5 * h * _GAUSS5_W
-        fv = np.array([f(t) if callable(f) else float(f) for t in xq])
-        lam = (xq - a) / h   # phi_{k+1} on this cell
-        out[k + 1] += np.sum(wq * fv * lam)
-        out[k] += np.sum(wq * fv * (1.0 - lam))
+def gauss5_cells(f, x):
+    """5-point Gauss rule on the cells [x_k, x_{k+1}] of the nodes x.
+
+    Returns lam, the local coordinate (x - x_k) / h_k of each point, and
+    the weight times f there, both (cells, 5); f is called once per point.
+    """
+    a, b = x[:-1, None], x[1:, None]
+    h = b - a
+    xq = 0.5 * (a + b) + 0.5 * h * _GAUSS5_X
+    if callable(f):
+        fv = np.array([f(t) for t in xq.ravel()]).reshape(xq.shape)
+    else:
+        fv = float(f)
+    return (xq - a) / h, 0.5 * h * _GAUSS5_W * fv
+
+
+def _hat_moments(lam, wf):
+    out = np.zeros(lam.shape[0] + 1)
+    out[1:] += (wf * lam).sum(axis=1)
+    out[:-1] += (wf * (1.0 - lam)).sum(axis=1)
     return out
+
+
+def hat_moments_1d(f, mesh1d):
+    """Moments f_j = int f phi_j by 5-point Gauss per cell, j = 0..J."""
+    return _hat_moments(*gauss5_cells(f, mesh1d.nodes))
 
 
 @dataclass
@@ -303,26 +375,22 @@ class Operators1D:
 def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     """Operators of -eps u'' + b u' = f on the partition, u fixed at both
     ends; residual Gram over (0, x_{J-1}); constraint node x_{J-1}."""
-    x = mesh1d.nodes
     h = mesh1d.widths
     J = mesh1d.J
     nfree = J - 1
-    a_trip, s_trip = [], []
-    moments = hat_moments_1d(f, mesh1d)
-    # interior node i corresponds to free index i-1
-    for i in range(1, J):
-        # diffusion
-        if eps != 0.0:
-            a_trip.append((i - 1, i - 1, eps * (1.0 / h[i - 1] + 1.0 / h[i])))
-            if i > 1:
-                a_trip.append((i - 1, i - 2, -eps / h[i - 1]))
-            if i < J - 1:
-                a_trip.append((i - 1, i, -eps / h[i]))
-        # convection (b phi_j', phi_i): +-b/2 off-diagonals
-        if i > 1:
-            a_trip.append((i - 1, i - 2, -b / 2.0))
-        if i < J - 1:
-            a_trip.append((i - 1, i, b / 2.0))
+    lam, wf = gauss5_cells(f, mesh1d.nodes)
+    moments = _hat_moments(lam, wf)
+    # interior node i is free index r = i - 1; lower/upper neighbours
+    r = np.arange(nfree)
+    lo, up = r[1:], r[:-1]
+    # convection (b phi_j', phi_i): +-b/2 off-diagonals
+    rows, cols = [lo, up], [up, lo]
+    vals = [np.full(nfree - 1, -b / 2.0), np.full(nfree - 1, b / 2.0)]
+    if eps != 0.0:
+        rows += [r, lo, up]
+        cols += [r, up, lo]
+        vals += [eps * (1.0 / h[:-1] + 1.0 / h[1:]), -eps / h[1:-1],
+                 -eps / h[1:-1]]
     load = moments[1:J].copy()
     # lifting contributions from the end values
     if u_left != 0.0:
@@ -333,42 +401,30 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
         if eps != 0.0:
             load[nfree - 1] += eps * u_right / h[J - 1]
         load[nfree - 1] -= b * u_right / 2.0
-    A = sparse.compress(a_trip, nfree, nfree)
+    A = sparse.compress(np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals), nfree, nfree)
 
-    # residual Gram over cells 1..J-1 (the interval (0, x_{J-1}))
-    # L phi_i = b phi_i' piecewise constant: b/h on cell i, -b/h on cell i+1
+    # residual Gram over cells 1..J-1 (the interval (0, x_{J-1})), where
+    # L phi_i = b phi_i' is b/h on cell i and -b/h on cell i+1
+    hk = h[:-1]
+    right = b / hk           # phi_{k+1} on cell k+1: free index k
+    left = -b / hk[1:]       # phi_k on cell k+1, k >= 1: free index k-1
+    intf = wf[:-1].sum(axis=1)
+    S = sparse.compress(
+        np.concatenate([r, up, up, lo]), np.concatenate([r, up, lo, up]),
+        np.concatenate([right * right * hk, left * left * hk[1:],
+                        left * right[1:] * hk[1:],
+                        right[1:] * left * hk[1:]]), nfree, nfree)
     resload = np.zeros(nfree)
-    for k in range(J - 1):  # cell k+1 spans [x_k, x_{k+1}]
-        hk = h[k]
-        # basis with support here: phi_k (slope -1/hk), phi_{k+1} (slope 1/hk)
-        idx, slope = [], []
-        if k >= 1:
-            idx.append(k - 1)
-            slope.append(-b / hk)
-        if k + 1 <= J - 1:
-            idx.append(k)
-            slope.append(b / hk)
-        intf = _cell_integral(f, x[k], x[k + 1])
-        for a_i, sa in zip(idx, slope):
-            resload[a_i] += sa * intf
-            for b_i, sb in zip(idx, slope):
-                s_trip.append((a_i, b_i, sa * sb * hk))
+    resload += right * intf
+    resload[:-1] += left * intf[1:]
     # u_right lifting does not reach (0, x_{J-1}); u_left does via phi_0
     if u_left != 0.0:
         h1 = h[0]
         s0 = -b / h1  # slope of phi_0 on cell 1
         resload[0] -= (b / h1) * s0 * u_left * h1
-    S = sparse.compress(s_trip, nfree, nfree)
-    E = sparse.compress([(nfree - 1, 0, 1.0)], nfree, 1)
+    E = sparse.compress([nfree - 1], [0], [1.0], nfree, 1)
     lifting = np.zeros(J + 1)
     lifting[0] = u_left
     lifting[J] = u_right
     return Operators1D(A, load, S, resload, E, lifting, mesh1d)
-
-
-def _cell_integral(f, a, b):
-    h = b - a
-    xq = 0.5 * (a + b) + 0.5 * h * _GAUSS5_X
-    wq = 0.5 * h * _GAUSS5_W
-    fv = np.array([f(t) if callable(f) else float(f) for t in xq])
-    return float(np.sum(wq * fv))

@@ -81,9 +81,13 @@ def _mesh_from_config(raw, seed):
         diagonal = _scalar(raw, "diagonal", "SW-NE")
         dom = _scalar(raw, "domain")
         if dom is not None:
-            parts = [float(t) for t in str(dom).replace(",", " ").split()]
+            try:
+                parts = [float(t) for t in str(dom).replace(",", " ").split()]
+            except ValueError:
+                parts = []
             if len(parts) != 4:
-                raise ConfigError("domain needs four numbers: x0 y0 x1 y1")
+                raise ConfigError("domain needs four numbers: x0 y0 x1 y1, "
+                                  "got %r" % dom)
             domain = ((parts[0], parts[1]), (parts[2], parts[3]))
         else:
             domain = ((0.0, 0.0), (1.0, 1.0))

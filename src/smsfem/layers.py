@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Triangulation, _edge_key
+from .meshes import Triangulation, _edge_key, _signed_areas
 from .wind import vector_field
 from .assembly import scalar_field
 
@@ -151,9 +151,10 @@ def straight_characteristic(p0, p1, value):
 def _elements_crossed(mesh, path):
     """Elements whose interior is crossed by the path polyline."""
     crossed = []
+    areas = mesh.areas()
     for k in range(mesh.n_elements):
         tri = mesh.nodes[mesh.elements[k]]
-        h = np.sqrt(np.abs(_tri_area(tri))) + 1e-300
+        h = np.sqrt(np.abs(areas[k])) + 1e-300
         for s in range(len(path.points) - 1):
             chord = _clip_segment_to_triangle(path.points[s],
                                               path.points[s + 1], tri)
@@ -162,11 +163,6 @@ def _elements_crossed(mesh, path):
                 crossed.append(k)
                 break
     return crossed
-
-
-def _tri_area(tri):
-    return 0.5 * ((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                  - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
 
 
 def _clip_segment_to_triangle(p, q, tri):
@@ -256,7 +252,7 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
         old = nodes[v].copy()
         nodes[v] = q
         sub = mesh.elements[nmap[v]]
-        if np.all(_areas_of(nodes, sub) > 0):
+        if np.all(_signed_areas(nodes, sub) > 0):
             moved.append(v)
         else:
             nodes[v] = old
@@ -264,12 +260,6 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
     out = Triangulation(nodes, mesh.elements, mesh.boundary_edges,
                         mesh.constraint_edges, mesh.node_values)
     return out, moved, skipped
-
-
-def _areas_of(nodes, elements):
-    p = nodes[elements]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,6 @@ class MetricReport:
 # P1 point evaluation
 
 
-def _barycentric(tri, point):
-    a, b, c = tri
-    det = ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
-    l1 = ((point[0] - a[0]) * (c[1] - a[1])
-          - (c[0] - a[0]) * (point[1] - a[1])) / det
-    l2 = ((b[0] - a[0]) * (point[1] - a[1])
-          - (point[0] - a[0]) * (b[1] - a[1])) / det
-    return np.array([1.0 - l1 - l2, l1, l2])
-
-
 def locate_point(mesh, point, tol=1e-12):
     """Element index and barycentric coordinates containing the point."""
     p = mesh.nodes[mesh.elements]
@@ -106,41 +96,37 @@ def linf_nodal_error(mesh, u, exact, nodes=None):
     return float(np.abs(np.asarray(u)[nodes] - ex).max())
 
 
+def _elements(region, n_elements):
+    if region is None:
+        return np.arange(n_elements)
+    return np.asarray(list(region), dtype=np.int64)
+
+
 def convective_residual_l2(mesh, u, spec, region):
     """||b . grad(w) + c w - f||_{L^2} over the given element set.
 
     Mid-edge quadrature per element (exact for the P1 residual whenever
-    b, c and f are at most linear on each element).
+    b, c and f are at most linear on each element), summed in element
+    order.
     """
-    region = list(region)
-    area, grads, p = assembly.element_geometry(mesh)
-    u = np.asarray(u, dtype=float)
-    total = 0.0
-    for k in region:
-        tri = mesh.elements[k]
-        grad = u[tri] @ grads[k]
-        mids = 0.5 * (p[k] + np.roll(p[k], -1, axis=0))
-        uq = assembly._MIDEDGE_PHI.T @ u[tri]
-        for q, uval in zip(mids, uq):
-            r = (float(np.dot(spec.b_fn(q), grad))
-                 + spec.c_fn(q) * uval - spec.f_fn(q))
-            total += area[k] / 3.0 * r * r
-    return math.sqrt(total)
+    elements = _elements(region, mesh.n_elements)
+    rule = assembly.midedge_rule(mesh, spec, elements)
+    uk = np.asarray(u, dtype=float)[mesh.elements[elements]]
+    grad = rule.gradient(uk)
+    uq = uk @ assembly._MIDEDGE_PHI
+    r = np.vecdot(rule.b, grad[:, None, :]) + rule.c * uq - rule.f
+    return math.sqrt(assembly.ordered_sum(rule.area[:, None] / 3.0 * r * r))
 
 
 def h1_seminorm_error(mesh, u, exact_gradient, region=None):
     """Elementwise mid-edge quadrature of |grad(w) - grad(u)|^2."""
-    area, grads, p = assembly.element_geometry(mesh)
-    u = np.asarray(u, dtype=float)
-    region = range(mesh.n_elements) if region is None else region
-    total = 0.0
-    for k in region:
-        grad = u[mesh.elements[k]] @ grads[k]
-        mids = 0.5 * (p[k] + np.roll(p[k], -1, axis=0))
-        for q in mids:
-            d = grad - np.asarray(exact_gradient(q), dtype=float)
-            total += area[k] / 3.0 * float(d @ d)
-    return math.sqrt(total)
+    elements = _elements(region, mesh.n_elements)
+    rule = assembly.midedge_rule(mesh, elements=elements)
+    uk = np.asarray(u, dtype=float)[mesh.elements[elements]]
+    d = (rule.gradient(uk)[:, None, :]
+         - assembly.pointwise(exact_gradient, rule.points, (2,)))
+    return math.sqrt(assembly.ordered_sum(
+        rule.area[:, None] / 3.0 * np.vecdot(d, d)))
 
 
 # ---------------------------------------------------------------------------

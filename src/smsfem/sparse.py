@@ -1,7 +1,7 @@
 """Sparse matrix storage, saddle-point assembly and direct solves.
 
-Matrices are collected as coordinate triplets during finite element
-assembly and compressed to CSR once complete.  The saddle-point systems
+Finite element assembly hands over coordinate arrays (rows, columns,
+values), which are compressed to CSR once.  The saddle-point systems
 arising from the constrained least-squares formulation are symmetric
 indefinite; we factor them with a sparse LU (with a dense fallback at
 small sizes) and verify the residual afterwards.
@@ -20,9 +20,8 @@ class CapacityError(ValueError):
     """Raised when a dense diagnostic is requested on too large a matrix."""
 
 
-# largest row count for which dense SVDs run, in the diagnostics and for
-# the near-null vector of a singular solve: 2000 rows of float64 are 32 MB,
-# while the SVD of a singular 8,575-row KKT peaks above 4 GB
+# largest row count for which the dense SVD diagnostics run: 2000 rows of
+# float64 are 32 MB, while the SVD of an 8,575-row KKT peaks above 4 GB
 DENSE_LIMIT = 2000
 
 # largest row count for which a failed sparse LU falls back to a dense
@@ -33,18 +32,11 @@ DENSE_SOLVE_LIMIT = 10000
 
 
 class RankDeficiencyError(RuntimeError):
-    """Raised when a factorization is singular to working precision.
-
-    Carries ``near_null_vector`` when one could be estimated.
-    """
-
-    def __init__(self, message, near_null_vector=None):
-        super().__init__(message)
-        self.near_null_vector = near_null_vector
+    """Raised when a factorization is singular to working precision."""
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in CSR form built from coordinate triplets."""
+    """Immutable sparse matrix in CSR form built from coordinate arrays."""
 
     def __init__(self, n_rows, n_cols, csr):
         self.n_rows = n_rows
@@ -75,25 +67,19 @@ class SparseMatrix:
                 fh.write("%d %d %.17g\n" % (r, c, v))
 
 
-def compress(triplets, n_rows, n_cols):
-    """Compress coordinate triplets (row, col, value) to a SparseMatrix.
+def compress(rows, cols, vals, n_rows, n_cols):
+    """Compress coordinate arrays (row, col, value) to a SparseMatrix.
 
     Duplicate coordinates are summed.  The result is independent of the
-    order of the triplets.
+    order of the entries.
     """
-    trip = list(triplets)
-    if trip:
-        rows = np.array([t[0] for t in trip], dtype=np.int64)
-        cols = np.array([t[1] for t in trip], dtype=np.int64)
-        vals = np.array([t[2] for t in trip], dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise StructuralError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-            raise StructuralError("col index out of range")
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    cols = np.asarray(cols, dtype=np.int64).ravel()
+    vals = np.asarray(vals, dtype=np.float64).ravel()
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise StructuralError("row index out of range")
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise StructuralError("col index out of range")
     csr = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
     csr.sum_duplicates()
     csr.sort_indices()
@@ -191,26 +177,14 @@ def _direct_solve(M, r):
         raise RankDeficiencyError(
             "sparse LU failed on %d unknowns; no dense fallback above %d "
             "rows" % (n, DENSE_SOLVE_LIMIT))
-    # dense fallback; also produces the near-null vector on failure
-    A = M.toarray()
+    # dense LU fallback
     try:
-        x = np.linalg.solve(A, r)
+        x = np.linalg.solve(M.toarray(), r)
         if np.all(np.isfinite(x)):
             return x
     except np.linalg.LinAlgError:
         pass
-    if n > DENSE_LIMIT:
-        raise RankDeficiencyError(
-            "dense LU singular on %d unknowns; no near-null SVD above %d "
-            "rows" % (n, DENSE_LIMIT))
-    u, s, vt = np.linalg.svd(A)
-    tol = s[0] * max(A.shape) * np.finfo(float).eps if s.size else 0.0
-    if s.size == 0 or s[-1] <= tol:
-        raise RankDeficiencyError(
-            "matrix singular to working precision",
-            near_null_vector=vt[-1] if s.size else None,
-        )
-    return vt.T @ ((u.T @ r) / s)
+    raise RankDeficiencyError("matrix singular to working precision")
 
 
 def min_singular_diagnostic(matrix):

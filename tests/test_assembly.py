@@ -1,11 +1,15 @@
 """P1 assembly: bilinear forms, stabilization parameters, residual Gram
 matrix, load vectors and the Dirichlet lifting."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from smsfem import assembly, experiments
+from smsfem import analysis1d, assembly, experiments, metrics, problems, \
+    sparse
 from smsfem.assembly import (ProblemSpec, assemble_galerkin, assemble_supg,
                              compute_supg_parameters, dirichlet_lift,
                              hat_moments_1d)
@@ -195,3 +199,343 @@ def test_quadrature_exact_constant_coefficients():
                        [(0, 1, "N"), (1, 2, "N"), (2, 0, "N")])
     ops2 = assemble_galerkin(m2, spec, with_constraints=False)
     assert np.abs(ops2.load - expected).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The per-element loops the array path replaced, kept as its reference.
+# The array path must reproduce them byte for byte: same CSR arrays, same
+# loads, same signed zeros.
+
+
+def _compress_triplets(trip, n_rows, n_cols):
+    rows, cols, vals = (np.array([t[i] for t in trip]) for i in range(3))
+    return sparse.compress(rows, cols, vals, n_rows, n_cols)
+
+
+def _supg_reference(mesh, spec, delta_c=0.0, multiplier=1.0):
+    area, grads, p = assembly.element_geometry(mesh)
+    bary = p.mean(axis=1)
+    delta = np.zeros(mesh.n_elements)
+    pe = np.zeros(mesh.n_elements)
+    diam = np.zeros(mesh.n_elements)
+    for k in range(mesh.n_elements):
+        b = spec.b_fn(bary[k])
+        nb = np.linalg.norm(b)
+        if nb == 0.0:
+            continue
+        denom = np.abs(grads[k] @ b).sum()
+        d = 2.0 * nb / denom
+        peclet = nb * d / (2.0 * spec.eps)
+        diam[k] = d
+        pe[k] = peclet
+        if peclet > 1.0:
+            delta[k] = d / (2.0 * nb)
+        else:
+            delta[k] = d * d / (4.0 * spec.eps)
+    return assembly.SupgParameters(delta, pe, diam, delta_c=delta_c,
+                                   multiplier=multiplier)
+
+
+def _assemble_reference(mesh, spec, decomposition, supg=None):
+    """(A_full, S_full, full load, full residual load, E rows)."""
+    n = mesh.n_nodes
+    phi_table = assembly._MIDEDGE_PHI
+    area, grads, p = assembly.element_geometry(mesh)
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    hat_set = set(decomposition.omega_hat)
+    a_trip, s_trip = [], []
+    load = np.zeros(n)
+    resload = np.zeros(n)
+    for k in range(mesh.n_elements):
+        tri = mesh.elements[k]
+        w = area[k] / 3.0
+        bq = np.array([spec.b_fn(m) for m in mids[k]])
+        cq = np.array([spec.c_fn(m) for m in mids[k]])
+        fq = np.array([spec.f_fn(m) for m in mids[k]])
+        lq = bq @ grads[k].T + cq[:, None] * phi_table.T
+        phi = phi_table.T
+        local = w * (lq[:, :, None] * phi[:, None, :]).sum(axis=0).T
+        if spec.eps != 0.0:
+            local = local + spec.eps * area[k] * (grads[k] @ grads[k].T)
+        if supg is not None and supg.delta[k] != 0.0:
+            wq = bq @ grads[k].T
+            if supg.delta_c != 0.0:
+                wq = wq + supg.delta_c * grads[k][:, 0][None, :]
+            dk = supg.multiplier * supg.delta[k]
+            local = local + dk * w * (lq[:, :, None]
+                                      * wq[:, None, :]).sum(axis=0).T
+            for a in range(3):
+                load[tri[a]] += dk * w * (fq * wq[:, a]).sum()
+        for a in range(3):
+            load[tri[a]] += w * (fq * phi[:, a]).sum()
+            for bidx in range(3):
+                a_trip.append((tri[a], tri[bidx], local[a, bidx]))
+        if k in hat_set:
+            s_local = w * (lq[:, :, None] * lq[:, None, :]).sum(axis=0)
+            for a in range(3):
+                resload[tri[a]] += w * (fq * lq[:, a]).sum()
+                for bidx in range(3):
+                    s_trip.append((tri[a], tri[bidx], s_local[a, bidx]))
+    assembly._neumann_load(mesh, spec, load)
+    return (_compress_triplets(a_trip, n, n), _compress_triplets(s_trip, n, n),
+            load, resload)
+
+
+def _residual_reference(mesh, u, spec, region):
+    area, grads, p = assembly.element_geometry(mesh)
+    total = 0.0
+    for k in region:
+        tri = mesh.elements[k]
+        grad = u[tri] @ grads[k]
+        mids = 0.5 * (p[k] + np.roll(p[k], -1, axis=0))
+        uq = assembly._MIDEDGE_PHI.T @ u[tri]
+        for q, uval in zip(mids, uq):
+            r = (float(np.dot(spec.b_fn(q), grad))
+                 + spec.c_fn(q) * uval - spec.f_fn(q))
+            total += area[k] / 3.0 * r * r
+    return math.sqrt(total)
+
+
+def _h1_reference(mesh, u, exact_gradient, region):
+    area, grads, p = assembly.element_geometry(mesh)
+    total = 0.0
+    for k in region:
+        grad = u[mesh.elements[k]] @ grads[k]
+        mids = 0.5 * (p[k] + np.roll(p[k], -1, axis=0))
+        for q in mids:
+            d = grad - np.asarray(exact_gradient(q), dtype=float)
+            total += area[k] / 3.0 * float(d @ d)
+    return math.sqrt(total)
+
+
+def _cell_integral_reference(f, a, b):
+    h = b - a
+    xq = 0.5 * (a + b) + 0.5 * h * assembly._GAUSS5_X
+    wq = 0.5 * h * assembly._GAUSS5_W
+    fv = np.array([f(t) if callable(f) else float(f) for t in xq])
+    return float(np.sum(wq * fv))
+
+
+def _hat_moments_reference(f, x):
+    out = np.zeros(x.size)
+    for k in range(x.size - 1):
+        a, b = x[k], x[k + 1]
+        h = b - a
+        xq = 0.5 * (a + b) + 0.5 * h * assembly._GAUSS5_X
+        wq = 0.5 * h * assembly._GAUSS5_W
+        fv = np.array([f(t) if callable(f) else float(f) for t in xq])
+        lam = (xq - a) / h
+        out[k + 1] += np.sum(wq * fv * lam)
+        out[k] += np.sum(wq * fv * (1.0 - lam))
+    return out
+
+
+def _assemble_1d_reference(mesh1d, eps, b, f, u_left, u_right):
+    """(A, load, S, residual load) of the loop assembly."""
+    x, h, J = mesh1d.nodes, mesh1d.widths, mesh1d.J
+    nfree = J - 1
+    a_trip, s_trip = [], []
+    for i in range(1, J):
+        if eps != 0.0:
+            a_trip.append((i - 1, i - 1, eps * (1.0 / h[i - 1] + 1.0 / h[i])))
+            if i > 1:
+                a_trip.append((i - 1, i - 2, -eps / h[i - 1]))
+            if i < J - 1:
+                a_trip.append((i - 1, i, -eps / h[i]))
+        if i > 1:
+            a_trip.append((i - 1, i - 2, -b / 2.0))
+        if i < J - 1:
+            a_trip.append((i - 1, i, b / 2.0))
+    load = _hat_moments_reference(f, x)[1:J].copy()
+    if u_left != 0.0:
+        if eps != 0.0:
+            load[0] += eps * u_left / h[0]
+        load[0] += b * u_left / 2.0
+    if u_right != 0.0:
+        if eps != 0.0:
+            load[nfree - 1] += eps * u_right / h[J - 1]
+        load[nfree - 1] -= b * u_right / 2.0
+    resload = np.zeros(nfree)
+    for k in range(J - 1):
+        hk = h[k]
+        idx, slope = [], []
+        if k >= 1:
+            idx.append(k - 1)
+            slope.append(-b / hk)
+        idx.append(k)
+        slope.append(b / hk)
+        intf = _cell_integral_reference(f, x[k], x[k + 1])
+        for a_i, sa in zip(idx, slope):
+            resload[a_i] += sa * intf
+            for b_i, sb in zip(idx, slope):
+                s_trip.append((a_i, b_i, sa * sb * hk))
+    if u_left != 0.0:
+        h1 = h[0]
+        s0 = -b / h1
+        resload[0] -= (b / h1) * s0 * u_left * h1
+    return (_compress_triplets(a_trip, nfree, nfree), load,
+            _compress_triplets(s_trip, nfree, nfree), resload)
+
+
+def _assert_same_bytes(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def _assert_same_csr(got, want, what):
+    for part in ("indptr", "indices", "data"):
+        _assert_same_bytes(getattr(got.csr, part), getattr(want.csr, part),
+                           "%s.%s" % (what, part))
+
+
+def _array_assembly(mesh, spec, dec, supg):
+    """assemble() and the full (pre-restriction) A it built."""
+    built = []
+    coo = assembly._coo
+
+    def keep(*args):
+        built.append(coo(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_coo", keep)
+        ops = assembly.assemble(mesh, spec, dec, supg=supg)
+    return ops, built[0]
+
+
+def _check_against_loops(mesh, spec, dec, supg=None):
+    ops, A_full = _array_assembly(mesh, spec, dec, supg)
+    A_ref, S_ref, load_ref, resload_ref = _assemble_reference(mesh, spec, dec,
+                                                              supg)
+    free, u_d = ops.free_nodes, ops.lifting
+    _assert_same_csr(A_full, A_ref, "A_full")
+    _assert_same_csr(ops.S_full, S_ref, "S_full")
+    _assert_same_bytes(ops.load, load_ref[free] - A_ref.csr[free] @ u_d,
+                       "load")
+    _assert_same_bytes(ops.residual_load,
+                       resload_ref[free] - S_ref.csr[free] @ u_d,
+                       "residual load")
+    position = {int(v): i for i, v in enumerate(free)}
+    E_ref = _compress_triplets([(position[v], col, 1.0)
+                                for col, v in enumerate(dec.n_delta)],
+                               free.size, len(dec.n_delta))
+    _assert_same_csr(ops.E, E_ref, "E")
+
+
+def _half_zero(b):
+    return lambda p: b if p[0] > 0.5 else np.zeros(2)
+
+
+_WINDS = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0)]),
+    st.floats(0.0, 2.0 * math.pi).map(lambda t: (math.cos(t), math.sin(t))),
+    st.sampled_from([(1.0, 0.0), (2.0, 3.0)]).map(
+        lambda b: _half_zero(np.array(b))),
+    st.just(problems.glazing_wind),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 6), ny=st.integers(2, 6),
+       amplitude=st.sampled_from([0.0, 0.2, 0.3]),
+       diagonal=st.sampled_from(["SW-NE", "NW-SE"]),
+       wind=_WINDS, eps=st.sampled_from([0.0, 1e-8, 1e-2]),
+       c=st.sampled_from([0.0, 0.5, -0.3]),
+       f=st.sampled_from(["const", "ex1", "linear"]),
+       neumann=st.booleans(), delta_c=st.sampled_from([0.0, 0.7]),
+       multiplier=st.sampled_from([1.0, 1.5]),
+       seed=st.integers(0, 10 ** 6))
+@example(nx=4, ny=4, amplitude=0.0, diagonal="SW-NE",
+         wind=_half_zero(np.array([1.0, 0.0])), eps=1e-2, c=0.0, f="const",
+         neumann=False, delta_c=0.0, multiplier=1.0, seed=0)
+def test_array_assembly_matches_loop_reference(nx, ny, amplitude, diagonal,
+                                               wind, eps, c, f, neumann,
+                                               delta_c, multiplier, seed):
+    rng = np.random.default_rng(seed)
+    tag = (lambda p: "N" if p[0] > 1.0 - 1e-9 else "D") if neumann else None
+    mesh = structured_triangulation(nx, ny, diagonal=diagonal, tag_fn=tag)
+    if amplitude:
+        mesh = perturb_structured(mesh, amplitude, seed=seed % 1000)
+    load = {"const": 1.0, "ex1": problems.ex1_spec(1e-2).f,
+            "linear": lambda p: 2.0 + 3.0 * p[0] - p[1]}[f]
+    spec = ProblemSpec(eps=eps, b=wind, f=load, c=c,
+                       g2=(lambda p: p[1]) if neumann else 0.0)
+    hat = rng.permutation(mesh.n_elements)[:rng.integers(0, mesh.n_elements
+                                                         + 1)]
+    _u_d, dir_nodes = dirichlet_lift(mesh, spec)
+    free = np.setdiff1d(np.arange(mesh.n_nodes), dir_nodes)
+    n_delta = list(rng.permutation(free)[:rng.integers(0, free.size + 1)])
+    dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=list(hat),
+                                 n_delta=n_delta, b_h=[])
+    _check_against_loops(mesh, spec, dec)
+    if eps > 0:
+        params = compute_supg_parameters(mesh, spec, delta_c, multiplier)
+        ref = _supg_reference(mesh, spec, delta_c, multiplier)
+        for part in ("delta", "pe", "diam"):
+            _assert_same_bytes(getattr(params, part), getattr(ref, part),
+                               part)
+        _check_against_loops(mesh, spec, dec, params)
+    u = rng.normal(size=mesh.n_nodes)
+    got = metrics.convective_residual_l2(mesh, u, spec, hat)
+    assert struct.pack("d", got) == struct.pack(
+        "d", _residual_reference(mesh, u, spec, hat))
+    grad = lambda q: (math.sin(q[0]), q[0] * q[1])
+    for region in (None, hat):
+        want = _h1_reference(mesh, u, grad, range(mesh.n_elements)
+                             if region is None else region)
+        got = metrics.h1_seminorm_error(mesh, u, grad, region)
+        assert struct.pack("d", got) == struct.pack("d", want)
+
+
+@pytest.mark.parametrize("name, case", [
+    ("ex4", experiments.Case((16, 1e-8), 1e-8, N=16)),
+    ("ex1", experiments.Case((16, 1e-4), 1e-4, N=16)),
+    ("ex7", experiments.Case((16, 1e-4), 1e-4, N=16)),
+])
+def test_array_assembly_matches_loop_reference_on_experiments(name, case):
+    mesh, spec, dec = experiments.STUDIES[name].setup({}, case)
+    _check_against_loops(mesh, spec, dec)
+    params = compute_supg_parameters(mesh, spec)
+    _check_against_loops(mesh, spec, dec, params)
+    ref = _supg_reference(mesh, spec)
+    for part in ("delta", "pe", "diam"):
+        _assert_same_bytes(getattr(params, part), getattr(ref, part), part)
+
+
+def _random_f(seed):
+    return analysis1d._random_piecewise_smooth_f(np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(J=st.integers(2, 40), random_mesh=st.booleans(),
+       f=st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                   st.integers(0, 1000).map(_random_f)),
+       eps=st.sampled_from([0.0, 1e-3]), b=st.sampled_from([1.0, 0.7, -1.3]),
+       ends=st.sampled_from([(0.0, 0.0), (0.7, -0.4)]),
+       seed=st.integers(0, 10 ** 6))
+@example(J=8000, random_mesh=True, f=_random_f(3), eps=1e-3, b=1.0,
+         ends=(0.7, -0.4), seed=1)
+@example(J=8000, random_mesh=False, f=1.0, eps=0.0, b=1.0, ends=(0.0, 0.0),
+         seed=0)
+def test_array_assembly_1d_matches_loop_reference(J, random_mesh, f, eps, b,
+                                                  ends, seed):
+    mesh = (analysis1d.random_mesh_1d(J, np.random.default_rng(seed))
+            if random_mesh else uniform_mesh_1d(J))
+    ops = assembly.assemble_1d(mesh, eps, b, f, *ends)
+    A, load, S, resload = _assemble_1d_reference(mesh, eps, b, f, *ends)
+    _assert_same_csr(ops.A, A, "A")
+    _assert_same_csr(ops.S, S, "S")
+    _assert_same_bytes(ops.load, load, "load")
+    _assert_same_bytes(ops.residual_load, resload, "residual load")
+    _assert_same_csr(ops.E, _compress_triplets([(J - 2, 0, 1.0)], J - 1, 1),
+                     "E")
+    _assert_same_bytes(hat_moments_1d(f, mesh),
+                       _hat_moments_reference(f, mesh.nodes), "moments")
+    x = mesh.nodes
+    lq = analysis1d.l_qh_cellwise(mesh, b)
+    want = 0.0
+    for k in range(J - 1):
+        want += lq[k] * _cell_integral_reference(f, x[k], x[k + 1])
+    assert struct.pack("d", analysis1d.residual_r(f, mesh, b)) == \
+        struct.pack("d", want)

@@ -83,6 +83,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_mesh_domain_must_be_numbers(tmp_path, capsys):
+    for dom in ("0 0 one 1", "0 0 1"):
+        cfg = _write(tmp_path, "d.cfg", "domain = %s\n" % dom)
+        assert cli.main(["mesh", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: domain needs four numbers" in err
+
+
 def test_solve_rejects_oracle_method(tmp_path, capsys):
     # supg-shishkin is ex1's oracle; the error names the solve methods
     cfg = _write(tmp_path, "o.cfg",

@@ -1,6 +1,8 @@
 """Config parsing and the experiment harness: defaults, determinism and
 output formats."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -232,6 +234,18 @@ _TINY = {
 }
 
 
+# sha256 of every output file's data section (comment lines dropped, and
+# ex1.csv without its wall_time column) for the _TINY configs, recorded with
+# the per-element loop assembly before the array path replaced it.  They
+# make the rule that a refactor keeps experiment data byte-identical a
+# check.  Like perfbench/reference.json they are tied to the numpy/OpenBLAS
+# build they were recorded with (numpy 2.4.6, scipy 1.17.1, x86-64); on
+# another BLAS the last digits may round differently.
+with open(os.path.join(os.path.dirname(__file__),
+                       "experiment_digests.json")) as _fh:
+    _DIGESTS = json.load(_fh)
+
+
 @pytest.mark.parametrize("experiment", sorted(_TINY))
 def test_every_experiment_runs_deterministically(tmp_path, experiment):
     kwargs, names, headers = _TINY[experiment]
@@ -254,3 +268,6 @@ def test_every_experiment_runs_deterministically(tmp_path, experiment):
     for p, lines in zip(paths, texts[0]):
         # a data line below the CSV header; plot data has no header
         assert len(lines) > (1 if p.endswith(".csv") else 0)
+        name = os.path.basename(p)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == _DIGESTS[name], "%s data changed" % name

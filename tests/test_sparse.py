@@ -12,25 +12,25 @@ from smsfem.meshes import uniform_mesh_1d, structured_triangulation
 
 
 def test_compress_sums_duplicates():
-    m = sparse.compress([(0, 0, 1.0), (0, 0, 2.0)], 1, 1)
+    m = sparse.compress([0, 0], [0, 0], [1.0, 2.0], 1, 1)
     assert m.nnz == 1
     assert m.toarray() == np.array([[3.0]])
 
 
 def test_compress_identity():
-    m = sparse.compress([(i, i, 1.0) for i in range(3)], 3, 3)
+    m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
     assert np.array_equal(m.toarray(), np.eye(3))
 
 
 def test_compress_out_of_range():
     with pytest.raises(sparse.StructuralError):
-        sparse.compress([(1, 0, 1.0)], 1, 1)
+        sparse.compress([1], [0], [1.0], 1, 1)
     with pytest.raises(sparse.StructuralError):
-        sparse.compress([(0, -1, 1.0)], 2, 2)
+        sparse.compress([0], [-1], [1.0], 2, 2)
 
 
 def test_compress_empty():
-    m = sparse.compress([], 2, 3)
+    m = sparse.compress([], [], [], 2, 3)
     assert m.nnz == 0
     assert m.toarray().shape == (2, 3)
 
@@ -48,23 +48,23 @@ def test_convection_matrix_1d_skew_pattern():
 @given(st.permutations(list(range(8))))
 def test_compress_order_independent(perm):
     rng = np.random.default_rng(7)
-    trip = [(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
-             float(rng.normal())) for _ in range(8)]
-    a = sparse.compress(trip, 4, 4)
-    b = sparse.compress([trip[i] for i in perm], 4, 4)
+    rows, cols = rng.integers(0, 4, size=(2, 8))
+    vals = rng.normal(size=8)
+    a = sparse.compress(rows, cols, vals, 4, 4)
+    b = sparse.compress(rows[perm], cols[perm], vals[perm], 4, 4)
     assert np.array_equal(a.csr.indptr, b.csr.indptr)
     assert np.array_equal(a.csr.indices, b.csr.indices)
     assert np.array_equal(a.csr.data, b.csr.data)
 
 
 def test_solve_diagonal():
-    m = sparse.compress([(0, 0, 2.0), (1, 1, -3.0)], 2, 2)
+    m = sparse.compress([0, 1], [0, 1], [2.0, -3.0], 2, 2)
     x = sparse.solve_symmetric_indefinite(m, np.array([2.0, 3.0]))
     assert np.allclose(x, [1.0, -1.0], atol=1e-12)
 
 
 def test_solve_small_saddle():
-    m = sparse.compress([(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)], 2, 2)
+    m = sparse.compress([0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], 2, 2)
     x = sparse.solve_symmetric_indefinite(m, np.array([2.0, 1.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
@@ -73,53 +73,53 @@ def test_solve_residual_verified():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(20, 20))
     a = a + a.T + 40 * np.eye(20)
-    trip = [(i, j, a[i, j]) for i in range(20) for j in range(20)]
-    m = sparse.compress(trip, 20, 20)
+    rows, cols = np.indices((20, 20))
+    m = sparse.compress(rows, cols, a, 20, 20)
     r = rng.normal(size=20)
     x = sparse.solve_symmetric_indefinite(m, r)
     assert np.linalg.norm(a @ x - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
 
 
-def test_solve_singular_reports_near_null_vector():
-    m = sparse.compress([(0, 0, 1.0), (0, 1, 1.0),
-                         (1, 0, 1.0), (1, 1, 1.0)], 2, 2)
-    with pytest.raises(sparse.RankDeficiencyError) as exc:
-        sparse.solve_symmetric_indefinite(m, np.array([1.0, 0.0]))
-    v = exc.value.near_null_vector
-    assert v is not None
-    assert np.linalg.norm(m.csr @ v) <= 1e-12
-
-
-def test_solve_singular_above_dense_limit_skips_dense_fallback(monkeypatch):
-    # one zero row: splu fails, and no dense copy may be made at this size
-    n = sparse.DENSE_SOLVE_LIMIT + 1
-    m = sparse.compress([(i, i, 1.0) for i in range(n - 1)], n, n)
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense fallback ran")
-
-    monkeypatch.setattr(type(m.csr), "toarray", no_dense)
-    with pytest.raises(sparse.RankDeficiencyError) as exc:
-        sparse.solve_symmetric_indefinite(m, np.ones(n))
-    assert exc.value.near_null_vector is None
-
-
-def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
-    # dense LU runs at this size, but the near-null SVD does not
-    n = sparse.DENSE_LIMIT + 1
-    m = sparse.compress([(i, i, 1.0) for i in range(n - 1)], n, n)
+def test_solve_singular_raises_without_svd(monkeypatch):
+    # a failed dense LU raises at once: no SVD looks for a null vector
+    m = sparse.compress([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("dense SVD ran")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    with pytest.raises(sparse.RankDeficiencyError) as exc:
+    with pytest.raises(sparse.RankDeficiencyError):
+        sparse.solve_symmetric_indefinite(m, np.array([1.0, 0.0]))
+
+
+def test_solve_singular_above_dense_limit_skips_dense_fallback(monkeypatch):
+    # one zero row: splu fails, and no dense copy may be made at this size
+    n = sparse.DENSE_SOLVE_LIMIT + 1
+    m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback ran")
+
+    monkeypatch.setattr(type(m.csr), "toarray", no_dense)
+    with pytest.raises(sparse.RankDeficiencyError):
         sparse.solve_symmetric_indefinite(m, np.ones(n))
-    assert exc.value.near_null_vector is None
+
+
+def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
+    # dense LU runs at this size, and no SVD follows its failure
+    n = sparse.DENSE_LIMIT + 1
+    m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(sparse.RankDeficiencyError):
+        sparse.solve_symmetric_indefinite(m, np.ones(n))
 
 
 def test_min_singular_identity():
-    m = sparse.compress([(i, i, 1.0) for i in range(3)], 3, 3)
+    m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
     smin, v = sparse.min_singular_diagnostic(m)
     assert abs(smin - 1.0) <= 1e-14
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -127,8 +127,7 @@ def test_min_singular_identity():
 
 def test_min_singular_rank_one():
     # outer product of [1, 1]: null vector proportional to [1, -1]/sqrt(2)
-    m = sparse.compress([(0, 0, 1.0), (0, 1, 1.0),
-                         (1, 0, 1.0), (1, 1, 1.0)], 2, 2)
+    m = sparse.compress([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
     smin, v = sparse.min_singular_diagnostic(m)
     assert smin <= 1e-14
     target = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -136,13 +135,13 @@ def test_min_singular_rank_one():
 
 
 def test_min_singular_capacity_guard():
-    m = sparse.compress([], 2001, 2001)
+    m = sparse.compress([], [], [], 2001, 2001)
     with pytest.raises(sparse.CapacityError):
         sparse.min_singular_diagnostic(m)
 
 
 def test_dump_format(tmp_path):
-    m = sparse.compress([(0, 1, 2.5), (1, 0, -1.0)], 2, 2)
+    m = sparse.compress([0, 1], [1, 0], [2.5, -1.0], 2, 2)
     path = tmp_path / "m.txt"
     m.dump(str(path))
     lines = path.read_text().strip().splitlines()
