@@ -26,9 +26,10 @@ def discrete_negative_norm(f, mesh1d):
     j_prime = J if J % 2 == 1 else J - 1
     half = (j_prime - 1) // 2
     sums = np.zeros(j_prime)  # S_1..S_{j_prime-1} at indices 1..j_prime-1
+    run = 0  # prefix sums grow by one term; suffix sums add upward from j
     for j in range(1, half + 1):
-        sums[2 * j] = sum(moments[2 * i - 1] for i in range(1, j + 1))
-        sums[2 * j - 1] = sum(moments[2 * i] for i in range(j, half + 1))
+        run = sums[2 * j] = run + moments[2 * j - 1]
+        sums[2 * j - 1] = assembly.ordered_sum(moments[2 * j:2 * half + 1:2])
     value = float(np.abs(sums[1:]).max()) if j_prime > 1 else 0.0
     return NegNormWork(moments, sums, j_prime, value)
 

@@ -24,10 +24,12 @@ from .wind import vector_field
 
 
 def scalar_field(c):
+    """Coefficient as a callable point -> float; a constant keeps `constant`."""
     if callable(c):
         return lambda p: float(c(np.asarray(p, dtype=float)))
-    val = float(c)
-    return lambda p: val
+    fn = lambda p: fn.constant
+    fn.constant = float(c)
+    return fn
 
 
 @dataclass
@@ -98,9 +100,11 @@ _MIDEDGE_PHI = np.array([
 
 
 def pointwise(fn, points, shape=()):
-    """Call fn once per point of a (..., 2) array; gather the values,
-    each of the given shape, into an array of shape (...) + shape."""
-    values = np.array([fn(q) for q in points.reshape(-1, 2)], dtype=float)
+    """fn at each point of a (..., 2) array, as an array of shape (...) +
+    shape; a field with a `constant` is filled with it, not called."""
+    flat, c = points.reshape(-1, 2), getattr(fn, "constant", None)
+    values = (np.array([fn(q) for q in flat], dtype=float) if c is None
+              else np.full((len(flat),) + np.shape(c), c, dtype=float))
     return values.reshape(points.shape[:-1] + shape)
 
 

@@ -277,7 +277,6 @@ def mild_random_grid(N, b, seed, amplitude=1.0 / 3.0):
 # default snap rule of the embedded-layer meshes: interior_layer_mesh (ex5)
 # and hemker_layered_mesh (ex6, comp-ex6), and so of 'smsfem solve'
 SNAP_RULE = "hmin2/10"
-EX5_SNAP_RULE = SNAP_RULE
 
 
 def interior_layer_mesh(N, snap_rule=SNAP_RULE, seed=None,

@@ -186,14 +186,3 @@ def _direct_solve(M, r):
         pass
     raise RankDeficiencyError("matrix singular to working precision")
 
-
-def min_singular_diagnostic(matrix):
-    """Smallest singular value and right singular vector via dense SVD.
-
-    Guarded to matrices of at most DENSE_LIMIT rows.
-    """
-    if matrix.n_rows > DENSE_LIMIT:
-        raise CapacityError("matrix too large for dense diagnostic")
-    A = matrix.toarray()
-    u, s, vt = np.linalg.svd(A)
-    return float(s[-1]), vt[-1]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meshes import Triangulation, red_refine, _edge_key
+from .meshes import red_refine, _edge_key
 
 CHARACTERISTIC_RTOL = 1e-12
 PARALLEL_RTOL = 1e-10
@@ -26,11 +26,12 @@ class RemediationError(RuntimeError):
 
 
 def vector_field(b):
-    """Normalize a wind specification to a callable point -> (2,) array."""
+    """Wind as a callable point -> (2,) array; a constant keeps `constant`."""
     if callable(b):
         return lambda p: np.asarray(b(np.asarray(p, dtype=float)), dtype=float)
-    vec = np.asarray(b, dtype=float)
-    return lambda p: vec
+    fn = lambda p: fn.constant
+    fn.constant = np.asarray(b, dtype=float)
+    return fn
 
 
 @dataclass
@@ -132,9 +133,6 @@ class OmegaPlusDecomposition:
 
     def omega_plus_set(self):
         return set(self.omega_plus)
-
-    def omega_hat_set(self):
-        return set(self.omega_hat)
 
 
 def _interior_nodes_of(mesh, element_set):

@@ -51,6 +51,25 @@ def test_negative_norm_is_a_seminorm(a0, a1, b0, b1, lam):
     assert abs(nscaled - abs(lam) * nf) <= 1e-12 * (1.0 + nf)
 
 
+@settings(max_examples=25, deadline=None)
+@given(J=st.sampled_from([2, 3, 8, 9, 64, 255, 256, 257]),
+       seed=st.integers(0, 10 ** 6))
+def test_negative_norm_sums_match_generator_sums(J, seed):
+    # the partial sums as written in the definition, one fresh sum each
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh_1d(J, rng)
+    f = analysis1d._random_piecewise_smooth_f(rng)
+    work = discrete_negative_norm(f, mesh)
+    m = work.moments
+    half = (work.j_prime - 1) // 2
+    want = np.zeros(work.j_prime)
+    for j in range(1, half + 1):
+        want[2 * j] = sum(m[2 * i - 1] for i in range(1, j + 1))
+        want[2 * j - 1] = sum(m[2 * i] for i in range(j, half + 1))
+    assert work.sums.tobytes() == want.tobytes()
+    assert work.value == (float(np.abs(want[1:]).max()) if half else 0.0)
+
+
 def test_q_h_small_odd_case():
     q = build_q_h(uniform_mesh_1d(3), 1.0)
     assert np.allclose(q[1:3], [-2.0, 0.0])

@@ -539,3 +539,65 @@ def test_array_assembly_1d_matches_loop_reference(J, random_mesh, f, eps, b,
         want += lq[k] * _cell_integral_reference(f, x[k], x[k + 1])
     assert struct.pack("d", analysis1d.residual_r(f, mesh, b)) == \
         struct.pack("d", want)
+
+
+# ---------------------------------------------------------------------------
+# Constant coefficients are broadcast, not called per point
+
+
+def _counting(fn, calls):
+    def counted(p):
+        calls.append(p)
+        return fn(p)
+    if hasattr(fn, "constant"):
+        counted.constant = fn.constant
+    return counted
+
+
+@settings(max_examples=20, deadline=None)
+@given(nx=st.integers(2, 6), ny=st.integers(2, 6),
+       amplitude=st.sampled_from([0.0, 0.3]),
+       diagonal=st.sampled_from(["SW-NE", "NW-SE"]),
+       b=st.sampled_from([(1.0, 0.0), (0.0, 0.0), (2.0, 3.0), (-0.3, 1.7)]),
+       c=st.sampled_from([0.0, 0.5, -0.3]), f=st.sampled_from([0.0, 1.0, -2.5]),
+       eps=st.sampled_from([0.0, 1e-8, 1e-2]), seed=st.integers(0, 10 ** 6))
+def test_constant_coefficients_match_lambdas_without_calls(
+        nx, ny, amplitude, diagonal, b, c, f, eps, seed):
+    rng = np.random.default_rng(seed)
+    mesh = structured_triangulation(nx, ny, diagonal=diagonal)
+    if amplitude:
+        mesh = perturb_structured(mesh, amplitude, seed=seed % 1000)
+    const = ProblemSpec(eps=eps, b=np.array(b), c=c, f=f)
+    lambdas = ProblemSpec(eps=eps, b=lambda p: b, c=lambda p: c,
+                          f=lambda p: f)
+    const_calls, lambda_calls = [], []
+    for spec, calls in ((const, const_calls), (lambdas, lambda_calls)):
+        for name in ("b_fn", "c_fn", "f_fn"):
+            setattr(spec, name, _counting(getattr(spec, name), calls))
+    hat = list(rng.permutation(mesh.n_elements)[:rng.integers(
+        0, mesh.n_elements + 1)])
+    dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=hat, n_delta=[],
+                                 b_h=[])
+    u = rng.normal(size=mesh.n_nodes)
+    built = []
+    for spec in (const, lambdas):
+        ops = [assemble_galerkin(mesh, spec, dec)]
+        if eps > 0:
+            params = compute_supg_parameters(mesh, spec)
+            ops.append(assemble_supg(mesh, spec, params, dec))
+            ops.append(params)
+        residual = metrics.convective_residual_l2(mesh, u, spec, hat)
+        built.append((ops, struct.pack("d", residual)))
+    (got, got_residual), (want, want_residual) = built
+    assert got_residual == want_residual
+    for g, w in zip(got, want):
+        if isinstance(g, assembly.SupgParameters):
+            for part in ("delta", "pe", "diam"):
+                _assert_same_bytes(getattr(g, part), getattr(w, part), part)
+            continue
+        for part in ("A", "S", "E"):
+            _assert_same_csr(getattr(g, part), getattr(w, part), part)
+        _assert_same_bytes(g.load, w.load, "load")
+        _assert_same_bytes(g.residual_load, w.residual_load, "residual load")
+    assert const_calls == []
+    assert len(lambda_calls) >= 3 * 3 * mesh.n_elements

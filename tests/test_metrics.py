@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsfem.assembly import ProblemSpec
 from smsfem.meshes import Triangulation, perturb_structured, \
@@ -29,8 +30,106 @@ def test_evaluate_p1_linear_exact():
 
 def test_locate_point_outside():
     m = structured_triangulation(3, 3)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match=r"point \(1\.5, 0\.5\) outside"):
         locate_point(m, np.array([1.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# The full scan over all elements that point location replaced, kept as
+# its reference: the batched locator must give the same element (the
+# lowest index on ties), the same coordinates and the same errors.
+
+
+def _locate_reference(mesh, point, tol=1e-12):
+    p = mesh.nodes[mesh.elements]
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    det = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+           - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+    l1 = ((point[0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+          - (c[:, 0] - a[:, 0]) * (point[1] - a[:, 1])) / det
+    l2 = ((b[:, 0] - a[:, 0]) * (point[1] - a[:, 1])
+          - (point[0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det
+    l0 = 1.0 - l1 - l2
+    lam = np.stack([l0, l1, l2], axis=1)
+    hits = np.nonzero((lam >= -tol).all(axis=1))[0]
+    if hits.size == 0:
+        raise ArgumentError("point (%g, %g) outside the mesh"
+                            % (point[0], point[1]))
+    k = int(hits[0])
+    return k, np.clip(lam[k], 0.0, 1.0)
+
+
+def _outcome(locate, mesh, point):
+    try:
+        k, lam = locate(mesh, point)
+    except ArgumentError as err:
+        return str(err)
+    return k, lam.tobytes()
+
+
+def _check_locations(mesh, u, points):
+    """locate_point and evaluate_p1 against the full scan, point by point
+    and all at once (where the first outside point must raise)."""
+    want = [_outcome(_locate_reference, mesh, pt) for pt in points]
+    assert [_outcome(locate_point, mesh, pt) for pt in points] == want
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        with pytest.raises(ArgumentError) as err:
+            evaluate_p1(mesh, u, points)
+        assert str(err.value) == errors[0]
+        return
+    values = [float(np.frombuffer(lam) @ u[mesh.elements[k]])
+              for k, lam in want]
+    assert evaluate_p1(mesh, u, points).tobytes() == \
+        np.array(values).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 8), ny=st.integers(2, 8),
+       amplitude=st.sampled_from([0.0, 0.2, 0.3]),
+       diagonal=st.sampled_from(["SW-NE", "NW-SE"]),
+       seed=st.integers(0, 10 ** 6))
+def test_evaluate_p1_matches_full_scan(nx, ny, amplitude, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    mesh = structured_triangulation(nx, ny, diagonal=diagonal)
+    if amplitude:
+        mesh = perturb_structured(mesh, amplitude, seed=seed % 1000)
+    u = rng.normal(size=mesh.n_nodes)
+    tri = mesh.nodes[mesh.elements]
+    # a point on every element edge, so shared edges are hit from both
+    # sides and the lowest element index must win
+    s = rng.uniform(size=(mesh.n_elements, 3, 1))
+    on_edges = (s * tri + (1.0 - s) * np.roll(tri, -1, axis=1)).reshape(-1, 2)
+    # boundary points pushed out along the normal by under 1e-12
+    ends = np.array([(i, j) for i, j, _t in mesh.boundary_edges])
+    pi, pj = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
+    t = rng.uniform(size=(len(ends), 1))
+    q = t * pi + (1.0 - t) * pj
+    normal = (pj - pi)[:, ::-1] * np.array([1.0, -1.0])
+    normal *= np.sign(np.vecdot(normal, q - 0.5))[:, None]
+    normal /= np.abs(normal).max(axis=1, keepdims=True)
+    pushed = q + rng.uniform(0.0, 1e-12, size=(len(ends), 1)) * normal
+    inside = np.concatenate([rng.uniform(size=(20, 2)), mesh.nodes,
+                             on_edges])
+    _check_locations(mesh, u, inside)
+    for pt in pushed:
+        _check_locations(mesh, u, np.concatenate([inside[:3], [pt]]))
+    # farther out: the first such point in input order names the error
+    far = q + rng.uniform(1e-9, 2.0, size=(len(ends), 1)) * normal
+    _check_locations(mesh, u, np.concatenate([inside[:5], far[:3]]))
+
+
+def test_locate_point_in_sliver_matches_full_scan():
+    # rounding lets this needle pass for points far along its line, well
+    # outside its widened box, so slivers are tested against every point
+    m = Triangulation([(0.0, 0.0), (0.1, 0.1 * 1.1), (0.7, 0.7 * 1.1)],
+                      [(0, 1, 2)], [(0, 1, "D"), (1, 2, "D"), (2, 0, "D")],
+                      audit=False)
+    u = np.array([0.5, -1.0, 2.0])
+    far = (9.0, 9.0 * 1.1)
+    assert _locate_reference(m, far)[0] == 0
+    _check_locations(m, u, [far, (0.35, 0.35 * 1.1), m.nodes[1]])
+    _check_locations(m, u, [far, (9.0, 0.0)])
 
 
 def test_element_gradients_linear():

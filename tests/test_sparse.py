@@ -118,28 +118,6 @@ def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
         sparse.solve_symmetric_indefinite(m, np.ones(n))
 
 
-def test_min_singular_identity():
-    m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
-    smin, v = sparse.min_singular_diagnostic(m)
-    assert abs(smin - 1.0) <= 1e-14
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
-
-def test_min_singular_rank_one():
-    # outer product of [1, 1]: null vector proportional to [1, -1]/sqrt(2)
-    m = sparse.compress([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
-    smin, v = sparse.min_singular_diagnostic(m)
-    assert smin <= 1e-14
-    target = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    assert min(np.linalg.norm(v - target), np.linalg.norm(v + target)) <= 1e-12
-
-
-def test_min_singular_capacity_guard():
-    m = sparse.compress([], [], [], 2001, 2001)
-    with pytest.raises(sparse.CapacityError):
-        sparse.min_singular_diagnostic(m)
-
-
 def test_dump_format(tmp_path):
     m = sparse.compress([0, 1], [1, 0], [2.5, -1.0], 2, 2)
     path = tmp_path / "m.txt"
