@@ -8,7 +8,8 @@ import numpy as np
 
 from . import assembly, sparse
 from .meshes import structured_triangulation, Triangulation
-from .wind import classify_boundary, OmegaPlusDecomposition, _extract_n_delta
+from .wind import (classify_boundary, band_elements, OmegaPlusDecomposition,
+                   _extract_n_delta)
 
 WIND = np.array([1.0, 1.0])
 
@@ -98,10 +99,7 @@ def wind_parallel_edge_mesh():
 
 def band_decomposition(mesh, b):
     """The naive Omega_h+ = B_h decomposition (no upwind removal)."""
-    classification = classify_boundary(mesh, b)
-    gnodes = classification.gamma_d_0plus_nodes()
-    b_h = sorted(k for k, tri in enumerate(mesh.elements)
-                 if any(int(v) in gnodes for v in tri))
+    b_h = band_elements(mesh, classify_boundary(mesh, b))
     b_h_set = set(b_h)
     hat = [k for k in range(mesh.n_elements) if k not in b_h_set]
     return OmegaPlusDecomposition(omega_plus=b_h, omega_hat=hat,

@@ -264,13 +264,10 @@ def mild_random_grid(N, b, seed, amplitude=1.0 / 3.0):
     base = tensor_triangulation(lines, lines)
     bf = b if callable(b) else (lambda p, v=np.asarray(b, float): v)
 
-    def outflow(coord):
-        # does the wind leave through the high side of this coordinate?
-        return bf(np.array([0.5, 0.5]))[coord] > 0.0
-
-    frozen = [v for v in range(base.n_nodes)
-              if (outflow(0) and base.nodes[v][0] >= 1.0 - h - 1e-12)
-              or (outflow(1) and base.nodes[v][1] >= 1.0 - h - 1e-12)]
+    # the strip nodes on the sides the wind leaves through
+    outflow = np.asarray(bf(np.array([0.5, 0.5])), dtype=float)[:2] > 0.0
+    strip = base.nodes >= 1.0 - h - 1e-12
+    frozen = np.flatnonzero((strip & outflow).any(axis=1))
     return perturb_structured(base, amplitude, seed, frozen=frozen)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Triangulation, _edge_key, _signed_areas
+from .meshes import Topology, Triangulation, _edge_key, _signed_areas
 from .wind import vector_field
 from .assembly import scalar_field
 
@@ -298,6 +298,11 @@ def embed_characteristic(mesh, path):
         edge_points.setdefault(key, []).append((t, idx))
         return idx
 
+    def chain(key):
+        """Nodes along edge key, from its lower to its higher index."""
+        pieces = sorted(edge_points.get(key, []))
+        return [key[0]] + [idx for _t, idx in pieces] + [key[1]]
+
     def classify_point(tri, pts, p, h):
         """(kind, data): ('vertex', node) or ('edge', (i, j, point))."""
         for a in range(3):
@@ -448,66 +453,47 @@ def embed_characteristic(mesh, path):
     while stack:
         tri = stack.pop()
         for a in range(3):
-            key = _edge_key(int(tri[a]), int(tri[(a + 1) % 3]))
-            pieces = edge_points.get(key)
-            if not pieces:
+            path = chain(_edge_key(int(tri[a]), int(tri[(a + 1) % 3])))
+            if len(path) == 2:
                 continue
-            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
             opp = int(tri[(a + 2) % 3])
-            for c in range(len(chain) - 1):
-                stack.append((opp, chain[c], chain[c + 1]))
+            stack += [(opp, p, q) for p, q in zip(path, path[1:])]
             break
         else:
             resolved.append(tuple(int(v) for v in tri))
     new_elements = resolved
 
     # split boundary and constraint edges that received new nodes
-    def split_tagged(edge_list, rebuild):
+    def split_tagged(edge_list):
+        # last entry first, as pieces in order of the lower index
         out = []
-        stack = list(edge_list)
-        while stack:
-            entry = stack.pop()
-            i, j = entry[0], entry[1]
-            key = _edge_key(i, j)
-            if key in edge_points and edge_points[key]:
-                pieces = sorted(edge_points[key])
-                chain = [key[0]] + [idx for _t, idx in pieces] + [key[1]]
-                for a in range(len(chain) - 1):
-                    out.append(rebuild(chain[a], chain[a + 1], entry))
-            else:
-                out.append(entry)
+        for i, j, x in reversed(edge_list):
+            path = chain(_edge_key(i, j))
+            out += ([(i, j, x)] if len(path) == 2 else
+                    [(p, q, x) for p, q in zip(path, path[1:])])
         out.sort(key=lambda e: (e[0], e[1]))
         return out
 
-    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
-    constraints = split_tagged(mesh.constraint_edges,
-                               lambda i, j, e: (i, j, e[2]))
+    boundary = split_tagged(mesh.boundary_edges)
+    constraints = split_tagged(mesh.constraint_edges)
     # dedupe on-path edges (interior ones are seen from both sides)
     seen = {}
     for i, j, v in on_path_edges:
-        key = _edge_key(i, j)
-        pieces = edge_points.get(key)
-        if pieces:
-            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
-            for a in range(len(chain) - 1):
-                seen[_edge_key(chain[a], chain[a + 1])] = v
-        else:
-            seen[key] = v
+        path = chain(_edge_key(i, j))
+        for p, q in zip(path, path[1:]):
+            seen[_edge_key(p, q)] = v
     node_values = dict(mesh.node_values)
     on_path_nodes = set()
-    emap_count = {}
-    for tri in new_elements:
-        for a in range(3):
-            key = _edge_key(tri[a], tri[(a + 1) % 3])
-            emap_count[key] = emap_count.get(key, 0) + 1
+    path_edges = sorted(seen.items())
+    counts = Topology(np.asarray(new_elements, dtype=np.int64).reshape(-1, 3),
+                      len(nodes)).count([key for key, _v in path_edges])
     bkeys = {_edge_key(i, j) for i, j, _t in boundary}
-    for key, v in sorted(seen.items()):
-        i, j = key
+    for ((i, j), v), count in zip(path_edges, counts):
         on_path_nodes.add(i)
         on_path_nodes.add(j)
         node_values.setdefault(i, v)
         node_values.setdefault(j, v)
-        if emap_count.get(key, 0) == 2 and key not in bkeys:
+        if count == 2 and (i, j) not in bkeys:
             constraints.append((i, j, v))
     out = Triangulation(np.asarray(nodes), new_elements, boundary,
                         constraints, node_values)

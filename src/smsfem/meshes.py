@@ -7,6 +7,7 @@ All operations return new meshes; meshes are immutable once built.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,45 @@ def shishkin_mesh_1d(spec=None, N=None, eps=None, beta=1.0, sigma=None):
 # 2D triangulations
 
 
+class Topology:
+    """Element adjacency as arrays.  Side 3k + s of element (a, b, c) is
+    (a, b), (b, c) or (c, a); edges are the distinct sides as node pairs
+    i < j, sorted by code i * 2^32 + j.  Per edge: `codes`,
+    `pairs`, `counts` (its elements), `first` (its first side; sorting
+    by it gives the order of first appearance) and its elements
+    edge_elements[edge_ptr[e]:edge_ptr[e + 1]] in increasing order;
+    node_ptr and node_elements group the elements of each node alike.
+    """
+
+    def __init__(self, elements, n_nodes):
+        a, b = elements.ravel(), elements[:, [1, 2, 0]].ravel()
+        sides = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+        code = _pair_code(sides)
+        perm = np.argsort(code, kind="stable")
+        code = code[perm]
+        start = np.flatnonzero(np.diff(code, prepend=code[:1] - 1))
+        self.codes, self.first = code[start], perm[start]
+        self.pairs = sides[self.first]
+        self.edge_ptr = np.r_[start, len(code)]
+        self.counts = np.diff(self.edge_ptr)
+        self.edge_elements = perm // 3
+        self.node_ptr = np.r_[0, np.cumsum(np.bincount(a, minlength=n_nodes))]
+        self.node_elements = np.argsort(a, kind="stable") // 3
+
+    def find(self, pairs):
+        """Edge index of each node pair (either order), -1 where none."""
+        code = _pair_code(np.sort(
+            np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1))
+        at = np.searchsorted(self.codes, code)
+        found = at < len(self.codes)
+        found[found] = self.codes[at[found]] == code[found]
+        return np.where(found, at, -1)
+
+    def count(self, pairs):
+        """Elements on each node pair, 0 where it is no element edge."""
+        return np.append(self.counts, 0)[self.find(pairs)]
+
+
 class Triangulation:
     """Conforming triangulation with tagged boundary edges.
 
@@ -116,6 +156,10 @@ class Triangulation:
         layer characteristics).
     node_values : dict node -> value
         Dirichlet value overrides (data discontinuities, layer values).
+
+    Adjacency is built on first use as the arrays of `topology`, which
+    `edge_to_elements()` and `node_to_elements()` turn into a dict and a
+    list; `element_boxes` is the lazy point-location set-up.
     """
 
     def __init__(self, nodes, elements, boundary_edges, constraint_edges=None,
@@ -134,8 +178,6 @@ class Triangulation:
         for i, j, v in self.constraint_edges:
             self.node_values.setdefault(i, v)
             self.node_values.setdefault(j, v)
-        self._edge_map = None
-        self._node_map = None
         if audit:
             self.audit_conformity()
 
@@ -152,88 +194,118 @@ class Triangulation:
     def areas(self):
         return _signed_areas(self.nodes, self.elements)
 
+    @cached_property
+    def topology(self):
+        return Topology(self.elements, self.n_nodes)
+
     def edge_to_elements(self):
-        """Map sorted node pair -> list of adjacent element indices."""
-        if self._edge_map is None:
-            emap = {}
-            for k, (a, b, c) in enumerate(self.elements):
-                for i, j in ((a, b), (b, c), (c, a)):
-                    key = (min(i, j), max(i, j))
-                    emap.setdefault(key, []).append(k)
-            self._edge_map = emap
-        return self._edge_map
+        """Map sorted node pair (numpy ints) -> list of adjacent element
+        indices, in order of first appearance; built on each call."""
+        t = self.topology
+        order = np.argsort(t.first)
+        elems, ptr = t.edge_elements.tolist(), t.edge_ptr.tolist()
+        i, j = t.pairs[order].T
+        return {key: elems[ptr[e]:ptr[e + 1]]
+                for key, e in zip(zip(i, j), order.tolist())}
 
     def node_to_elements(self):
-        """Per node, the incident element indices in increasing order."""
-        if self._node_map is None:
-            nmap = [[] for _ in range(self.n_nodes)]
-            for k, tri in enumerate(self.elements):
-                for v in tri:
-                    nmap[v].append(k)
-            self._node_map = nmap
-        return self._node_map
+        """Per node, the incident element indices in increasing order;
+        built on each call."""
+        t = self.topology
+        elems, ptr = t.node_elements.tolist(), t.node_ptr.tolist()
+        return [elems[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+    @cached_property
+    def element_boxes(self):
+        """Vertex a, edges ab, ac and det per element, and the widened
+        boxes sorted for metrics._locate, slivers first."""
+        p = self.nodes[self.elements.T]               # (3, K, 2)
+        a, ab, ac = p[0], p[1] - p[0], p[2] - p[0]
+        det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
+        low, high = p.min(axis=0), p.max(axis=0)
+        s = np.maximum(*(high - low).T)[:, None]
+        sliver = ~(2.0 * s ** 2 <= 1e14 * np.abs(det)[:, None])
+        low = np.where(sliver, -np.inf, low - 2.0 * s)
+        high = np.where(sliver, np.inf, high + 2.0 * s)
+        order = np.argsort(low[:, 0], kind="stable")
+        low, high = low[order].T, high[order].T
+        n_sliver = int(sliver.sum())
+        wide = (high[0] - low[0])[n_sliver:].max(initial=0.0)
+        return a, ab, ac, det, order, low, high, n_sliver, wide
 
     def boundary_node_set(self):
-        out = set()
-        for i, j, _t in self.boundary_edges:
-            out.add(i)
-            out.add(j)
-        return out
+        return {v for i, j, _t in self.boundary_edges for v in (i, j)}
 
     def constraint_node_set(self):
-        out = set()
-        for i, j, _v in self.constraint_edges:
-            out.add(i)
-            out.add(j)
-        return out
+        return {v for i, j, _v in self.constraint_edges for v in (i, j)}
 
     def dirichlet_node_set(self):
-        out = set()
-        for i, j, t in self.boundary_edges:
-            if t == "D":
-                out.add(i)
-                out.add(j)
+        out = {v for i, j, t in self.boundary_edges if t == "D"
+               for v in (i, j)}
         out |= self.constraint_node_set()
         return out
 
     def audit_conformity(self):
-        areas = self.areas()
-        if np.any(areas <= 0):
+        """Raise GenerationError at the first failed check, in the order
+        areas, duplicates, edges by first appearance, tagged edges."""
+        if np.any(self.areas() <= 0):
             raise GenerationError("degenerate or inverted element")
-        emap = self.edge_to_elements()
-        btags = {}
-        for i, j, t in self.boundary_edges:
-            key = (min(i, j), max(i, j))
-            if key in btags:
-                raise GenerationError("duplicate boundary edge %s" % (key,))
-            btags[key] = t
-        for key, elems in emap.items():
-            if len(elems) == 1:
-                if key not in btags:
-                    raise GenerationError(
-                        "element edge %s on boundary but untagged" % (key,))
-            elif len(elems) == 2:
-                if key in btags:
-                    raise GenerationError(
-                        "interior edge %s tagged as boundary" % (key,))
-            else:
-                raise GenerationError(
-                    "edge %s shared by %d elements" % (key, len(elems)))
-        for key in btags:
-            if key not in emap or len(emap[key]) != 1:
-                raise GenerationError(
-                    "boundary edge %s not an element edge" % (key,))
-        for i, j, _v in self.constraint_edges:
-            key = (min(i, j), max(i, j))
-            if key not in emap:
-                raise GenerationError(
-                    "constraint edge %s not an element edge" % (key,))
+        t = self.topology
+        bkeys = [_edge_key(i, j) for i, j, _t in self.boundary_edges]
+        bpairs = np.array(bkeys, dtype=np.int64).reshape(-1, 2)
+        repeat = np.ones(len(bkeys), dtype=bool)
+        repeat[np.unique(_pair_code(bpairs), return_index=True)[1]] = False
+        if repeat.any():
+            raise GenerationError("duplicate boundary edge %s"
+                                  % (bkeys[np.argmax(repeat)],))
+        at = t.find(bpairs)
+        tagged = np.isin(np.arange(len(t.codes)), at)
+        bad = np.flatnonzero(np.where(t.counts == 1, ~tagged,
+                                      tagged | (t.counts > 2)))
+        if bad.size:
+            e = bad[np.argmin(t.first[bad])]
+            count = t.counts[e]
+            raise GenerationError({
+                1: "element edge %s on boundary but untagged",
+                2: "interior edge %s tagged as boundary"}.get(
+                    count, "edge %%s shared by %d elements" % count)
+                % (tuple(t.pairs[e]),))
+        stray = np.append(t.counts, 0)[at] != 1
+        if stray.any():
+            raise GenerationError("boundary edge %s not an element edge"
+                                  % (bkeys[np.argmax(stray)],))
+        ckeys = [_edge_key(i, j) for i, j, _v in self.constraint_edges]
+        stray = t.count(ckeys) == 0
+        if stray.any():
+            raise GenerationError("constraint edge %s not an element edge"
+                                  % (ckeys[np.argmax(stray)],))
 
 
 def _signed_areas(nodes, elements):
-    p = nodes[elements]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    x, y = nodes[:, 0][elements], nodes[:, 1][elements]
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+
+
+def _mask(size, indices):
+    """Boolean mask of a collection of indices."""
+    mask = np.zeros(size, dtype=bool)
+    mask[np.fromiter(indices, dtype=np.int64, count=len(indices))] = True
+    return mask
+
+
+def _pair_code(pairs):
+    """One int64 per node pair, distinct for indices of 32 bits."""
+    return pairs[:, 0] * 2 ** 32 + pairs[:, 1]
+
+
+def _all_positive(xy, tris):
+    """_signed_areas(xy, tris) > 0 for all, in float arithmetic."""
+    for a, b, c in tris:
+        (xa, ya), (xb, yb), (xc, yc) = xy[a], xy[b], xy[c]
+        if not 0.5 * ((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya)) > 0:
+            return False
+    return True
 
 
 def _edge_key(i, j):
@@ -265,34 +337,23 @@ def tensor_triangulation(xs, ys, diagonal="SW-NE", tag_fn=None):
         raise ArgumentError("need at least one cell per direction")
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            sw, se = nid(i, j), nid(i + 1, j)
-            nw, ne = nid(i, j + 1), nid(i + 1, j + 1)
-            if diagonal == "SW-NE":
-                elements.append((sw, se, ne))
-                elements.append((sw, ne, nw))
-            else:
-                elements.append((sw, se, nw))
-                elements.append((se, ne, nw))
-    boundary = []
-    for i in range(nx):
-        boundary.append((nid(i, 0), nid(i + 1, 0)))
-        boundary.append((nid(i, ny), nid(i + 1, ny)))
-    for j in range(ny):
-        boundary.append((nid(0, j), nid(0, j + 1)))
-        boundary.append((nid(nx, j), nid(nx, j + 1)))
-    edges = []
-    for i, j in boundary:
-        mid = 0.5 * (nodes[i] + nodes[j])
-        tag = tag_fn(mid) if tag_fn is not None else "D"
-        edges.append((i, j, tag))
-    return Triangulation(nodes, elements, edges)
+    ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
+    sw, se = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    nw, ne = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    # two triangles per cell, cells row by row
+    halves = ([(sw, se, ne), (sw, ne, nw)] if diagonal == "SW-NE"
+              else [(sw, se, nw), (se, ne, nw)])
+    elements = np.stack([np.column_stack(t) for t in halves], axis=1)
+    # bottom and top edges alternating along x, then left and right along y
+    rows = np.stack([ids[[0, -1], :-1], ids[[0, -1], 1:]], axis=-1)
+    cols = np.stack([ids[:-1, [0, -1]], ids[1:, [0, -1]]], axis=-1)
+    pairs = np.concatenate([rows.transpose(1, 0, 2).reshape(-1, 2),
+                            cols.reshape(-1, 2)])
+    mids = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
+    tags = ([tag_fn(mid) for mid in mids] if tag_fn is not None
+            else ["D"] * len(pairs))
+    edges = [(i, j, t) for (i, j), t in zip(pairs.tolist(), tags)]
+    return Triangulation(nodes, elements.reshape(-1, 3), edges)
 
 
 def shishkin_lines(N, sigma, L=1.0):
@@ -321,30 +382,34 @@ def perturb_structured(mesh, amplitude_fraction, seed, frozen=(), max_retries=20
     if not 0.0 <= amplitude_fraction <= 1.0 / 3.0 + 1e-15:
         raise ArgumentError("amplitude_fraction must lie in [0, 1/3]")
     rng = np.random.default_rng(seed)
-    fixed = mesh.boundary_node_set() | mesh.constraint_node_set() | set(frozen)
     nodes = mesh.nodes.copy()
     if amplitude_fraction == 0.0:
         return Triangulation(nodes, mesh.elements, mesh.boundary_edges,
                              mesh.constraint_edges, mesh.node_values)
+    fixed = _mask(mesh.n_nodes, mesh.boundary_node_set()
+                  | mesh.constraint_node_set() | set(frozen))
+    t = mesh.topology
+    d = nodes[t.pairs[:, 0]] - nodes[t.pairs[:, 1]]
+    # np.vecdot rounds as the np.dot inside np.linalg.norm of one edge
+    length = np.sqrt(np.vecdot(d, d))
     hloc = np.full(mesh.n_nodes, np.inf)
-    for key in mesh.edge_to_elements():
-        i, j = key
-        d = np.linalg.norm(mesh.nodes[i] - mesh.nodes[j])
-        hloc[i] = min(hloc[i], d)
-        hloc[j] = min(hloc[j], d)
-    nmap = mesh.node_to_elements()
-    movable = [k for k in range(mesh.n_nodes) if k not in fixed]
-    for k in movable:
-        amp = amplitude_fraction * hloc[k]
-        orig = nodes[k].copy()
+    np.minimum.at(hloc, t.pairs[:, 0], length)
+    np.minimum.at(hloc, t.pairs[:, 1], length)
+    amps = (amplitude_fraction * hloc).tolist()
+    xy, tris = nodes.tolist(), mesh.elements.tolist()
+    ptr, around = t.node_ptr.tolist(), t.node_elements.tolist()
+    # in index order: each draw sees the nodes moved before it
+    for k in np.flatnonzero(~fixed).tolist():
+        amp, (x, y) = amps[k], xy[k]
+        sub = [tris[e] for e in around[ptr[k]:ptr[k + 1]]]
         for _ in range(max_retries):
-            nodes[k] = orig + rng.uniform(-amp, amp, size=2)
-            sub = mesh.elements[nmap[k]]
-            if np.all(_signed_areas(nodes, sub) > 0):
+            dx, dy = rng.uniform(-amp, amp, size=2).tolist()
+            xy[k] = [x + dx, y + dy]
+            if _all_positive(xy, sub):
                 break
         else:
             raise GenerationError("could not keep element areas positive")
-    return Triangulation(nodes, mesh.elements, mesh.boundary_edges,
+    return Triangulation(np.array(xy), mesh.elements, mesh.boundary_edges,
                          mesh.constraint_edges, mesh.node_values)
 
 
@@ -378,13 +443,11 @@ def build_outflow_strip(mesh, on, thickness=None, wind=None):
 
     emap = mesh.edge_to_elements()
     # inward unit normal of each target edge (toward the adjacent element)
-    normals = {}
-    lengths = {}
+    normals, lengths = {}, {}
     for i, j, _t in target_edges:
         key = _edge_key(i, j)
         (k,) = emap[key]
-        a, b, c = mesh.elements[k]
-        opp = [v for v in (a, b, c) if v not in key][0]
+        opp = [v for v in mesh.elements[k] if v not in key][0]
         e = mesh.nodes[key[1]] - mesh.nodes[key[0]]
         n = np.array([-e[1], e[0]])
         if np.dot(n, mesh.nodes[opp] - mesh.nodes[key[0]]) < 0:
@@ -511,24 +574,20 @@ def red_refine(mesh, elements):
     else:
         raise GenerationError("hanging-node closure did not terminate")
 
-    def split_tagged(edge_list, make):
+    def split_tagged(edge_list):
         out = []
         stack = list(edge_list)
         while stack:
-            entry = stack.pop()
-            i, j = entry[0], entry[1]
-            key = _edge_key(i, j)
-            if key in midpoint:
-                m = midpoint[key]
-                stack.append(make(i, m, entry))
-                stack.append(make(m, j, entry))
+            i, j, x = stack.pop()
+            m = midpoint.get(_edge_key(i, j))
+            if m is None:
+                out.append((i, j, x))
             else:
-                out.append(entry)
-        out.sort()
-        return out
+                stack += [(i, m, x), (m, j, x)]
+        return sorted(out)
 
-    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
-    constraints = split_tagged(mesh.constraint_edges, lambda i, j, e: (i, j, e[2]))
+    boundary = split_tagged(mesh.boundary_edges)
+    constraints = split_tagged(mesh.constraint_edges)
     return Triangulation(np.asarray(nodes), tris, boundary,
                          constraints, mesh.node_values)
 
@@ -647,14 +706,11 @@ def read_mesh(path):
         raise MeshFileError("trailing content", lines[pos][0])
 
     # split tagged edges into true boundary edges and interior constraints
-    counts = {}
-    for a, bb, c in elements:
-        for e in ((a, bb), (bb, c), (c, a)):
-            counts[_edge_key(*e)] = counts.get(_edge_key(*e), 0) + 1
+    counts = Topology(np.array(elements, dtype=np.int64).reshape(-1, 3),
+                      n).count([(i, j) for _ln, i, j, _t, _v in tagged])
     boundary, constraints, node_values = [], [], {}
-    for ln, i, j, tag, value in tagged:
-        key = _edge_key(i, j)
-        if counts.get(key, 0) == 2:
+    for (ln, i, j, tag, value), count in zip(tagged, counts):
+        if count == 2:
             if value is None:
                 raise MeshFileError("interior edge tagged without value", ln)
             constraints.append((i, j, value))

@@ -56,19 +56,9 @@ def _locate(mesh, points, tol=1e-12):
     (larger kappa) are tested against every point.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    p = mesh.nodes[mesh.elements.T]               # (3, K, 2)
-    a, ab, ac = p[0], p[1] - p[0], p[2] - p[0]
-    det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
-    low, high = p.min(axis=0), p.max(axis=0)
-    s = np.maximum(*(high - low).T)[:, None]
-    sliver = ~(2.0 * s ** 2 <= 1e14 * np.abs(det)[:, None])
-    low = np.where(sliver, -np.inf, low - 2.0 * s)
-    high = np.where(sliver, np.inf, high + 2.0 * s)
     # slivers first, then per point a window of widened left edges <= x
-    order = np.argsort(low[:, 0], kind="stable")
-    low, high = low[order].T, high[order].T
-    n_sliver, n, px = int(sliver.sum()), len(pts), pts[:, 0]
-    wide = (high[0] - low[0])[n_sliver:].max(initial=0.0)
+    a, ab, ac, det, order, low, high, n_sliver, wide = mesh.element_boxes
+    n, px = len(pts), pts[:, 0]
     starts = np.r_[np.zeros(n, int), np.searchsorted(low[0], px - wide)]
     counts = np.r_[np.full(n, n_sliver),
                    np.searchsorted(low[0], px, "right")] - starts

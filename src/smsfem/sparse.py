@@ -146,11 +146,16 @@ def solve_symmetric_indefinite(system, rhs=None):
         r = np.asarray(rhs, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise StructuralError("system must be square")
-    x = _direct_solve(M, r)
+    try:
+        with np.errstate(all="ignore"):
+            lu = spla.splu(M.tocsc()) if M.shape[0] else None
+    except (RuntimeError, ValueError):
+        lu = None
+    x = _direct_solve(M, lu, r)
     res = np.linalg.norm(M @ x - r) / max(np.linalg.norm(r), 1.0)
     if res > 1e-8:
-        # one residual-correction step
-        dx = _direct_solve(M, r - M @ x)
+        # one residual-correction step with the same factor
+        dx = _direct_solve(M, lu, r - M @ x)
         x = x + dx
         res = np.linalg.norm(M @ x - r) / max(np.linalg.norm(r), 1.0)
         if res > 1e-8:
@@ -160,19 +165,16 @@ def solve_symmetric_indefinite(system, rhs=None):
     return x
 
 
-def _direct_solve(M, r):
+def _direct_solve(M, lu, r):
+    """Solve by the sparse factor lu if it succeeds, else by a dense LU."""
     n = M.shape[0]
     if n == 0:
         return np.zeros(0)
-    try:
+    if lu is not None:
         with np.errstate(all="ignore"):
-            lu = spla.splu(M.tocsc())
             x = lu.solve(r)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("non-finite solution")
-        return x
-    except (RuntimeError, ValueError):
-        pass
+        if np.all(np.isfinite(x)):
+            return x
     if n > DENSE_SOLVE_LIMIT:
         raise RankDeficiencyError(
             "sparse LU failed on %d unknowns; no dense fallback above %d "
@@ -185,4 +187,3 @@ def _direct_solve(M, r):
     except np.linalg.LinAlgError:
         pass
     raise RankDeficiencyError("matrix singular to working precision")
-

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meshes import red_refine, _edge_key
+from .meshes import red_refine, _edge_key, _mask
 
 CHARACTERISTIC_RTOL = 1e-12
 PARALLEL_RTOL = 1e-10
@@ -59,34 +59,33 @@ def classify_boundary(mesh, b):
     (Gamma- must be contained in Gamma_D).
     """
     bf = vector_field(getattr(b, "b", b))
-    emap = mesh.edge_to_elements()
-    inflow, charac, outflow, gplus = [], [], [], []
-    for k, (i, j, tag) in enumerate(mesh.boundary_edges):
-        mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-        bmid = bf(mid)
-        (elem,) = emap[_edge_key(i, j)]
-        opp = [v for v in mesh.elements[elem] if v not in (i, j)][0]
-        e = mesh.nodes[j] - mesh.nodes[i]
-        n = np.array([-e[1], e[0]])
-        if np.dot(n, mesh.nodes[opp] - mesh.nodes[i]) > 0:
-            n = -n  # outward
-        n = n / np.linalg.norm(n)
-        bn = float(np.dot(bmid, n))
-        tol = CHARACTERISTIC_RTOL * np.linalg.norm(bmid)
-        if abs(bn) <= tol:
-            charac.append(k)
-        elif bn < 0:
-            inflow.append(k)
-            if tag != "D":
-                raise ValidationError(
-                    "inflow boundary edge (%d,%d) is not Dirichlet" % (i, j))
-        else:
-            outflow.append(k)
-        if tag == "D" and bn >= -tol:
-            gplus.append((i, j))
-    for i, j, _v in mesh.constraint_edges:
-        gplus.append((i, j))
-    return BoundaryClassification(inflow, charac, outflow, gplus)
+    t, x = mesh.topology, mesh.nodes
+    pairs = np.array([(i, j) for i, j, _tag in mesh.boundary_edges],
+                     dtype=np.int64).reshape(-1, 2)
+    if np.any(t.count(pairs) != 1):
+        raise ValidationError("a boundary edge is not the side of one element")
+    i, j = pairs.T
+    opp = mesh.elements[t.first[t.find(pairs)] // 3].sum(axis=1) - i - j
+    bmid = np.array([bf(mid) for mid in 0.5 * (x[i] + x[j])]).reshape(-1, 2)
+    # np.vecdot rounds as np.dot and np.linalg.norm on one edge
+    e = x[j] - x[i]
+    n = np.column_stack([-e[:, 1], e[:, 0]])
+    n[np.vecdot(n, x[opp] - x[i]) > 0] *= -1.0  # outward
+    n /= np.sqrt(np.vecdot(n, n))[:, None]
+    bn = np.vecdot(bmid, n)
+    tol = CHARACTERISTIC_RTOL * np.sqrt(np.vecdot(bmid, bmid))
+    charac = np.abs(bn) <= tol
+    inflow = np.flatnonzero(~charac & (bn < 0)).tolist()
+    for k in inflow:
+        if mesh.boundary_edges[k][2] != "D":
+            raise ValidationError(
+                "inflow boundary edge (%d,%d) is not Dirichlet" % tuple(pairs[k]))
+    gplus = [(i, j) for (i, j, tag), wall in zip(mesh.boundary_edges, bn >= -tol)
+             if tag == "D" and wall]
+    gplus += [(i, j) for i, j, _v in mesh.constraint_edges]
+    return BoundaryClassification(
+        inflow, np.flatnonzero(charac).tolist(),
+        np.flatnonzero(~charac & ~(bn < 0)).tolist(), gplus)
 
 
 def upwind_element(mesh, node, b):
@@ -102,7 +101,8 @@ def upwind_element(mesh, node, b):
     d = -bvec / nb
     x = mesh.nodes[node]
     hits = []
-    for k in mesh.node_to_elements()[node]:
+    t = mesh.topology
+    for k in t.node_elements[t.node_ptr[node]:t.node_ptr[node + 1]].tolist():
         tri = mesh.elements[k]
         others = [v for v in tri if v != node]
         e1 = mesh.nodes[others[0]] - x
@@ -144,56 +144,51 @@ def _interior_nodes_of(mesh, element_set):
     residual row and a relaxed Galerkin row, so without an Omega_hat
     anchor nothing determines them.
     """
-    excluded = (mesh.dirichlet_node_set() | mesh.constraint_node_set()
-                | set(mesh.node_values))
-    nmap = mesh.node_to_elements()
-    out = []
-    for v in range(mesh.n_nodes):
-        if v in excluded or not nmap[v]:
-            continue
-        if all(k in element_set for k in nmap[v]):
-            out.append(v)
-    return out
+    excluded = _mask(mesh.n_nodes, mesh.dirichlet_node_set()
+                     | mesh.constraint_node_set() | set(mesh.node_values))
+    # a node of an element outside the set is not interior to it
+    excluded[mesh.elements[~_mask(mesh.n_elements, element_set)]] = True
+    return np.flatnonzero((np.diff(mesh.topology.node_ptr) > 0)
+                          & ~excluded).tolist()
 
 
 def _extract_n_delta(mesh, omega_plus_set):
     """Vertices of partial Omega_h+ that are not Dirichlet nodes."""
-    dir_nodes = mesh.dirichlet_node_set()
-    bnd_nodes = mesh.boundary_node_set()
-    nmap = mesh.node_to_elements()
-    n_delta = []
-    seen = set()
-    for k in sorted(omega_plus_set):
-        for v in mesh.elements[k]:
-            v = int(v)
-            if v in seen:
-                continue
-            seen.add(v)
-            on_bdry = (v in bnd_nodes
-                       or any(e not in omega_plus_set for e in nmap[v]))
-            if on_bdry and v not in dir_nodes:
-                n_delta.append(v)
-    return sorted(n_delta)
+    plus = _mask(mesh.n_elements, omega_plus_set)
+    on_bdry = _mask(mesh.n_nodes, mesh.boundary_node_set())
+    on_bdry[mesh.elements[~plus]] = True
+    keep = on_bdry & ~_mask(mesh.n_nodes, mesh.dirichlet_node_set())
+    return np.intersect1d(mesh.elements[plus], np.flatnonzero(keep)).tolist()
 
 
 def build_omega_plus(mesh, classification, b):
     """B_h = elements meeting Gamma_D^{0+}; remove the upwind triangle of
     every node interior to B_h; extract N_delta."""
-    bf = vector_field(b)
-    gnodes = classification.gamma_d_0plus_nodes()
-    b_h = sorted(k for k, tri in enumerate(mesh.elements)
-                 if any(int(v) in gnodes for v in tri))
-    b_h_set = set(b_h)
-    omega_plus = set(b_h)
-    removed = []
-    for v in _interior_nodes_of(mesh, b_h_set):
-        up = upwind_element(mesh, v, bf(mesh.nodes[v]))
-        if up in omega_plus:
-            omega_plus.discard(up)
+    b_h = band_elements(mesh, classification)
+    return _remove_upwind(mesh, set(b_h), b_h, vector_field(b))
+
+
+def band_elements(mesh, classification):
+    """B_h: the elements with a vertex on Gamma_D^{0+}."""
+    gnodes = list(classification.gamma_d_0plus_nodes())
+    return np.flatnonzero(np.isin(mesh.elements, gnodes).any(axis=1)).tolist()
+
+
+def _remove_upwind(mesh, plus, b_h, bf, removed=(), calm=False):
+    """Omega_h+ = plus less the upwind element of each free node interior
+    to plus (skipping windless nodes when `calm`), and N_delta."""
+    removed = list(removed)
+    for v in _interior_nodes_of(mesh, plus):
+        bv = bf(mesh.nodes[v])
+        if calm and np.linalg.norm(bv) == 0.0:
+            continue
+        up = upwind_element(mesh, v, bv)
+        if up in plus:
+            plus.discard(up)
             removed.append(up)
-    omega_hat = sorted(set(range(mesh.n_elements)) - omega_plus)
-    return OmegaPlusDecomposition(sorted(omega_plus), omega_hat,
-                                  _extract_n_delta(mesh, omega_plus),
+    omega_hat = np.flatnonzero(~_mask(mesh.n_elements, plus)).tolist()
+    return OmegaPlusDecomposition(sorted(plus), omega_hat,
+                                  _extract_n_delta(mesh, plus),
                                   b_h, sorted(removed))
 
 
@@ -223,32 +218,15 @@ def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
         raise ValidationError("outflow portion of the inset square is empty")
     pts = np.asarray(pts)
     omega_plus = set()
-    p0 = mesh.nodes[mesh.elements[:, 0]]
-    p1 = mesh.nodes[mesh.elements[:, 1]]
-    p2 = mesh.nodes[mesh.elements[:, 2]]
-    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    p0, e1, e2, det = mesh.element_boxes[:4]
     for q in pts:
-        l1 = ((q[0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-              - (p2[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])) / det
-        l2 = ((p1[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])
-              - (q[0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])) / det
+        dx, dy = q[0] - p0[:, 0], q[1] - p0[:, 1]
+        l1 = (dx * e2[:, 1] - e2[:, 0] * dy) / det
+        l2 = (e1[:, 0] * dy - dx * e1[:, 1]) / det
         inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
         omega_plus.update(np.nonzero(inside)[0].tolist())
-    b_h = sorted(omega_plus)
-    removed = []
-    for v in _interior_nodes_of(mesh, omega_plus):
-        bv = bf(mesh.nodes[v])
-        if np.linalg.norm(bv) == 0.0:
-            continue
-        up = upwind_element(mesh, v, bv)
-        if up in omega_plus:
-            omega_plus.discard(up)
-            removed.append(up)
-    omega_hat = sorted(set(range(mesh.n_elements)) - omega_plus)
-    return OmegaPlusDecomposition(sorted(omega_plus), omega_hat,
-                                  _extract_n_delta(mesh, omega_plus),
-                                  b_h, sorted(removed))
+    return _remove_upwind(mesh, omega_plus, sorted(omega_plus), bf,
+                          calm=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +419,8 @@ def absorb_isolated(mesh, decomposition, report, b):
         plus |= set(comp)
     # enlargement can strip free nodes of all Omega_hat support; restore
     # an anchor by removing their upwind elements, as in build_omega_plus
-    removed = list(decomposition.removed_upwind)
-    for v in _interior_nodes_of(mesh, plus):
-        up = upwind_element(mesh, v, bf(mesh.nodes[v]))
-        if up in plus:
-            plus.discard(up)
-            removed.append(up)
-    omega_hat = sorted(set(range(mesh.n_elements)) - plus)
-    return OmegaPlusDecomposition(sorted(plus), omega_hat,
-                                  _extract_n_delta(mesh, plus),
-                                  decomposition.b_h, sorted(removed))
+    return _remove_upwind(mesh, plus, decomposition.b_h, bf,
+                          decomposition.removed_upwind)
 
 
 def _refinement_targets(mesh, decomposition, report, bf):

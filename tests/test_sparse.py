@@ -80,6 +80,36 @@ def test_solve_residual_verified():
     assert np.linalg.norm(a @ x - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
 
 
+def test_refinement_step_reuses_the_factor(monkeypatch):
+    # a first solve that misses the tolerance forces the residual
+    # correction, which must solve with the same sparse factor
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(12, 12)) + 30 * np.eye(12)
+    rows, cols = np.indices((12, 12))
+    m = sparse.compress(rows, cols, a, 12, 12)
+    r = rng.normal(size=12)
+    factors = []
+
+    class FirstSolveOff:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, rhs):
+            self.solves += 1
+            x = self.lu.solve(rhs)
+            return x + 1e-3 if self.solves == 1 else x
+
+    def splu(A, *args, **kwargs):
+        factors.append(FirstSolveOff(real_splu(A, *args, **kwargs)))
+        return factors[-1]
+
+    real_splu = sparse.spla.splu
+    monkeypatch.setattr(sparse.spla, "splu", splu)
+    x = sparse.solve_symmetric_indefinite(m, r)
+    assert len(factors) == 1 and factors[0].solves == 2
+    assert np.linalg.norm(a @ x - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
+
+
 def test_solve_singular_raises_without_svd(monkeypatch):
     # a failed dense LU raises at once: no SVD looks for a null vector
     m = sparse.compress([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
