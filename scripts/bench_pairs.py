@@ -1,15 +1,15 @@
 """Compare two commits on the benchmark in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py --base REV --change REV --pr N \
-        [--pairs 10] [--first-seed 101] [--seconds 24] \
-        [--workloads a,b,...] [--workdir DIR]
+        [--first-seed 101] [--workdir DIR]
 
 Each commit's committed files are extracted with ``git archive`` into a
 fresh directory under --workdir, so both sides run exactly what the
 commit holds and the repository's own checkout is not touched.  For every
-workload, pair p runs ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once on each side with seed S = first_seed + p;
-the side that runs first alternates from pair to pair.
+workload in BENCHMARK.json, pair p = 0 .. PAIRS - 1 runs ``python3
+perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
+each side, with seed S = first_seed + p and T the run_seconds of
+BENCHMARK.json; the side that runs first alternates from pair to pair.
 
 Writes BENCH_<pr>.json in the repository root: per workload and
 end-to-end metric the median and quartiles of each side, how many pairs
@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args):
@@ -87,33 +88,28 @@ def main(argv=None):
     p.add_argument("--base", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--pr", required=True)
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=101)
-    p.add_argument("--seconds", type=float, default=24)
-    p.add_argument("--workloads")
     p.add_argument("--workdir")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
     shas = {"base": git("rev-parse", args.base),
             "change": git("rev-parse", args.change)}
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seconds = spec["run_seconds"]
+    seeds = [args.first_seed + i for i in range(PAIRS)]
     record = {"pr": args.pr, "base": shas["base"], "change": shas["change"],
-              "seconds": args.seconds, "seeds": seeds, "workloads": {}}
+              "seconds": seconds, "seeds": seeds, "workloads": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         dirs = {side: extract(sha, Path(tmp) / side)
                 for side, sha in shas.items()}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else (
                     "change", "base")
                 for side in order:
-                    metrics, meta = run(dirs[side], workload, seed,
-                                        args.seconds)
+                    metrics, meta = run(dirs[side], workload, seed, seconds)
                     runs[side].append(metrics)
                     print("%s seed %d %s wall_s %.4g" % (
                         workload, seed, side, metrics["wall_s"]),

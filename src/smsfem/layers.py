@@ -298,11 +298,6 @@ def embed_characteristic(mesh, path):
         edge_points.setdefault(key, []).append((t, idx))
         return idx
 
-    def chain(key):
-        """Nodes along edge key, from its lower to its higher index."""
-        pieces = sorted(edge_points.get(key, []))
-        return [key[0]] + [idx for _t, idx in pieces] + [key[1]]
-
     def classify_point(tri, pts, p, h):
         """(kind, data): ('vertex', node) or ('edge', (i, j, point))."""
         for a in range(3):
@@ -453,47 +448,64 @@ def embed_characteristic(mesh, path):
     while stack:
         tri = stack.pop()
         for a in range(3):
-            path = chain(_edge_key(int(tri[a]), int(tri[(a + 1) % 3])))
-            if len(path) == 2:
+            key = _edge_key(int(tri[a]), int(tri[(a + 1) % 3]))
+            pieces = edge_points.get(key)
+            if not pieces:
                 continue
+            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
             opp = int(tri[(a + 2) % 3])
-            stack += [(opp, p, q) for p, q in zip(path, path[1:])]
+            for c in range(len(chain) - 1):
+                stack.append((opp, chain[c], chain[c + 1]))
             break
         else:
             resolved.append(tuple(int(v) for v in tri))
     new_elements = resolved
 
     # split boundary and constraint edges that received new nodes
-    def split_tagged(edge_list):
-        # last entry first, as pieces in order of the lower index
+    def split_tagged(edge_list, rebuild):
         out = []
-        for i, j, x in reversed(edge_list):
-            path = chain(_edge_key(i, j))
-            out += ([(i, j, x)] if len(path) == 2 else
-                    [(p, q, x) for p, q in zip(path, path[1:])])
+        stack = list(edge_list)
+        while stack:
+            entry = stack.pop()
+            i, j = entry[0], entry[1]
+            key = _edge_key(i, j)
+            if key in edge_points and edge_points[key]:
+                pieces = sorted(edge_points[key])
+                chain = [key[0]] + [idx for _t, idx in pieces] + [key[1]]
+                for a in range(len(chain) - 1):
+                    out.append(rebuild(chain[a], chain[a + 1], entry))
+            else:
+                out.append(entry)
         out.sort(key=lambda e: (e[0], e[1]))
         return out
 
-    boundary = split_tagged(mesh.boundary_edges)
-    constraints = split_tagged(mesh.constraint_edges)
+    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
+    constraints = split_tagged(mesh.constraint_edges,
+                               lambda i, j, e: (i, j, e[2]))
     # dedupe on-path edges (interior ones are seen from both sides)
     seen = {}
     for i, j, v in on_path_edges:
-        path = chain(_edge_key(i, j))
-        for p, q in zip(path, path[1:]):
-            seen[_edge_key(p, q)] = v
+        key = _edge_key(i, j)
+        pieces = edge_points.get(key)
+        if pieces:
+            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
+            for a in range(len(chain) - 1):
+                seen[_edge_key(chain[a], chain[a + 1])] = v
+        else:
+            seen[key] = v
     node_values = dict(mesh.node_values)
     on_path_nodes = set()
     path_edges = sorted(seen.items())
     counts = Topology(np.asarray(new_elements, dtype=np.int64).reshape(-1, 3),
                       len(nodes)).count([key for key, _v in path_edges])
     bkeys = {_edge_key(i, j) for i, j, _t in boundary}
-    for ((i, j), v), count in zip(path_edges, counts):
+    for (key, v), count in zip(path_edges, counts):
+        i, j = key
         on_path_nodes.add(i)
         on_path_nodes.add(j)
         node_values.setdefault(i, v)
         node_values.setdefault(j, v)
-        if count == 2 and (i, j) not in bkeys:
+        if count == 2 and key not in bkeys:
             constraints.append((i, j, v))
     out = Triangulation(np.asarray(nodes), new_elements, boundary,
                         constraints, node_values)

@@ -159,7 +159,7 @@ class Triangulation:
 
     Adjacency is built on first use as the arrays of `topology`, which
     `edge_to_elements()` and `node_to_elements()` turn into a dict and a
-    list; `element_boxes` is the lazy point-location set-up.
+    list.
     """
 
     def __init__(self, nodes, elements, boundary_edges, constraint_edges=None,
@@ -215,33 +215,26 @@ class Triangulation:
         elems, ptr = t.node_elements.tolist(), t.node_ptr.tolist()
         return [elems[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
-    @cached_property
-    def element_boxes(self):
-        """Vertex a, edges ab, ac and det per element, and the widened
-        boxes sorted for metrics._locate, slivers first."""
-        p = self.nodes[self.elements.T]               # (3, K, 2)
-        a, ab, ac = p[0], p[1] - p[0], p[2] - p[0]
-        det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
-        low, high = p.min(axis=0), p.max(axis=0)
-        s = np.maximum(*(high - low).T)[:, None]
-        sliver = ~(2.0 * s ** 2 <= 1e14 * np.abs(det)[:, None])
-        low = np.where(sliver, -np.inf, low - 2.0 * s)
-        high = np.where(sliver, np.inf, high + 2.0 * s)
-        order = np.argsort(low[:, 0], kind="stable")
-        low, high = low[order].T, high[order].T
-        n_sliver = int(sliver.sum())
-        wide = (high[0] - low[0])[n_sliver:].max(initial=0.0)
-        return a, ab, ac, det, order, low, high, n_sliver, wide
-
     def boundary_node_set(self):
-        return {v for i, j, _t in self.boundary_edges for v in (i, j)}
+        out = set()
+        for i, j, _t in self.boundary_edges:
+            out.add(i)
+            out.add(j)
+        return out
 
     def constraint_node_set(self):
-        return {v for i, j, _v in self.constraint_edges for v in (i, j)}
+        out = set()
+        for i, j, _v in self.constraint_edges:
+            out.add(i)
+            out.add(j)
+        return out
 
     def dirichlet_node_set(self):
-        out = {v for i, j, t in self.boundary_edges if t == "D"
-               for v in (i, j)}
+        out = set()
+        for i, j, t in self.boundary_edges:
+            if t == "D":
+                out.add(i)
+                out.add(j)
         out |= self.constraint_node_set()
         return out
 
@@ -443,11 +436,13 @@ def build_outflow_strip(mesh, on, thickness=None, wind=None):
 
     emap = mesh.edge_to_elements()
     # inward unit normal of each target edge (toward the adjacent element)
-    normals, lengths = {}, {}
+    normals = {}
+    lengths = {}
     for i, j, _t in target_edges:
         key = _edge_key(i, j)
         (k,) = emap[key]
-        opp = [v for v in mesh.elements[k] if v not in key][0]
+        a, b, c = mesh.elements[k]
+        opp = [v for v in (a, b, c) if v not in key][0]
         e = mesh.nodes[key[1]] - mesh.nodes[key[0]]
         n = np.array([-e[1], e[0]])
         if np.dot(n, mesh.nodes[opp] - mesh.nodes[key[0]]) < 0:
@@ -574,20 +569,24 @@ def red_refine(mesh, elements):
     else:
         raise GenerationError("hanging-node closure did not terminate")
 
-    def split_tagged(edge_list):
+    def split_tagged(edge_list, make):
         out = []
         stack = list(edge_list)
         while stack:
-            i, j, x = stack.pop()
-            m = midpoint.get(_edge_key(i, j))
-            if m is None:
-                out.append((i, j, x))
+            entry = stack.pop()
+            i, j = entry[0], entry[1]
+            key = _edge_key(i, j)
+            if key in midpoint:
+                m = midpoint[key]
+                stack.append(make(i, m, entry))
+                stack.append(make(m, j, entry))
             else:
-                stack += [(i, m, x), (m, j, x)]
-        return sorted(out)
+                out.append(entry)
+        out.sort()
+        return out
 
-    boundary = split_tagged(mesh.boundary_edges)
-    constraints = split_tagged(mesh.constraint_edges)
+    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
+    constraints = split_tagged(mesh.constraint_edges, lambda i, j, e: (i, j, e[2]))
     return Triangulation(np.asarray(nodes), tris, boundary,
                          constraints, mesh.node_values)
 

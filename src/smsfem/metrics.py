@@ -3,6 +3,7 @@ nodal errors, convective-derivative residuals, layer oscillation and
 smearing indicators, and log-log rate fits."""
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,28 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 # P1 point evaluation
 
+_BOXES = weakref.WeakKeyDictionary()
+
+
+def _boxes(mesh):
+    """Vertex a, edges ab, ac and det of each element, and the widened
+    boxes of _locate sorted by left edge, slivers first; once per mesh."""
+    if mesh not in _BOXES:
+        p = mesh.nodes[mesh.elements.T]               # (3, K, 2)
+        a, ab, ac = p[0], p[1] - p[0], p[2] - p[0]
+        det = ab[:, 0] * ac[:, 1] - ac[:, 0] * ab[:, 1]
+        low, high = p.min(axis=0), p.max(axis=0)
+        s = np.maximum(*(high - low).T)[:, None]
+        sliver = ~(2.0 * s ** 2 <= 1e14 * np.abs(det)[:, None])
+        low = np.where(sliver, -np.inf, low - 2.0 * s)
+        high = np.where(sliver, np.inf, high + 2.0 * s)
+        order = np.argsort(low[:, 0], kind="stable")
+        low, high = low[order].T, high[order].T
+        n_sliver = int(sliver.sum())
+        wide = (high[0] - low[0])[n_sliver:].max(initial=0.0)
+        _BOXES[mesh] = a, ab, ac, det, order, low, high, n_sliver, wide
+    return _BOXES[mesh]
+
 
 def _locate(mesh, points, tol=1e-12):
     """For each point, the lowest-index element whose barycentric
@@ -57,7 +80,7 @@ def _locate(mesh, points, tol=1e-12):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     # slivers first, then per point a window of widened left edges <= x
-    a, ab, ac, det, order, low, high, n_sliver, wide = mesh.element_boxes
+    a, ab, ac, det, order, low, high, n_sliver, wide = _boxes(mesh)
     n, px = len(pts), pts[:, 0]
     starts = np.r_[np.zeros(n, int), np.searchsorted(low[0], px - wide)]
     counts = np.r_[np.full(n, n_sliver),

@@ -78,10 +78,11 @@ def classify_boundary(mesh, b):
     inflow = np.flatnonzero(~charac & (bn < 0)).tolist()
     for k in inflow:
         if mesh.boundary_edges[k][2] != "D":
-            raise ValidationError(
-                "inflow boundary edge (%d,%d) is not Dirichlet" % tuple(pairs[k]))
-    gplus = [(i, j) for (i, j, tag), wall in zip(mesh.boundary_edges, bn >= -tol)
-             if tag == "D" and wall]
+            raise ValidationError("inflow boundary edge (%d,%d) is not "
+                                  "Dirichlet" % tuple(pairs[k]))
+    wall = bn >= -tol
+    gplus = [(i, j) for (i, j, tag), w in zip(mesh.boundary_edges, wall)
+             if tag == "D" and w]
     gplus += [(i, j) for i, j, _v in mesh.constraint_edges]
     return BoundaryClassification(
         inflow, np.flatnonzero(charac).tolist(),
@@ -164,8 +165,10 @@ def _extract_n_delta(mesh, omega_plus_set):
 def build_omega_plus(mesh, classification, b):
     """B_h = elements meeting Gamma_D^{0+}; remove the upwind triangle of
     every node interior to B_h; extract N_delta."""
-    b_h = band_elements(mesh, classification)
-    return _remove_upwind(mesh, set(b_h), b_h, vector_field(b))
+    b_h, bf = band_elements(mesh, classification), vector_field(b)
+    winds = [(v, bf(mesh.nodes[v]))
+             for v in _interior_nodes_of(mesh, set(b_h))]
+    return _remove_upwind(mesh, set(b_h), b_h, winds)
 
 
 def band_elements(mesh, classification):
@@ -174,14 +177,11 @@ def band_elements(mesh, classification):
     return np.flatnonzero(np.isin(mesh.elements, gnodes).any(axis=1)).tolist()
 
 
-def _remove_upwind(mesh, plus, b_h, bf, removed=(), calm=False):
-    """Omega_h+ = plus less the upwind element of each free node interior
-    to plus (skipping windless nodes when `calm`), and N_delta."""
+def _remove_upwind(mesh, plus, b_h, winds, removed=()):
+    """Omega_h+ = plus less the upwind element of each node v in the
+    (v, wind at v) pairs of winds, and N_delta."""
     removed = list(removed)
-    for v in _interior_nodes_of(mesh, plus):
-        bv = bf(mesh.nodes[v])
-        if calm and np.linalg.norm(bv) == 0.0:
-            continue
+    for v, bv in winds:
         up = upwind_element(mesh, v, bv)
         if up in plus:
             plus.discard(up)
@@ -218,15 +218,23 @@ def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
         raise ValidationError("outflow portion of the inset square is empty")
     pts = np.asarray(pts)
     omega_plus = set()
-    p0, e1, e2, det = mesh.element_boxes[:4]
+    p0 = mesh.nodes[mesh.elements[:, 0]]
+    p1 = mesh.nodes[mesh.elements[:, 1]]
+    p2 = mesh.nodes[mesh.elements[:, 2]]
+    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
     for q in pts:
-        dx, dy = q[0] - p0[:, 0], q[1] - p0[:, 1]
-        l1 = (dx * e2[:, 1] - e2[:, 0] * dy) / det
-        l2 = (e1[:, 0] * dy - dx * e1[:, 1]) / det
+        l1 = ((q[0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+              - (p2[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])) / det
+        l2 = ((p1[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])
+              - (q[0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])) / det
         inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
         omega_plus.update(np.nonzero(inside)[0].tolist())
-    return _remove_upwind(mesh, omega_plus, sorted(omega_plus), bf,
-                          calm=True)
+    # windless nodes have no upwind element to remove
+    winds = [(v, bf(mesh.nodes[v]))
+             for v in _interior_nodes_of(mesh, omega_plus)]
+    return _remove_upwind(mesh, omega_plus, sorted(omega_plus),
+                          [w for w in winds if np.linalg.norm(w[1]) != 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +427,8 @@ def absorb_isolated(mesh, decomposition, report, b):
         plus |= set(comp)
     # enlargement can strip free nodes of all Omega_hat support; restore
     # an anchor by removing their upwind elements, as in build_omega_plus
-    return _remove_upwind(mesh, plus, decomposition.b_h, bf,
+    winds = [(v, bf(mesh.nodes[v])) for v in _interior_nodes_of(mesh, plus)]
+    return _remove_upwind(mesh, plus, decomposition.b_h, winds,
                           decomposition.removed_upwind)
 
 
