@@ -63,10 +63,10 @@ def l_qh_cellwise(mesh1d, b):
 
 def residual_r(f, mesh1d, b):
     """r = (f, L_h q_h)_{L^2(0, x_{J-1})}."""
-    # cells 1..J-1, summed in order
-    _lam, wf = assembly.gauss5_cells(f, mesh1d.nodes[:-1])
+    # cells 1..J-1 of the mesh's rule, summed in order
+    _lam, wf = assembly.mesh_gauss5(f, mesh1d)
     return assembly.ordered_sum(l_qh_cellwise(mesh1d, b)[:-1]
-                                * wf.sum(axis=1))
+                                * wf[:-1].sum(axis=1))
 
 
 def stability_bound(f, mesh1d, b):

@@ -6,7 +6,7 @@ vectors and the Dirichlet lifting.  Quadrature: the diffusion term is
 exact (constant gradients); convection, reaction, load and the residual
 Gram use the 3-point mid-edge rule (exact for quadratics, `midedge_rule`);
 Neumann edge terms use 2-point Gauss; 1D cell integrals use 5-point Gauss
-(`gauss5_cells`).
+(`gauss5_cells`, kept per 1D mesh by `mesh_gauss5`).
 
 All elements are assembled at once, as (K, 3, 3) local blocks and one
 coordinate-array build per matrix.  The products round exactly as the
@@ -14,6 +14,7 @@ per-element loops they replaced (np.vecdot or batched matmul, whichever
 matches the loop's dot product; sums from +0.0 in element order).
 """
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -353,6 +354,21 @@ def gauss5_cells(f, x):
     return (xq - a) / h, 0.5 * h * _GAUSS5_W * fv
 
 
+_GAUSS5 = weakref.WeakKeyDictionary()
+
+
+def mesh_gauss5(f, mesh1d):
+    """gauss5_cells(f, mesh1d.nodes); for a callable f, a pure function of
+    x, read-only and kept per mesh while the same f comes back."""
+    if not callable(f):
+        return gauss5_cells(f, mesh1d.nodes)
+    if _GAUSS5.get(mesh1d, (None,))[0] is not f:
+        rule = gauss5_cells(f, mesh1d.nodes)
+        rule[0].flags.writeable = rule[1].flags.writeable = False
+        _GAUSS5[mesh1d] = (f, rule)
+    return _GAUSS5[mesh1d][1]
+
+
 def _hat_moments(lam, wf):
     out = np.zeros(lam.shape[0] + 1)
     out[1:] += (wf * lam).sum(axis=1)
@@ -362,7 +378,7 @@ def _hat_moments(lam, wf):
 
 def hat_moments_1d(f, mesh1d):
     """Moments f_j = int f phi_j by 5-point Gauss per cell, j = 0..J."""
-    return _hat_moments(*gauss5_cells(f, mesh1d.nodes))
+    return _hat_moments(*mesh_gauss5(f, mesh1d))
 
 
 @dataclass
@@ -382,7 +398,7 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     h = mesh1d.widths
     J = mesh1d.J
     nfree = J - 1
-    lam, wf = gauss5_cells(f, mesh1d.nodes)
+    lam, wf = mesh_gauss5(f, mesh1d)
     moments = _hat_moments(lam, wf)
     # interior node i is free index r = i - 1; lower/upper neighbours
     r = np.arange(nfree)

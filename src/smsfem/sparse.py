@@ -101,34 +101,46 @@ class SaddleSystem:
         [ 0   0   E^T ] [t ] = [0            ]
         [ A   E   0   ] [z~]   [load         ]
 
-    The matrix is built once, on construction.
+    The matrix is built once, on construction, as sp.bmat would build it.
     """
 
     def __init__(self, S, A, E, residual_load, load):
-        self.S = S
-        self.A = A
-        self.E = E
         self.residual_load = np.asarray(residual_load, dtype=float)
         self.load = np.asarray(load, dtype=float)
         self.n = n = S.n_rows
         self.m = m = E.n_cols
-        Z_nm = sp.csr_matrix((n, m))
-        self._matrix = sp.bmat(
-            [
-                [S.csr, Z_nm, A.csr.T],
-                [Z_nm.T, sp.csr_matrix((m, m)), E.csr.T],
-                [A.csr, E.csr, sp.csr_matrix((n, n))],
-            ],
-            format="csr",
-        )
-        if self._matrix.shape != (2 * n + m, 2 * n + m):
+        if (S.csr.shape, A.csr.shape, E.csr.shape[0]) != ((n, n), (n, n), n):
             raise StructuralError("inconsistent saddle block sizes")
+        self._matrix = _block_csr(
+            [(S.csr, 0, 0), (A.csr.T.tocsr(), 0, n + m),
+             (E.csr.T.tocsr(), n, n + m),
+             (A.csr, n + m, 0), (E.csr, n + m, n)], 2 * n + m)
 
     def matrix(self):
         return self._matrix
 
     def rhs(self):
         return np.concatenate([self.residual_load, np.zeros(self.m), self.load])
+
+
+def _block_csr(blocks, size):
+    """Square CSR matrix of sorted CSR blocks (block, first row, first
+    column) listed in row-major order; every row keeps its columns sorted."""
+    nnz = sum(B.nnz for B, _r, _c in blocks)
+    idx = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=idx)
+    for B, r, _c in blocks:
+        indptr[r + 1:r + 1 + B.shape[0]] += np.diff(B.indptr)
+    np.cumsum(indptr, out=indptr)
+    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+    fill = indptr[:-1].copy()   # next free slot of each row
+    for B, r, c in blocks:
+        per_row, rows = np.diff(B.indptr), slice(r, r + B.shape[0])
+        at = (np.repeat(fill[rows] - B.indptr[:-1], per_row)
+              + np.arange(B.nnz, dtype=idx))
+        indices[at], data[at] = B.indices + idx(c), B.data
+        fill[rows] += per_row
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def solve_symmetric_indefinite(system, rhs=None):

@@ -291,7 +291,7 @@ def _clip_rays(x, d, tri, tmin=1e-12):
         # an edge parallel to the ray: miss when x is outside its line
         hit &= ~((np.abs(den) < 1e-300)
                  & (num < -1e-14 * (np.sqrt(np.vecdot(n, n)) + 1.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_cross = -num / den
         np.maximum(lo, t_cross, out=lo, where=den >= 1e-300)
         np.minimum(hi, t_cross, out=hi, where=den <= -1e-300)

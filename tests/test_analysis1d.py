@@ -128,6 +128,57 @@ def test_verify_stability_small_run():
     assert report.max_alpha_gap <= 1e-12
 
 
+class _CountingLoad:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+@pytest.mark.parametrize("J", [2, 3, 16, 17])
+def test_verify_stability_calls_the_load_once_per_gauss_point(J,
+                                                              monkeypatch):
+    loads = []
+
+    def counted(rng):
+        loads.append(_CountingLoad(random_f(rng)))
+        return loads[-1]
+
+    random_f = analysis1d._random_piecewise_smooth_f
+    monkeypatch.setattr(analysis1d, "_random_piecewise_smooth_f", counted)
+    report = verify_stability(4, [J], seed=J)
+    assert report.trials == len(loads) == 4
+    assert [f.calls for f in loads] == [5 * J] * 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.sampled_from([2, 3, 8, 9, 64, 255, 256]),
+       seed=st.integers(0, 10 ** 6), b=st.sampled_from([1.0, 0.7]))
+def test_one_load_evaluation_per_mesh_keeps_every_value(J, seed, b):
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh_1d(J, rng)
+    f = _CountingLoad(analysis1d._random_piecewise_smooth_f(rng))
+    sol = solvers.solve_sms_1d(mesh, 0.0, b, f)
+    bound, work, r = stability_bound(f, mesh, b)
+    assert f.calls == 5 * J
+    # reference: every consumer evaluates the load anew, r on the cells
+    # of the nodes x_0..x_{J-1}
+    ref = solvers.solve_sms_1d(mesh, 0.0, b, lambda x: f.f(x))
+    ref_work = discrete_negative_norm(lambda x: f.f(x), mesh)
+    _lam, wf = assembly.gauss5_cells(f.f, mesh.nodes[:-1])
+    ref_r = assembly.ordered_sum(l_qh_cellwise(mesh, b)[:-1]
+                                 * wf.sum(axis=1))
+    ref_bound = (6.0 / b) * (ref_work.value
+                             + mesh.h / (6.0 * mesh.J) * abs(ref_r))
+    for got, want in [(sol.u, ref.u), (sol.t, ref.t),
+                      (work.moments, ref_work.moments),
+                      (work.sums, ref_work.sums), (bound, ref_bound),
+                      (r, ref_r)]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_relaxation_scalar_equals_odd_moment_sum():
     mesh = uniform_mesh_1d(10)
     f = lambda x: 1.0 + x

@@ -4,6 +4,7 @@ output formats."""
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_run_ex4_deterministic_output(tmp_path):
                                out=str(tmp_path / tag))
         out = run(cfg)
         files[tag] = out
-    text_a = open(files["a"][0]).read()
-    text_b = open(files["b"][0]).read()
+    text_a = Path(files["a"][0]).read_text()
+    text_b = Path(files["b"][0]).read_text()
     assert "wall_time" not in text_a
     assert text_a == text_b
     header = [l for l in text_a.splitlines() if not l.startswith("#")][0]
@@ -138,10 +139,10 @@ def test_run_random_study_zero_grids(tmp_path):
                            methods=["supg", "sms-galerkin"],
                            out=str(tmp_path))
     paths = run(cfg)
-    grid_rows = [l for l in open(paths[0]).read().splitlines()
+    grid_rows = [l for l in Path(paths[0]).read_text().splitlines()
                  if not l.startswith("#")]
     assert grid_rows == ["grid,grid_seed,method,conv_residual_l2"]
-    summary = [l for l in open(paths[1]).read().splitlines()
+    summary = [l for l in Path(paths[1]).read_text().splitlines()
                if not l.startswith("#")]
     assert summary[0] == "method,mean_error,mean_ratio_supg"
     assert "nan" in summary[1]
@@ -160,14 +161,14 @@ def test_same_grid_crosswind_override(tmp_path):
                            options={"delta_c": ["15:0.8"],
                                     "delta_multiplier": ["15:1.6"]})
     paths = run(cfg)
-    rows = [l for l in open(paths[0]).read().splitlines()
+    rows = [l for l in Path(paths[0]).read_text().splitlines()
             if not l.startswith("#")]
     assert rows[0] == "method,N,eps,linf_interior"
     assert rows[1].startswith("supg,15,")
 
 
 def _data(path):
-    return [line for line in open(path).read().splitlines()
+    return [line for line in Path(path).read_text().splitlines()
             if not line.startswith("#")]
 
 

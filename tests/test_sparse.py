@@ -1,14 +1,17 @@
 """Sparse storage, saddle-point solves and dense spectral diagnostics."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from smsfem import assembly, sparse
-from smsfem.meshes import uniform_mesh_1d, structured_triangulation
+from smsfem import analysis1d, assembly, problems, solvers, sparse
+from smsfem.meshes import (perturb_structured, structured_triangulation,
+                           uniform_mesh_1d)
 
 
 def test_compress_sums_duplicates():
@@ -187,3 +190,58 @@ def test_saddle_solve_matches_dense_oracle():
     x = sparse.solve_symmetric_indefinite(system)
     dense = np.linalg.solve(system.matrix().toarray(), system.rhs())
     assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+
+
+def _bmat_reference(ops):
+    """The saddle matrix as sp.bmat assembles it from the blocks."""
+    n, m = ops.S.n_rows, ops.E.n_cols
+    Z = sp.csr_matrix((n, m))
+    return sp.bmat([[ops.S.csr, Z, ops.A.csr.T],
+                    [Z.T, sp.csr_matrix((m, m)), ops.E.csr.T],
+                    [ops.A.csr, ops.E.csr, sp.csr_matrix((n, n))]],
+                   format="csr")
+
+
+def _assert_saddle_matches_bmat(ops):
+    got = sparse.SaddleSystem(ops.S, ops.A, ops.E, ops.residual_load,
+                              ops.load).matrix()
+    want = _bmat_reference(ops)
+    assert got.shape == want.shape
+    for part in ("indptr", "indices"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("J", [2, 3, 16, 17, 256])
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_saddle_matrix_matches_bmat_1d(J, eps):
+    mesh = analysis1d.random_mesh_1d(J, np.random.default_rng(J))
+    ops = assembly.assemble_1d(mesh, eps, 1.0, lambda x: 1.0 + x)
+    _assert_saddle_matches_bmat(ops)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("base", ["galerkin", "supg"])
+def test_saddle_matrix_matches_bmat_2d(perturbed, base):
+    mesh = structured_triangulation(8, 8)
+    if perturbed:
+        mesh = perturb_structured(mesh, 0.3, 4)
+    spec = problems.ex4_spec(1e-8)
+    dec = solvers.default_decomposition(mesh, spec)
+    assemble = {"galerkin": assembly.assemble_galerkin,
+                "supg": assembly.assemble_supg}[base]
+    ops = assemble(mesh, spec, decomposition=dec)
+    assert ops.E.n_cols > 0
+    _assert_saddle_matches_bmat(ops)
+
+
+def test_saddle_matrix_matches_bmat_without_n_delta():
+    mesh = structured_triangulation(6, 6)
+    spec = problems.ex4_spec(1e-8)
+    dec = dataclasses.replace(solvers.default_decomposition(mesh, spec),
+                              n_delta=[])
+    ops = assembly.assemble_galerkin(mesh, spec, dec)
+    assert ops.E.n_cols == 0
+    _assert_saddle_matches_bmat(ops)

@@ -2,6 +2,7 @@
 diagnostics/remediation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,21 @@ def test_upwind_hits_match_one_pair_clip(n, amplitude, seed, b, fraction):
     for k, (_down, hit) in zip(dec.omega_hat, ref):
         assert first_upwind_hit(mesh, dec, k, bf) == (None if hit < 0
                                                       else hit)
+
+
+@pytest.mark.parametrize("x", [(5.0, 0.0), (1.5, -0.5)])
+def test_clip_rays_quiet_on_subnormal_direction(x):
+    # 0 < |den| < 1e-300: -num/den overflows, and the clip treats the
+    # edge as parallel to the ray without a warning
+    x, d = np.array([x]), np.array([[1e-310, 1e-310]])
+    tri = np.array([[[0.0, -1.0], [2.0, -1.0], [2.0, 1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit, entry = wind._clip_rays(x, d, tri)
+    ref = _clip_reference(x[0], d[0], tri[0])
+    assert bool(hit[0, 0]) == (ref is not None)
+    if ref is not None:
+        assert entry[0, 0] == ref
 
 
 def test_upwind_hits_independent_of_chunking(monkeypatch):
