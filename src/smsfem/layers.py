@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshes import Topology, Triangulation, _edge_key, _signed_areas
-from .wind import vector_field
+from .wind import _clip_rays, vector_field
 from .assembly import scalar_field
 
 
@@ -148,45 +148,25 @@ def straight_characteristic(p0, p1, value):
 # node snapping
 
 
+def _chords(mesh, path):
+    """Every (path segment, element) pair clipped at once by wind's
+    kernel on the segment parameters [0, 1]: the (S, K) hit mask, the
+    (S, K, 2) entry and exit points and the chord lengths."""
+    p = path.points[:-1, None]
+    d = path.points[1:, None] - p
+    hit, lo, hi = _clip_rays(p, d, mesh.nodes[mesh.elements], (0.0, 1.0),
+                             1e-12)
+    with np.errstate(invalid="ignore", over="ignore"):
+        start, end = p + lo[..., None] * d, p + hi[..., None] * d
+        chord = end - start
+        return hit, start, end, np.sqrt(np.vecdot(chord, chord))
+
+
 def _elements_crossed(mesh, path):
     """Elements whose interior is crossed by the path polyline."""
-    crossed = []
-    areas = mesh.areas()
-    for k in range(mesh.n_elements):
-        tri = mesh.nodes[mesh.elements[k]]
-        h = np.sqrt(np.abs(areas[k])) + 1e-300
-        for s in range(len(path.points) - 1):
-            chord = _clip_segment_to_triangle(path.points[s],
-                                              path.points[s + 1], tri)
-            if chord is not None and \
-                    np.linalg.norm(chord[1] - chord[0]) > 1e-12 * h:
-                crossed.append(k)
-                break
-    return crossed
-
-
-def _clip_segment_to_triangle(p, q, tri):
-    """Portion of segment pq inside the (ccw) triangle, or None."""
-    d = q - p
-    lo, hi = 0.0, 1.0
-    for a in range(3):
-        u, w = tri[a], tri[(a + 1) % 3]
-        e = w - u
-        n = np.array([-e[1], e[0]])  # inward for ccw
-        num = float(n @ (p - u))
-        den = float(n @ d)
-        if abs(den) < 1e-300:
-            if num < -1e-12 * (np.linalg.norm(n) + 1.0):
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-        if lo > hi:
-            return None
-    return np.array([p + lo * d, p + hi * d])
+    hit, _start, _end, length = _chords(mesh, path)
+    h = np.sqrt(np.abs(mesh.areas())) + 1e-300
+    return np.flatnonzero((hit & (length > 1e-12 * h)).any(axis=0)).tolist()
 
 
 def snap_nodes(mesh, path, threshold_rule="nearest"):
@@ -315,29 +295,24 @@ def embed_characteristic(mesh, path):
         raise DegenerateCrossingError(
             "path endpoint not on the element boundary; snap nodes first")
 
+    # an element's chord runs from the entry of its first segment piece
+    # longer than 1e-10 h to the exit of its last (collinear pieces merge)
+    hit, starts, ends, length = _chords(mesh, path)
+    corner = mesh.nodes[mesh.elements]
+    e = np.roll(corner, -1, axis=1) - corner
+    hs = np.sqrt(np.vecdot(e, e)).max(axis=1)
+    piece = hit & ~(length <= 1e-10 * hs)
+    first, last = piece.argmax(axis=0), piece[::-1].argmax(axis=0)
+    crossed = piece.any(axis=0).tolist()
     new_elements = []
     on_path_edges = []
-    for k in range(mesh.n_elements):
-        tri = mesh.elements[k]
-        pts = mesh.nodes[tri]
-        h = max(np.linalg.norm(pts[a] - pts[(a + 1) % 3]) for a in range(3))
-        chord = None
-        for s in range(len(path.points) - 1):
-            c = _clip_segment_to_triangle(path.points[s], path.points[s + 1],
-                                          pts)
-            if c is None:
-                continue
-            if np.linalg.norm(c[1] - c[0]) <= 1e-10 * h:
-                continue
-            if chord is None:
-                chord = c
-            else:
-                # merge collinear consecutive pieces
-                chord = np.array([chord[0], c[1]])
-        if chord is None:
-            new_elements.append(tuple(int(v) for v in tri))
+    for k, corners in enumerate(mesh.elements.tolist()):
+        if not crossed[k]:
+            new_elements.append(tuple(corners))
             continue
-        p_in, p_out = chord
+        tri, h = mesh.elements[k], hs[k]
+        pts = mesh.nodes[tri]
+        p_in, p_out = starts[first[k], k], ends[-1 - last[k], k]
         mid = 0.5 * (p_in + p_out)
         value = path.value_at(mid)
         # chord lying along an existing edge: record it and keep the element

@@ -546,6 +546,7 @@ def red_refine(mesh, elements):
     for _round in range(10 * (len(tris) + len(subset))):
         changed = False
         next_tris = []
+        pts = np.asarray(nodes)  # this round's elements use no newer node
         for tri in tris:
             a, b, c = tri
             hanging = any(_edge_key(i, j) in midpoint
@@ -554,7 +555,6 @@ def red_refine(mesh, elements):
                 next_tris.append(tri)
                 continue
             changed = True
-            pts = np.asarray(nodes)
             edges = [(a, b, c), (b, c, a), (c, a, b)]
             def elen(e):
                 return float(np.linalg.norm(pts[e[0]] - pts[e[1]]))

@@ -95,8 +95,11 @@ def _solve_kkt(ops, n_delta_free, what):
     system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
                                  ops.residual_load, ops.load)
     M = system.matrix()
-    asym = abs(M - M.T).max()
-    if asym > 1e-14 * max(abs(M).max(), 1e-300):
+    # only S can break symmetry; |M| peaks on the largest of S, A and E
+    asym = abs(ops.S.csr - ops.S.csr.T).max()
+    scale = max(abs(B.csr.data).max(initial=0.0)
+                for B in (ops.S, ops.A, ops.E))
+    if asym > 1e-14 * max(scale, 1e-300):
         raise SolveError("saddle system lost symmetry: %.3e" % asym)
     x = sparse.solve_symmetric_indefinite(system)
     n, m = system.n, system.m
@@ -104,11 +107,10 @@ def _solve_kkt(ops, n_delta_free, what):
     t = x[n:n + m]
     z = -x[n + m:]  # un-negate the symmetrizing substitution
     rhs = system.rhs()
-    residual = float(np.linalg.norm(M @ x - rhs)
-                     / max(np.linalg.norm(rhs), 1.0))
+    residual = float(sparse.norm(M @ x - rhs) / max(sparse.norm(rhs), 1.0))
     # re-verify the constraint equation and the multiplier conditions
     cons = ops.A.csr @ uf + ops.E.csr @ t - ops.load
-    rel = np.linalg.norm(cons) / max(np.linalg.norm(ops.load), 1.0)
+    rel = sparse.norm(cons) / max(sparse.norm(ops.load), 1.0)
     if rel > 1e-8:
         raise SolveError("%s constraint equation residual %.3e" % (what, rel))
     zmax = np.abs(z).max() if z.size else 0.0

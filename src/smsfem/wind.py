@@ -265,37 +265,38 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-# (rays x Omega_h+ triangles) pairs clipped at once: keeps each pair
+# (rays x Omega_h+ triangles) pairs screened at once: keeps each pair
 # temporary near 10^6 entries counting both coordinates
 RAY_CLIP_PAIRS = 500_000
 
 
-def _clip_rays(x, d, tri, tmin=1e-12):
-    """Clip the rays x + t*d (t > tmin) against every triangle.
+def _clip_rays(x, d, tri, interval=(1e-12, np.inf), tol=1e-14):
+    """Clip the lines x + t*d, t in interval, against the triangles.
 
-    x, d: (K, 2); tri: (J, 3, 2), positively oriented.  Each ray's
-    parameter interval is cut by the three edge half-planes of each
-    triangle.  Returns the (K, J) hit mask and entry parameters.  The
-    dot products go through np.vecdot, which rounds exactly as np.dot
-    does on one pair, so every decision matches the one-pair clip.
+    x, d: (..., 2) and tri: (..., 3, 2), positively oriented, broadcast.
+    The edge half-planes cut the interval; an edge parallel to the line
+    (|n.d| < 1e-300) cuts it all when x is outside by tol * (|n| + 1).
+    Returns the hit mask and the entry and exit parameters.  np.vecdot
+    rounds as np.dot on one pair, and lo (hi) takes a crossing only when
+    larger (smaller), as max and min do, so every value matches the
+    one-pair clip, which may stop early on lo > hi: lo only grows.
     """
-    lo = np.full((len(x), len(tri)), tmin)
-    hi = np.full_like(lo, np.inf)
-    hit = np.ones(lo.shape, dtype=bool)
+    shape = np.broadcast_shapes(x.shape[:-1], d.shape[:-1], tri.shape[:-2])
+    lo, hi = np.full(shape, interval[0]), np.full(shape, interval[1])
+    hit = np.ones(shape, dtype=bool)
     for a in range(3):
-        p = tri[:, a]
-        e = tri[:, (a + 1) % 3] - p
-        n = np.stack([-e[:, 1], e[:, 0]], axis=1)  # inward normal (ccw)
-        num = np.vecdot(n, x[:, None, :] - p)
-        den = np.vecdot(n, d[:, None, :])
-        # an edge parallel to the ray: miss when x is outside its line
+        p = tri[..., a, :]
+        e = tri[..., (a + 1) % 3, :] - p
+        n = np.stack([-e[..., 1], e[..., 0]], axis=-1)  # inward (ccw)
+        num = np.vecdot(n, x - p)
+        den = np.vecdot(n, d)
         hit &= ~((np.abs(den) < 1e-300)
-                 & (num < -1e-14 * (np.sqrt(np.vecdot(n, n)) + 1.0)))
+                 & (num < -tol * (np.sqrt(np.vecdot(n, n)) + 1.0)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_cross = -num / den
-        np.maximum(lo, t_cross, out=lo, where=den >= 1e-300)
-        np.minimum(hi, t_cross, out=hi, where=den <= -1e-300)
-    return hit & (lo <= hi), lo
+        np.copyto(lo, t_cross, where=(den >= 1e-300) & (t_cross > lo))
+        np.copyto(hi, t_cross, where=(den <= -1e-300) & (t_cross < hi))
+    return hit & (lo <= hi), lo, hi
 
 
 def upwind_hits(mesh, decomposition, elements, bf):
@@ -305,32 +306,68 @@ def upwind_hits(mesh, decomposition, elements, bf):
     elements[i] meets Omega_h+, and first[i] is the Omega_h+ element it
     enters first (the earliest in decomposition.omega_plus on ties), or
     -1.  A zero wind casts no ray.
+
+    Only pairs whose triangle comes within its reach of the ray, beside
+    it and ahead of its origin, are clipped; no other pair can hit.  With
+    u = 2^-53 and L the largest node coordinate, the computed num and den
+    of an edge err by at most 5u |n| |x - p| and 4u |n|, so a hit's point
+    x + lo*d lies within 27u L of each edge line, or within
+    2e-14 (1 + 1/|e|) of a parallel edge (|n| = |e|).  Moving each edge
+    out by eps lowers a barycentric coordinate by at most eps |e| / 2A;
+    with two negative coordinates the point stays within R + 4 eps R^2/A
+    of the barycentre, R its farthest vertex.  The barycentre, R and the
+    screen's values err by a few u L, so eps = 2e-14 (1 + 1/|e|_min)
+    + 1e-13 L and the factor 8 R^2/A cover every term while
+    A >= 1e-8 R^2, where the computed area is within 1e-7 relative;
+    flatter triangles are always clipped.
     """
     plus = np.asarray(decomposition.omega_plus, dtype=np.int64)
     x = mesh.nodes[mesh.elements[elements]].mean(axis=1)
     d = np.zeros_like(x)
     lit = np.zeros(len(x), dtype=bool)
-    for i, bary in enumerate(x):
-        b = bf(bary)  # winds may be point callables: one call per ray
+    # a constant wind casts one direction; a point callable, one per ray
+    constant = getattr(bf, "constant", None)
+    for i, b in ([(slice(None), constant)] if constant is not None
+                 else enumerate(map(bf, x))):
         nb = np.linalg.norm(b)
         if nb != 0.0:
-            d[i] = -b / nb
-            lit[i] = True
+            d[i], lit[i] = -b / nb, True
     downwind = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), -1, dtype=np.int64)
     if plus.size == 0:
         return downwind, first
     tri = mesh.nodes[mesh.elements[plus]]
+    centre = tri.mean(axis=1)
+    e, v = np.roll(tri, -1, axis=1) - tri, tri - centre[:, None]
+    radius = np.sqrt(np.vecdot(v, v)).max(axis=1)
+    area = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    eps = (2e-14 * (1.0 + 1.0 / np.sqrt(np.vecdot(e, e)).min(axis=1))
+           + 1e-13 * np.abs(mesh.nodes).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = radius + np.where(area >= 1e-8 * radius ** 2,
+                                  eps * (1.0 + 8.0 * radius ** 2 / area),
+                                  np.inf)
+    # across each ray (d x c - d x x), then along it from x: d.(c - x)
+    (d0, d1), (c0, c1), (x0, x1) = d.T[..., None], centre.T, x.T[..., None]
+    rays = np.flatnonzero(lit)
     step = max(1, RAY_CLIP_PAIRS // plus.size)
-    for s in range(0, len(x), step):
-        rows = slice(s, s + step)
-        hit, entry = _clip_rays(x[rows], d[rows], tri)
-        hit &= lit[rows, None]
-        downwind[rows] = hit.any(axis=1)
-        entry[~hit] = np.inf
-        j = entry.argmin(axis=1)
-        entered = entry[np.arange(len(j)), j] < np.inf
-        first[rows] = np.where(entered, plus[j], -1)
+    ii, jj = [rays[:0]], [rays[:0]]
+    for s in range(0, len(rays), step):
+        i = rays[s:s + step]
+        perp = d0[i] * c1 - d1[i] * c0 - (d0[i] * x1[i] - d1[i] * x0[i])
+        r, j = np.nonzero(np.abs(perp) <= reach)
+        ii.append(i[r])
+        jj.append(j)
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    ahead = np.vecdot(d[ii], centre[jj] - x[ii]) >= -reach[jj]
+    ii, jj = ii[ahead], jj[ahead]
+    hit, entry, _exit = _clip_rays(x[ii], d[ii], tri[jj])
+    ii, jj, entry = ii[hit], jj[hit], entry[hit]
+    downwind[ii] = True
+    # the first hit: least entry, then earliest in omega_plus
+    order = np.lexsort((jj, entry, ii))
+    at = order[np.unique(ii[order], return_index=True)[1]]
+    first[ii[at]] = np.where(entry[at] < np.inf, plus[jj[at]], -1)
     return downwind, first
 
 

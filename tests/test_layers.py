@@ -3,14 +3,16 @@ edge embedding of interior-layer paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsfem import experiments
 from smsfem.assembly import ProblemSpec
-from smsfem.layers import (DegenerateCrossingError, TracingError,
-                           discontinuity_value, embed_characteristic,
-                           snap_nodes, straight_characteristic,
-                           trace_characteristic)
-from smsfem.meshes import Triangulation, structured_triangulation
+from smsfem.layers import (DegenerateCrossingError, LayerCharacteristic,
+                           TracingError, _chords, discontinuity_value,
+                           embed_characteristic, snap_nodes,
+                           straight_characteristic, trace_characteristic)
+from smsfem.meshes import (Triangulation, perturb_structured,
+                           structured_triangulation)
 from smsfem.problems import EX5_LAYER_VALUE, EX5_ORIGIN, EX5_WIND
 
 
@@ -163,3 +165,87 @@ def test_interior_layer_mesh_solves_cleanly():
     sol = solve_sms(mesh, ex5_spec(1e-8), dec)
     assert sol.u.min() >= -1e-6
     assert sol.u.max() <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array segment clip against the one-segment reference clip
+
+
+def _clip_segment_to_triangle(p, q, tri):
+    """Portion of segment pq inside the (ccw) triangle, or None."""
+    d = q - p
+    lo, hi = 0.0, 1.0
+    for a in range(3):
+        u, w = tri[a], tri[(a + 1) % 3]
+        e = w - u
+        n = np.array([-e[1], e[0]])  # inward for ccw
+        num = float(n @ (p - u))
+        den = float(n @ d)
+        if abs(den) < 1e-300:
+            if num < -1e-12 * (np.linalg.norm(n) + 1.0):
+                return None
+            continue
+        t = -num / den
+        if den > 0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+        if lo > hi:
+            return None
+    return np.array([p + lo * d, p + hi * d])
+
+
+def _path_point(mesh, kind, rng):
+    """A mesh vertex, a point on an edge (its midpoint or a random
+    fraction), or a free point around the unit square."""
+    if kind == "free":
+        return rng.uniform(-0.2, 1.2, 2)
+    i, j = mesh.elements[rng.integers(mesh.n_elements)][:2]
+    if kind == "vertex":
+        return mesh.nodes[i].copy()
+    t = 0.5 if kind == "mid-edge" else rng.uniform(0.0, 1.0)
+    return mesh.nodes[i] + t * (mesh.nodes[j] - mesh.nodes[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6),
+       st.sampled_from([0.0, 0.3]),
+       st.integers(min_value=0, max_value=2 ** 16),
+       st.lists(st.sampled_from(["vertex", "edge", "near-edge", "mid-edge",
+                                 "on-edge", "free"]),
+                min_size=1, max_size=4))
+def test_path_chords_match_one_segment_clip(n, amplitude, seed, kinds):
+    # vertex-to-vertex segments on a grid run through vertices and along
+    # edges; 'edge' adds a whole element edge or a part of one ending
+    # mid-edge; a path may start or end mid-edge; 'near-edge' runs
+    # parallel to a row of edges
+    mesh = structured_triangulation(n, n)
+    if amplitude:
+        mesh = perturb_structured(mesh, amplitude, seed)
+    rng = np.random.default_rng(seed)
+    points = [_path_point(mesh, "vertex", rng)]
+    for kind in kinds:
+        if kind == "edge":
+            i, j = mesh.elements[rng.integers(mesh.n_elements)][1:]
+            end = rng.choice([1.0, 0.5, rng.uniform(0.0, 1.0)])
+            points += [mesh.nodes[i],
+                       mesh.nodes[i] + end * (mesh.nodes[j] - mesh.nodes[i])]
+        elif kind == "near-edge":
+            # a grid row moved off its line by about the parallel-edge
+            # tolerance 1e-12 (1 + 1/|e|), to either side
+            y = rng.integers(n + 1) / n
+            dy = rng.choice([-1.5, -0.5, 0.5, 1.5]) * 1e-12 * (1.0 + n)
+            points += [np.array([-0.5, y + dy]), np.array([1.5, y + dy])]
+        else:
+            points.append(_path_point(mesh, kind, rng))
+    points = np.array(points)
+    path = LayerCharacteristic(points, np.zeros(len(points)), points[0])
+    hit, start, end, _length = _chords(mesh, path)
+    for s in range(len(points) - 1):
+        for k in range(mesh.n_elements):
+            ref = _clip_segment_to_triangle(
+                points[s], points[s + 1], mesh.nodes[mesh.elements[k]])
+            assert bool(hit[s, k]) == (ref is not None)
+            if ref is not None:
+                assert start[s, k].tobytes() == ref[0].tobytes()
+                assert end[s, k].tobytes() == ref[1].tobytes()

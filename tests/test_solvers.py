@@ -101,6 +101,35 @@ def test_sms_feasibility_reverified():
         assert sol.method == "sms-" + base
 
 
+def _kkt_ops(dim):
+    from smsfem import assembly
+    if dim == 1:
+        return assembly.assemble_1d(uniform_mesh_1d(8), 1e-8, 1.0, 1.0,
+                                    0.0, 0.0), [6]
+    m = structured_triangulation(6, 6)
+    spec = ProblemSpec(eps=1e-8, b=np.array([2.0, 3.0]), f=1.0)
+    dec = build_omega_plus(m, classify_boundary(m, spec.b), spec.b)
+    ops = assembly.assemble_galerkin(m, spec, dec, with_constraints=True)
+    return ops, [ops.free_index[v] for v in ops.n_delta]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("factor, raises", [(2.0, True), (0.5, False)])
+def test_kkt_symmetry_check_sees_asymmetric_s(dim, factor, raises):
+    # the check compares |S - S^T| with 1e-14 times the largest |entry|
+    # of the saddle matrix, which is the largest of S, A and E
+    ops, n_delta_free = _kkt_ops(dim)
+    scale = max(abs(B.csr.data).max() for B in (ops.S, ops.A, ops.E))
+    S = ops.S.csr.tolil()
+    S[0, 1] += factor * 1e-14 * scale
+    ops.S = sparse.from_csr(S)
+    if raises:
+        with pytest.raises(solvers.SolveError, match="lost symmetry"):
+            solvers._solve_kkt(ops, n_delta_free, "SMS")
+    else:
+        assert solvers._solve_kkt(ops, n_delta_free, "SMS")[3] <= 1e-8
+
+
 def test_sms_invalid_base():
     m = structured_triangulation(3, 3)
     spec = ProblemSpec(eps=1e-3, b=np.array([1.0, 0.0]), f=1.0)

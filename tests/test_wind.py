@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smsfem import defects, wind
-from smsfem.meshes import perturb_structured, structured_triangulation
+from smsfem.meshes import (Triangulation, perturb_structured,
+                           structured_triangulation)
 from smsfem.metrics import locate_point
 from smsfem.problems import glazing_wind
 from smsfem.wind import (OmegaPlusDecomposition, UpwindNotFound,
@@ -306,16 +307,34 @@ def _random_split(mesh, fraction, seed):
        st.one_of(st.sampled_from(_EDGE_CASE_WINDS),
                  st.floats(min_value=0.0, max_value=2.0 * math.pi).map(
                      lambda a: (math.cos(a), math.sin(a)))),
-       st.floats(min_value=0.05, max_value=0.6))
-@example(n=4, amplitude=0.0, seed=0, b=(1.0, 0.0), fraction=0.3)
-@example(n=5, amplitude=0.0, seed=1, b=(1.0, 2.0), fraction=0.5)
-def test_upwind_hits_match_one_pair_clip(n, amplitude, seed, b, fraction):
+       st.floats(min_value=0.05, max_value=0.6),
+       st.booleans())
+@example(n=4, amplitude=0.0, seed=0, b=(1.0, 0.0), fraction=0.3,
+         shifted=False)
+@example(n=5, amplitude=0.0, seed=1, b=(1.0, 2.0), fraction=0.5,
+         shifted=False)
+@example(n=5, amplitude=0.0, seed=1, b=(1.0, 1.0), fraction=0.5,
+         shifted=True)
+def test_upwind_hits_match_one_pair_clip(n, amplitude, seed, b, fraction,
+                                         shifted):
     mesh = structured_triangulation(n, n)
     if amplitude:
         mesh = perturb_structured(mesh, amplitude, seed)
+    if shifted:
+        mesh = _shifted(mesh)
     # an unsorted Omega_h+ list: first hits break ties in list order
     dec = _random_split(mesh, fraction, seed)
-    bf = vector_field(b)
+    _assert_hits_match(mesh, dec, vector_field(b))
+
+
+def _shifted(mesh):
+    """The mesh scaled by 1e-3 and moved to (1e3, -1e3): the screen's
+    margin must cover rounding at the size of the coordinates."""
+    return Triangulation(mesh.nodes * 1e-3 + np.array([1e3, -1e3]),
+                         mesh.elements, mesh.boundary_edges, audit=False)
+
+
+def _assert_hits_match(mesh, dec, bf):
     downwind, first = upwind_hits(mesh, dec, dec.omega_hat, bf)
     ref = [_upwind_reference(mesh, dec.omega_plus, k, bf)
            for k in dec.omega_hat]
@@ -326,6 +345,74 @@ def test_upwind_hits_match_one_pair_clip(n, amplitude, seed, b, fraction):
                                                       else hit)
 
 
+def _grazing_soup(seed, shifted):
+    """Omega_h+ triangles, each with rays that graze it, and one tiny
+    Omega_hat element centred on each ray origin; the wind at an origin
+    sends its ray in the chosen direction.
+
+    The rays run tangent to the circle about the barycentre through the
+    farthest vertex (the screen's radius exactly), start just beyond
+    that vertex pointing away from or back into the triangle, pass
+    through a vertex of another triangle, or run along a horizontal
+    edge (den == 0) at offsets around the parallel-edge tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    tris, rays = [], []
+    for _ in range(6):
+        c, size = rng.uniform(-1.0, 1.0, 2), 10.0 ** rng.uniform(-2.0, 0.0)
+        if rng.random() < 0.5:
+            tri = c + size * rng.uniform(-1.0, 1.0, (3, 2))
+        else:
+            tri = c + size * np.array([[0.0, 0.0], [1.0, 0.0],
+                                       [rng.uniform(-0.5, 1.5),
+                                        rng.uniform(0.2, 1.0)]])
+            for k in (-2.0, -1.01, -0.99, -0.5, 0.0, 0.5):
+                dy = k * 1e-14 * (1.0 + 1.0 / size)
+                rays.append((tri[0] - [size * rng.uniform(0.1, 2.0), -dy],
+                             (1.0, 0.0)))
+                rays.append((tri[1] + [size * rng.uniform(0.1, 2.0), dy],
+                             (-1.0, 0.0)))
+        tris.append(tri)
+        g = tri.mean(axis=0)
+        v = tri[np.argmax(np.linalg.norm(tri - g, axis=1))]
+        out = (v - g) / np.linalg.norm(v - g)
+        tangent = np.array([-out[1], out[0]])
+        for sign in (1.0, -1.0):
+            t = sign * tangent
+            rays.append((v - size * rng.uniform(0.1, 2.0) * t, t))
+        for gap in (1e-15, 1e-12):
+            rays.append((v + gap * size * out, out))
+            rays.append((v + gap * size * out, -out))
+    for tri in tris:
+        for v in tri:
+            x = rng.uniform(-1.5, 1.5, 2)
+            rays.append((x, (v - x) / np.linalg.norm(v - x)))
+    star = 1e-3 * np.array([[1.0, 0.0], [-0.5, 0.8660254037844386],
+                            [-0.5, -0.8660254037844386]])
+    tris += [x + star for x, _d in rays]
+    nodes = np.concatenate(tris)
+    mesh = Triangulation(nodes, np.arange(len(nodes)).reshape(-1, 3), [],
+                         audit=False)
+    if shifted:
+        mesh = _shifted(mesh)
+    plus = rng.permutation(6).tolist()
+    dec = OmegaPlusDecomposition(plus, list(range(6, mesh.n_elements)),
+                                 [], [])
+    origins = mesh.nodes[mesh.elements[dec.omega_hat]].mean(axis=1)
+    winds = -np.array([d for _x, d in rays])
+
+    def bf(p):
+        return winds[np.abs(origins - p).sum(axis=1).argmin()]
+
+    return mesh, dec, bf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_upwind_hits_keep_grazing_rays(seed, shifted):
+    _assert_hits_match(*_grazing_soup(seed, shifted))
+
+
 @pytest.mark.parametrize("x", [(5.0, 0.0), (1.5, -0.5)])
 def test_clip_rays_quiet_on_subnormal_direction(x):
     # 0 < |den| < 1e-300: -num/den overflows, and the clip treats the
@@ -334,11 +421,11 @@ def test_clip_rays_quiet_on_subnormal_direction(x):
     tri = np.array([[[0.0, -1.0], [2.0, -1.0], [2.0, 1.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hit, entry = wind._clip_rays(x, d, tri)
+        hit, entry, _exit = wind._clip_rays(x, d, tri)
     ref = _clip_reference(x[0], d[0], tri[0])
-    assert bool(hit[0, 0]) == (ref is not None)
+    assert bool(hit[0]) == (ref is not None)
     if ref is not None:
-        assert entry[0, 0] == ref
+        assert entry[0] == ref
 
 
 def test_upwind_hits_independent_of_chunking(monkeypatch):
