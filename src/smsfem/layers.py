@@ -310,8 +310,7 @@ def embed_characteristic(mesh, path):
         if not crossed[k]:
             new_elements.append(tuple(corners))
             continue
-        tri, h = mesh.elements[k], hs[k]
-        pts = mesh.nodes[tri]
+        tri, pts, h = mesh.elements[k], corner[k], hs[k]
         p_in, p_out = starts[first[k], k], ends[-1 - last[k], k]
         mid = 0.5 * (p_in + p_out)
         value = path.value_at(mid)
