@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshes import Topology, Triangulation, _edge_key, _signed_areas
-from .wind import _clip_rays, vector_field
+from . import wind
 from .assembly import scalar_field
 
 
@@ -80,7 +80,7 @@ def trace_characteristic(b, origin, inside, inflow_value, f=0.0,
     starting from the inflow value (the reduced problem along the
     characteristic).
     """
-    bf = vector_field(b)
+    bf = wind.vector_field(b)
     ff = scalar_field(f)
     x = np.asarray(origin, dtype=float)
     b0 = bf(x)
@@ -148,25 +148,34 @@ def straight_characteristic(p0, p1, value):
 # node snapping
 
 
-def _chords(mesh, path):
-    """Every (path segment, element) pair clipped at once by wind's
-    kernel on the segment parameters [0, 1]: the (S, K) hit mask, the
-    (S, K, 2) entry and exit points and the chord lengths."""
+def _crossings(mesh, path, h, rel):
+    """Whether each element holds a path piece longer than rel * h, and
+    its chord from the first such piece's entry to the last one's exit;
+    wind's kernel clips RAY_CLIP_PAIRS (segment, element) pairs at a
+    time, on the segment parameters [0, 1]."""
     p = path.points[:-1, None]
     d = path.points[1:, None] - p
-    hit, lo, hi = _clip_rays(p, d, mesh.nodes[mesh.elements], (0.0, 1.0),
-                             1e-12)
-    with np.errstate(invalid="ignore", over="ignore"):
-        start, end = p + lo[..., None] * d, p + hi[..., None] * d
-        chord = end - start
-        return hit, start, end, np.sqrt(np.vecdot(chord, chord))
+    tri = mesh.nodes[mesh.elements]
+    crossed, chord = np.zeros(len(tri), dtype=bool), np.zeros((len(tri), 2, 2))
+    step = max(1, wind.RAY_CLIP_PAIRS // max(1, len(p)))
+    for k in range(0, len(tri) if len(p) else 0, step):
+        rows = slice(k, k + step)
+        hit, lo, hi = wind._clip_rays(p, d, tri[rows], (0.0, 1.0), 1e-12)
+        with np.errstate(invalid="ignore", over="ignore"):
+            start, end = p + lo[..., None] * d, p + hi[..., None] * d
+            length = np.sqrt(np.vecdot(end - start, end - start))
+        piece = hit & (length > rel * h[rows])
+        at = np.arange(piece.shape[1])
+        crossed[rows] = piece.any(axis=0)
+        chord[rows, 0] = start[piece.argmax(axis=0), at]
+        chord[rows, 1] = end[-1 - piece[::-1].argmax(axis=0), at]
+    return crossed, chord
 
 
 def _elements_crossed(mesh, path):
     """Elements whose interior is crossed by the path polyline."""
-    hit, _start, _end, length = _chords(mesh, path)
     h = np.sqrt(np.abs(mesh.areas())) + 1e-300
-    return np.flatnonzero((hit & (length > 1e-12 * h)).any(axis=0)).tolist()
+    return np.flatnonzero(_crossings(mesh, path, h, 1e-12)[0]).tolist()
 
 
 def snap_nodes(mesh, path, threshold_rule="nearest"):
@@ -295,23 +304,18 @@ def embed_characteristic(mesh, path):
         raise DegenerateCrossingError(
             "path endpoint not on the element boundary; snap nodes first")
 
-    # an element's chord runs from the entry of its first segment piece
-    # longer than 1e-10 h to the exit of its last (collinear pieces merge)
-    hit, starts, ends, length = _chords(mesh, path)
     corner = mesh.nodes[mesh.elements]
     e = np.roll(corner, -1, axis=1) - corner
     hs = np.sqrt(np.vecdot(e, e)).max(axis=1)
-    piece = hit & ~(length <= 1e-10 * hs)
-    first, last = piece.argmax(axis=0), piece[::-1].argmax(axis=0)
-    crossed = piece.any(axis=0).tolist()
+    crossed, chords = _crossings(mesh, path, hs, 1e-10)
     new_elements = []
     on_path_edges = []
-    for k, corners in enumerate(mesh.elements.tolist()):
+    for k, row in enumerate(mesh.elements.tolist()):
         if not crossed[k]:
-            new_elements.append(tuple(corners))
+            new_elements.append(tuple(row))
             continue
         tri, pts, h = mesh.elements[k], corner[k], hs[k]
-        p_in, p_out = starts[first[k], k], ends[-1 - last[k], k]
+        p_in, p_out = chords[k]
         mid = 0.5 * (p_in + p_out)
         value = path.value_at(mid)
         # chord lying along an existing edge: record it and keep the element

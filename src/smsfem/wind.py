@@ -265,8 +265,8 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-# (rays x Omega_h+ triangles) pairs screened at once: keeps each pair
-# temporary near 10^6 entries counting both coordinates
+# (ray or segment x triangle) pairs screened or clipped at once: keeps
+# each pair temporary near 10^6 entries counting both coordinates
 RAY_CLIP_PAIRS = 500_000
 
 
@@ -274,11 +274,10 @@ def _clip_rays(x, d, tri, interval=(1e-12, np.inf), tol=1e-14):
     """Clip the lines x + t*d, t in interval, against the triangles.
 
     x, d: (..., 2) and tri: (..., 3, 2), positively oriented, broadcast.
-    The edge half-planes cut the interval; an edge parallel to the line
-    (|n.d| < 1e-300) cuts it all when x is outside by tol * (|n| + 1).
-    Returns the hit mask and the entry and exit parameters.  np.vecdot
-    rounds as np.dot on one pair, and lo (hi) takes a crossing only when
-    larger (smaller), as max and min do, so every value matches the
+    An edge parallel to the line (|n.d| < 1e-300) cuts all when x is out
+    by tol * (|n| + 1).  Returns the hit mask and entry and exit values.
+    np.vecdot rounds as np.dot on one pair, and lo (hi) takes a larger
+    (smaller) crossing as max (min) does, so every value matches the
     one-pair clip, which may stop early on lo > hi: lo only grows.
     """
     shape = np.broadcast_shapes(x.shape[:-1], d.shape[:-1], tri.shape[:-2])
@@ -351,14 +350,13 @@ def upwind_hits(mesh, decomposition, elements, bf):
     (d0, d1), (c0, c1), (x0, x1) = d.T[..., None], centre.T, x.T[..., None]
     rays = np.flatnonzero(lit)
     step = max(1, RAY_CLIP_PAIRS // plus.size)
-    ii, jj = [rays[:0]], [rays[:0]]
+    near = [np.zeros((2, 0), dtype=np.int64)]
     for s in range(0, len(rays), step):
         i = rays[s:s + step]
         perp = d0[i] * c1 - d1[i] * c0 - (d0[i] * x1[i] - d1[i] * x0[i])
         r, j = np.nonzero(np.abs(perp) <= reach)
-        ii.append(i[r])
-        jj.append(j)
-    ii, jj = np.concatenate(ii), np.concatenate(jj)
+        near.append(np.stack([i[r], j]))
+    ii, jj = np.concatenate(near, axis=1)
     ahead = np.vecdot(d[ii], centre[jj] - x[ii]) >= -reach[jj]
     ii, jj = ii[ahead], jj[ahead]
     hit, entry, _exit = _clip_rays(x[ii], d[ii], tri[jj])

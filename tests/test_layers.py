@@ -1,14 +1,16 @@
 """Characteristic tracing through the reduced problem, node snapping and
 edge embedding of interior-layer paths."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smsfem import experiments
+from smsfem import experiments, wind
 from smsfem.assembly import ProblemSpec
 from smsfem.layers import (DegenerateCrossingError, LayerCharacteristic,
-                           TracingError, _chords, discontinuity_value,
+                           TracingError, _crossings, discontinuity_value,
                            embed_characteristic, snap_nodes,
                            straight_characteristic, trace_characteristic)
 from smsfem.meshes import (Triangulation, perturb_structured,
@@ -214,7 +216,7 @@ def _path_point(mesh, kind, rng):
        st.lists(st.sampled_from(["vertex", "edge", "near-edge", "mid-edge",
                                  "on-edge", "free"]),
                 min_size=1, max_size=4))
-def test_path_chords_match_one_segment_clip(n, amplitude, seed, kinds):
+def test_segment_clip_matches_one_segment_clip(n, amplitude, seed, kinds):
     # vertex-to-vertex segments on a grid run through vertices and along
     # edges; 'edge' adds a whole element edge or a part of one ending
     # mid-edge; a path may start or end mid-edge; 'near-edge' runs
@@ -239,13 +241,28 @@ def test_path_chords_match_one_segment_clip(n, amplitude, seed, kinds):
         else:
             points.append(_path_point(mesh, kind, rng))
     points = np.array(points)
-    path = LayerCharacteristic(points, np.zeros(len(points)), points[0])
-    hit, start, end, _length = _chords(mesh, path)
-    for s in range(len(points) - 1):
-        for k in range(mesh.n_elements):
-            ref = _clip_segment_to_triangle(
-                points[s], points[s + 1], mesh.nodes[mesh.elements[k]])
+    p, d = points[:-1, None], points[1:, None] - points[:-1, None]
+    tri = mesh.nodes[mesh.elements]
+    hit, lo, hi = wind._clip_rays(p, d, tri, (0.0, 1.0), 1e-12)
+    refs = [[_clip_segment_to_triangle(a, b, t) for t in tri]
+            for a, b in zip(points[:-1], points[1:])]
+    for s, row in enumerate(refs):
+        for k, ref in enumerate(row):
             assert bool(hit[s, k]) == (ref is not None)
             if ref is not None:
-                assert start[s, k].tobytes() == ref[0].tobytes()
-                assert end[s, k].tobytes() == ref[1].tobytes()
+                chord = p[s] + np.array([lo[s, k], hi[s, k]])[:, None] * d[s]
+                assert chord.tobytes() == ref.tobytes()
+    # per element: the first long piece's entry to the last one's exit,
+    # in one chunk and in chunks of 3 pairs
+    h = rng.uniform(0.5, 1.5, mesh.n_elements) / n
+    path = LayerCharacteristic(points, np.zeros(len(points)), points[0])
+    for chunk in (wind.RAY_CLIP_PAIRS, 3):
+        with mock.patch.object(wind, "RAY_CLIP_PAIRS", chunk):
+            crossed, chords = _crossings(mesh, path, h, 1e-10)
+        for k in range(mesh.n_elements):
+            pieces = [row[k] for row in refs if row[k] is not None and
+                      np.linalg.norm(row[k][1] - row[k][0]) > 1e-10 * h[k]]
+            assert crossed[k] == bool(pieces)
+            if pieces:
+                assert chords[k].tobytes() == np.array(
+                    [pieces[0][0], pieces[-1][1]]).tobytes()
