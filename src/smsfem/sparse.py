@@ -7,6 +7,8 @@ indefinite; we factor them with a sparse LU (with a dense fallback at
 small sizes) and verify the residual afterwards.
 """
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -29,6 +31,7 @@ DENSE_LIMIT = 2000
 # dense) still take that path; a singular N=128 KKT (32,637 rows) would
 # need 8.5 GB and raises instead
 DENSE_SOLVE_LIMIT = 10000
+_dense_rows = 0  # rows of the largest dense fallback so far
 
 
 class RankDeficiencyError(RuntimeError):
@@ -196,7 +199,16 @@ def _direct_solve(M, lu, r):
         raise RankDeficiencyError(
             "sparse LU failed on %d unknowns; no dense fallback above %d "
             "rows" % (n, DENSE_SOLVE_LIMIT))
-    # dense LU fallback
+    # dense LU fallback.  glibc maps arrays larger than any it freed before
+    # afresh, on top of what free() left resident on its heap; trim that on
+    # a new largest n, so the peak memory does not depend on earlier solves
+    global _dense_rows
+    if n > _dense_rows:
+        _dense_rows = n
+        try:
+            ctypes.CDLL(None).malloc_trim(0)
+        except (OSError, AttributeError, TypeError):  # not glibc
+            pass
     try:
         x = np.linalg.solve(M.toarray(), r)
         if np.all(np.isfinite(x)):

@@ -151,6 +151,29 @@ def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
         sparse.solve_symmetric_indefinite(m, np.ones(n))
 
 
+def test_dense_fallback_trims_heap_on_new_largest_size(monkeypatch):
+    # the C heap is trimmed before a dense fallback larger than any before,
+    # and the fallback still runs where the C library has no malloc_trim
+    trims = []
+
+    class Libc:
+        def malloc_trim(self, pad):
+            trims.append(pad)
+
+    monkeypatch.setattr(sparse, "_dense_rows", 0)
+    monkeypatch.setattr(sparse.ctypes, "CDLL", lambda name: Libc())
+    for n in (5, 5, 7, 3, 7):
+        m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
+        with pytest.raises(sparse.RankDeficiencyError):
+            sparse.solve_symmetric_indefinite(m, np.ones(n))
+    assert trims == [0, 0] and sparse._dense_rows == 7
+    monkeypatch.setattr(sparse.ctypes, "CDLL", lambda name: object())
+    with pytest.raises(sparse.RankDeficiencyError):
+        sparse.solve_symmetric_indefinite(
+            sparse.compress([0], [0], [1.0], 9, 9), np.ones(9))
+    assert sparse._dense_rows == 9
+
+
 def test_dump_format(tmp_path):
     m = sparse.compress([0, 1], [1, 0], [2.5, -1.0], 2, 2)
     path = tmp_path / "m.txt"
