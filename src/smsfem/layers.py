@@ -1,10 +1,10 @@
 """Interior-layer handling.
 
 A boundary-data discontinuity launches a layer along the characteristic
-dx/dt = b.  We trace that curve, assign it the reduced-problem value
-(inflow value = mean of the one-sided data limits), optionally snap
-nearby mesh nodes onto it, and embed the polyline into the
-triangulation as a chain of element edges carrying Dirichlet values.
+dx/dt = b, which for a constant wind is a straight segment carrying the
+reduced-problem value.  We optionally snap nearby mesh nodes onto that
+polyline and embed it into the triangulation as a chain of element
+edges carrying Dirichlet values.
 """
 
 from dataclasses import dataclass
@@ -13,20 +13,10 @@ import numpy as np
 
 from .meshes import Topology, Triangulation, _edge_key, _signed_areas
 from . import wind
-from .assembly import scalar_field
-
-
-class TracingError(RuntimeError):
-    pass
 
 
 class DegenerateCrossingError(RuntimeError):
     """Path tangent to an edge; snap nodes onto the path first."""
-
-
-def discontinuity_value(left_limit, right_limit):
-    """Inflow value at a data discontinuity: mean of one-sided limits."""
-    return 0.5 * (left_limit + right_limit)
 
 
 @dataclass
@@ -69,72 +59,6 @@ def _project_t(p, a, b):
     if L2 == 0.0:
         return 0.0
     return min(1.0, max(0.0, float((p - a) @ e) / L2))
-
-
-def trace_characteristic(b, origin, inside, inflow_value, f=0.0,
-                         step=1e-2, max_steps=200000):
-    """Integrate dx/dt = b from the origin until leaving the domain.
-
-    `inside(p)` tests domain membership.  Straight-line shortcut for
-    constant winds.  The value along the path solves du/dt = f(x(t))
-    starting from the inflow value (the reduced problem along the
-    characteristic).
-    """
-    bf = wind.vector_field(b)
-    ff = scalar_field(f)
-    x = np.asarray(origin, dtype=float)
-    b0 = bf(x)
-    if np.linalg.norm(b0) == 0.0:
-        raise TracingError("wind vanishes at the origin")
-    probe = x + 1e-9 * b0 / np.linalg.norm(b0)
-    if not inside(probe):
-        raise TracingError("wind does not point into the domain at the origin")
-    constant = not callable(b)
-    pts = [x.copy()]
-    vals = [float(inflow_value)]
-    if constant:
-        d = b0 / np.linalg.norm(b0)
-        # bisect the exit distance
-        lo, hi = 0.0, step
-        while inside(x + hi * d):
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e6:
-                raise TracingError("characteristic does not exit the domain")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if inside(x + mid * d):
-                lo = mid
-            else:
-                hi = mid
-        exit_pt = x + 0.5 * (lo + hi) * d
-        n_sub = max(2, int(np.ceil(np.linalg.norm(exit_pt - x) / step)))
-        v = float(inflow_value)
-        for k in range(1, n_sub + 1):
-            p_prev = pts[-1]
-            p = x + (exit_pt - x) * (k / n_sub)
-            # du/ds = f/|b| along arc length
-            ds = np.linalg.norm(p - p_prev)
-            v += ds * ff(0.5 * (p + p_prev)) / np.linalg.norm(b0)
-            pts.append(p)
-            vals.append(v)
-        return LayerCharacteristic(np.asarray(pts), np.asarray(vals), x)
-    v = float(inflow_value)
-    cur = x.copy()
-    for _ in range(max_steps):
-        k1 = bf(cur)
-        k2 = bf(cur + 0.5 * step * k1)
-        k3 = bf(cur + 0.5 * step * k2)
-        k4 = bf(cur + step * k3)
-        nxt = cur + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        v += step * 0.5 * (ff(cur) + ff(nxt))
-        if not inside(nxt):
-            pts.append(nxt)
-            vals.append(v)
-            return LayerCharacteristic(np.asarray(pts), np.asarray(vals), x)
-        pts.append(nxt)
-        vals.append(v)
-        cur = nxt
-    raise TracingError("characteristic did not exit within the step budget")
 
 
 def straight_characteristic(p0, p1, value):

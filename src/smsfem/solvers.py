@@ -148,7 +148,7 @@ def solve_sms_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
 
 
 def solve_shishkin_oracle_1d(N, eps, b, f, sigma):
-    """Galerkin on the full 2N-cell Shishkin mesh (dense oracle).
+    """Galerkin on the full 2N-cell Shishkin mesh.
 
     Returns (full nodal values, coarse part U_c = values at nodes 0..N,
     alpha* = u_N * a(phi_{N-1}, phi_N)).
@@ -157,7 +157,7 @@ def solve_shishkin_oracle_1d(N, eps, b, f, sigma):
 
     mesh = shishkin_mesh_1d(N=N, sigma=sigma)
     ops = assembly.assemble_1d(mesh, eps, b, f)
-    x = np.linalg.solve(ops.A.toarray(), ops.load)
+    x = sparse.solve_symmetric_indefinite(ops.A, ops.load)
     u = ops.lifting.copy()
     u[1:mesh.J] = x
     h_N = mesh.widths[N - 1]  # last coarse cell

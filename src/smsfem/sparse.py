@@ -3,11 +3,10 @@
 Finite element assembly hands over coordinate arrays (rows, columns,
 values), which are compressed to CSR once.  The saddle-point systems
 arising from the constrained least-squares formulation are symmetric
-indefinite; we factor them with a sparse LU (with a dense fallback at
-small sizes) and verify the residual afterwards.
+indefinite; we factor them with SuperLU and verify the residual
+afterwards.  A factor that fails is a RankDeficiencyError: the method is
+well posed only when these systems are nonsingular.
 """
-
-import ctypes
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,13 +24,6 @@ class CapacityError(ValueError):
 # largest row count for which the dense SVD diagnostics run: 2000 rows of
 # float64 are 32 MB, while the SVD of an 8,575-row KKT peaks above 4 GB
 DENSE_LIMIT = 2000
-
-# largest row count for which a failed sparse LU falls back to a dense
-# solve.  comp-ex5's singular N=64 random-grid KKTs (8,575 rows, 588 MB
-# dense) still take that path; a singular N=128 KKT (32,637 rows) would
-# need 8.5 GB and raises instead
-DENSE_SOLVE_LIMIT = 10000
-_dense_rows = 0  # rows of the largest dense fallback so far
 
 
 class RankDeficiencyError(RuntimeError):
@@ -151,7 +143,8 @@ def solve_symmetric_indefinite(system, rhs=None):
 
     Returns the solution vector; verifies the relative residual
     ||Mx - r|| / max(||r||, 1) <= 1e-8 with one step of iterative
-    refinement if the first factorization misses the tolerance.
+    refinement if the first factorization misses the tolerance.  Raises
+    RankDeficiencyError, with SuperLU's reason, if the factor fails.
     """
     if isinstance(system, SaddleSystem):
         M = system.matrix()
@@ -159,19 +152,22 @@ def solve_symmetric_indefinite(system, rhs=None):
     else:
         M = system.csr if isinstance(system, SparseMatrix) else sp.csr_matrix(system)
         r = np.asarray(rhs, dtype=float)
-    if M.shape[0] != M.shape[1]:
+    n = M.shape[0]
+    if n != M.shape[1]:
         raise StructuralError("system must be square")
+    if n == 0:
+        return np.zeros(0)
     try:
         with np.errstate(all="ignore"):
-            lu = spla.splu(M.tocsc()) if M.shape[0] else None
-    except (RuntimeError, ValueError):
-        lu = None
-    x = _direct_solve(M, lu, r)
+            lu = spla.splu(M.tocsc())
+    except (RuntimeError, ValueError) as exc:
+        raise RankDeficiencyError(
+            "sparse LU failed on %d unknowns: %s" % (n, exc)) from exc
+    x = _lu_solve(lu, r)
     res = norm(M @ x - r) / max(norm(r), 1.0)
     if res > 1e-8:
         # one residual-correction step with the same factor
-        dx = _direct_solve(M, lu, r - M @ x)
-        x = x + dx
+        x = x + _lu_solve(lu, r - M @ x)
         res = norm(M @ x - r) / max(norm(r), 1.0)
         if res > 1e-8:
             raise RankDeficiencyError(
@@ -185,34 +181,12 @@ def norm(v):
     return np.sqrt(np.add.reduce(v * v))
 
 
-def _direct_solve(M, lu, r):
-    """Solve by the sparse factor lu if it succeeds, else by a dense LU."""
-    n = M.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if lu is not None:
-        with np.errstate(all="ignore"):
-            x = lu.solve(r)
-        if np.all(np.isfinite(x)):
-            return x
-    if n > DENSE_SOLVE_LIMIT:
+def _lu_solve(lu, r):
+    """lu.solve(r), which must be finite: SuperLU raises only on an exactly
+    zero pivot, while a tiny one can overflow the solve to inf or nan."""
+    with np.errstate(all="ignore"):
+        x = lu.solve(r)
+    if not np.all(np.isfinite(x)):
         raise RankDeficiencyError(
-            "sparse LU failed on %d unknowns; no dense fallback above %d "
-            "rows" % (n, DENSE_SOLVE_LIMIT))
-    # dense LU fallback.  glibc maps arrays larger than any it freed before
-    # afresh, on top of what free() left resident on its heap; trim that on
-    # a new largest n, so the peak memory does not depend on earlier solves
-    global _dense_rows
-    if n > _dense_rows:
-        _dense_rows = n
-        try:
-            ctypes.CDLL(None).malloc_trim(0)
-        except (OSError, AttributeError, TypeError):  # not glibc
-            pass
-    try:
-        x = np.linalg.solve(M.toarray(), r)
-        if np.all(np.isfinite(x)):
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    raise RankDeficiencyError("matrix singular to working precision")
+            "sparse LU solve on %d unknowns is not finite" % len(x))
+    return x

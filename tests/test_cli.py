@@ -106,6 +106,12 @@ def test_solver_failure_exit_code(tmp_path, capsys):
                  "problem = ex4\nmethod = galerkin\neps = 0\nN = 8\n")
     assert cli.main(["solve", "--config", cfg]) == 3
     assert "solver failure" in capsys.readouterr().err
+    # at N = 2 its one unknown has a zero pivot: SuperLU's reason is shown
+    cfg = _write(tmp_path, "g2.cfg",
+                 "problem = ex4\nmethod = galerkin\neps = 0\nN = 2\n")
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert ("solver failure: sparse LU failed on 1 unknowns: "
+            "Factor is exactly singular") in capsys.readouterr().err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

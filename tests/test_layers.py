@@ -1,71 +1,17 @@
-"""Characteristic tracing through the reduced problem, node snapping and
-edge embedding of interior-layer paths."""
+"""Node snapping and edge embedding of interior-layer paths."""
 
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsfem import experiments, wind
-from smsfem.assembly import ProblemSpec
 from smsfem.layers import (DegenerateCrossingError, LayerCharacteristic,
-                           TracingError, _crossings, discontinuity_value,
-                           embed_characteristic, snap_nodes,
-                           straight_characteristic, trace_characteristic)
+                           _crossings, embed_characteristic, snap_nodes,
+                           straight_characteristic)
 from smsfem.meshes import (Triangulation, perturb_structured,
                            structured_triangulation)
-from smsfem.problems import EX5_LAYER_VALUE, EX5_ORIGIN, EX5_WIND
-
-
-def _unit_square(p):
-    return 0.0 < p[0] < 1.0 and 0.0 < p[1] < 1.0
-
-
-def test_discontinuity_value_is_mean():
-    assert discontinuity_value(0.0, 1.0) == 0.5
-    assert discontinuity_value(-2.0, 4.0) == 1.0
-
-
-def test_trace_constant_wind_straight_path():
-    path = trace_characteristic(EX5_WIND, EX5_ORIGIN, _unit_square,
-                                EX5_LAYER_VALUE)
-    assert np.allclose(path.points[0], EX5_ORIGIN)
-    # wind (cos -pi/3, sin -pi/3) from (0, 0.7) exits through y = 0
-    exit_pt = path.points[-1]
-    assert abs(exit_pt[1]) <= 1e-6
-    assert abs(exit_pt[0] - 0.7 / np.sqrt(3.0)) <= 1e-6
-    # homogeneous reduced problem: the value is transported unchanged
-    assert np.abs(path.values - EX5_LAYER_VALUE).max() <= 1e-12
-    # all intermediate points stay on the straight characteristic
-    d = np.array(EX5_WIND) / np.linalg.norm(EX5_WIND)
-    rel = path.points - np.asarray(EX5_ORIGIN)
-    assert np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]).max() <= 1e-9
-
-
-def test_trace_accumulates_source():
-    path = trace_characteristic(np.array([1.0, 0.0]), (0.0, 0.5),
-                                _unit_square, 1.0, f=2.0)
-    assert abs(path.points[-1][0] - 1.0) <= 1e-6
-    assert abs(path.values[-1] - 3.0) <= 1e-6
-
-
-def test_trace_rejects_outward_wind():
-    with pytest.raises(TracingError):
-        trace_characteristic(np.array([-1.0, 0.0]), (0.0, 0.5),
-                             _unit_square, 0.0)
-    with pytest.raises(TracingError):
-        trace_characteristic(np.array([0.0, 0.0]), (0.5, 0.5),
-                             _unit_square, 0.0)
-
-
-def test_trace_variable_wind_stays_inside_until_exit():
-    wind = lambda p: np.array([1.0 + 0.1 * p[1], 0.2])
-    path = trace_characteristic(wind, (0.0, 0.2), _unit_square, 0.25,
-                                step=1e-3)
-    assert all(_unit_square(p) for p in path.points[1:-1])
-    assert not _unit_square(path.points[-1])
-    assert np.abs(path.values - 0.25).max() <= 1e-12
+from smsfem.problems import EX5_LAYER_VALUE, EX5_WIND
 
 
 def test_snap_nearest_moves_interior_row():

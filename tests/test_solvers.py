@@ -175,3 +175,4 @@ def test_sms_singular_decomposition_reports_remediation_hint():
     with pytest.raises(sparse.RankDeficiencyError) as exc:
         solvers.solve_sms(m, spec, dec)
     assert "diagnose" in str(exc.value)
+    assert "Factor is exactly singular" in str(exc.value)

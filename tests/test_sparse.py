@@ -114,7 +114,7 @@ def test_refinement_step_reuses_the_factor(monkeypatch):
 
 
 def test_solve_singular_raises_without_svd(monkeypatch):
-    # a failed dense LU raises at once: no SVD looks for a null vector
+    # a failed sparse LU raises at once: no SVD looks for a null vector
     m = sparse.compress([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4), 2, 2)
 
     def no_svd(*args, **kwargs):
@@ -125,21 +125,44 @@ def test_solve_singular_raises_without_svd(monkeypatch):
         sparse.solve_symmetric_indefinite(m, np.array([1.0, 0.0]))
 
 
-def test_solve_singular_above_dense_limit_skips_dense_fallback(monkeypatch):
-    # one zero row: splu fails, and no dense copy may be made at this size
-    n = sparse.DENSE_SOLVE_LIMIT + 1
-    m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 20000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_solve_singular_raises_superlu_reason_without_dense_copy(case):
+    # identity with one zero row: splu fails, its reason and the row count
+    # reach the caller, and no dense copy of the matrix is made
+    n, zero = case
+    keep = [i for i in range(n) if i != zero]
+    m = sparse.compress(keep, keep, np.ones(n - 1), n, n)
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense fallback ran")
+        raise AssertionError("dense copy made")
 
-    monkeypatch.setattr(type(m.csr), "toarray", no_dense)
-    with pytest.raises(sparse.RankDeficiencyError):
-        sparse.solve_symmetric_indefinite(m, np.ones(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(m.csr), "toarray", no_dense)
+        mp.setattr(type(m.csr.tocsc()), "toarray", no_dense)
+        with pytest.raises(sparse.RankDeficiencyError) as exc:
+            sparse.solve_symmetric_indefinite(m, np.ones(n))
+    assert "Factor is exactly singular" in str(exc.value)
+    assert "%d unknowns" % n in str(exc.value)
+    assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def test_solve_nonfinite_factor_raises(monkeypatch):
+    # SuperLU can return a factor whose solve is not finite
+    class NanFactor:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(sparse.spla, "splu", lambda A, *a, **k: NanFactor())
+    m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
+    with pytest.raises(sparse.RankDeficiencyError, match="3 unknowns"):
+        sparse.solve_symmetric_indefinite(m, np.ones(3))
 
 
 def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
-    # dense LU runs at this size, and no SVD follows its failure
+    # above the SVD diagnostics' limit a failed sparse LU raises, and no
+    # SVD follows its failure
     n = sparse.DENSE_LIMIT + 1
     m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
 
@@ -149,29 +172,6 @@ def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     with pytest.raises(sparse.RankDeficiencyError):
         sparse.solve_symmetric_indefinite(m, np.ones(n))
-
-
-def test_dense_fallback_trims_heap_on_new_largest_size(monkeypatch):
-    # the C heap is trimmed before a dense fallback larger than any before,
-    # and the fallback still runs where the C library has no malloc_trim
-    trims = []
-
-    class Libc:
-        def malloc_trim(self, pad):
-            trims.append(pad)
-
-    monkeypatch.setattr(sparse, "_dense_rows", 0)
-    monkeypatch.setattr(sparse.ctypes, "CDLL", lambda name: Libc())
-    for n in (5, 5, 7, 3, 7):
-        m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
-        with pytest.raises(sparse.RankDeficiencyError):
-            sparse.solve_symmetric_indefinite(m, np.ones(n))
-    assert trims == [0, 0] and sparse._dense_rows == 7
-    monkeypatch.setattr(sparse.ctypes, "CDLL", lambda name: object())
-    with pytest.raises(sparse.RankDeficiencyError):
-        sparse.solve_symmetric_indefinite(
-            sparse.compress([0], [0], [1.0], 9, 9), np.ones(9))
-    assert sparse._dense_rows == 9
 
 
 def test_dump_format(tmp_path):
