@@ -8,6 +8,10 @@ import numpy as np
 
 from . import assembly, solvers
 from .meshes import Mesh1D
+from .wind import array_form
+
+
+_TRIANGLE_ENTRIES = 1 << 18   # suffix-sum rows per chunk times their width
 
 
 @dataclass
@@ -26,10 +30,17 @@ def discrete_negative_norm(f, mesh1d):
     j_prime = J if J % 2 == 1 else J - 1
     half = (j_prime - 1) // 2
     sums = np.zeros(j_prime)  # S_1..S_{j_prime-1} at indices 1..j_prime-1
-    run = 0  # prefix sums grow by one term; suffix sums add upward from j
-    for j in range(1, half + 1):
-        run = sums[2 * j] = run + moments[2 * j - 1]
-        sums[2 * j - 1] = assembly.ordered_sum(moments[2 * j:2 * half + 1:2])
+    sums[2:2 * half + 1:2] = np.cumsum(moments[1:2 * half:2])
+    # S_{2j-1} adds f_{2j}, f_{2j+2}, ... upward, one after another: the
+    # last column of the running sums of row j of the upper triangle of
+    # the even moments (its leading zeros add nothing, as moments are
+    # sums from +0.0, never -0.0), in chunks of rows
+    even = moments[2:2 * half + 1:2]
+    step = max(1, _TRIANGLE_ENTRIES // max(half, 1))
+    for j in range(0, half, step):
+        rows = np.triu(np.broadcast_to(even[j:], (min(step, half - j),
+                                                  half - j)))
+        sums[2 * j + 1:2 * (j + len(rows)):2] = np.cumsum(rows, axis=1)[:, -1]
     value = float(np.abs(sums[1:]).max()) if j_prime > 1 else 0.0
     return NegNormWork(moments, sums, j_prime, value)
 
@@ -97,10 +108,13 @@ def _random_piecewise_smooth_f(rng):
     step = rng.uniform(-1.0, 1.0)
 
     def f(x):
+        """The load at a point x or at an array of points, so f is its
+        own array form."""
         base = (coeffs[0] + coeffs[1] * x + coeffs[2] * x * x
                 + coeffs[3] * np.sin(freq * np.pi * x))
-        return base + (step if x > jump else 0.0)
+        return base + np.where(x > jump, step, 0.0)
 
+    f.array = f
     return f
 
 
@@ -133,8 +147,7 @@ def verify_stability(trials, J_values, seed, b=1.0):
         if lhs > bound + 1e-10 * (1.0 + bound):
             violations.append((J, lhs, bound))
         if J % 2 == 0:
-            alpha_pred = sum(work.moments[2 * j - 1]
-                             for j in range(1, J // 2 + 1))
+            alpha_pred = assembly.ordered_sum(work.moments[1:J:2])
             max_alpha_gap = max(max_alpha_gap,
                                 abs(float(sol.t[0]) - alpha_pred))
         count += 1
@@ -162,7 +175,7 @@ def convergence_study(family, J_values, f, u0, b=1.0, seed=0, eps_rule=True):
             raise ValueError("unknown mesh family %r" % family)
         eps = epsilon_rule(mesh, b) if eps_rule else 0.0
         sol = solvers.solve_sms_1d(mesh, eps, b, f)
-        exact = np.array([u0(x) for x in mesh.nodes])
+        exact = array_form(u0, ())(mesh.nodes)
         # the last node carries the artificial boundary value
         err = float(np.abs(sol.u[:-1] - exact[:-1]).max())
         rows.append((J, mesh.h, err))

@@ -21,15 +21,20 @@ from typing import Optional
 import numpy as np
 
 from . import sparse
-from .wind import vector_field
+from .wind import array_form, vector_field
 
 
 def scalar_field(c):
-    """Coefficient as a callable point -> float; a constant keeps `constant`."""
+    """Coefficient as a callable point -> float, with the array form
+    `array` of (..., 2) points -> (...) (see `wind.array_form`); a
+    constant is broadcast, not called."""
     if callable(c):
-        return lambda p: float(c(np.asarray(p, dtype=float)))
-    fn = lambda p: fn.constant
-    fn.constant = float(c)
+        fn = lambda p: float(c(np.asarray(p, dtype=float)))
+        fn.array = array_form(c)
+        return fn
+    value = float(c)
+    fn = lambda p: value
+    fn.array = lambda points: np.full(np.shape(points)[:-1], value)
     return fn
 
 
@@ -100,15 +105,6 @@ _MIDEDGE_PHI = np.array([
 ])
 
 
-def pointwise(fn, points, shape=()):
-    """fn at each point of a (..., 2) array, as an array of shape (...) +
-    shape; a field with a `constant` is filled with it, not called."""
-    flat, c = points.reshape(-1, 2), getattr(fn, "constant", None)
-    values = (np.array([fn(q) for q in flat], dtype=float) if c is None
-              else np.full((len(flat),) + np.shape(c), c, dtype=float))
-    return values.reshape(points.shape[:-1] + shape)
-
-
 @dataclass
 class MidEdgeRule:
     """The 3-point mid-edge rule (exact for quadratics) on K elements:
@@ -135,9 +131,9 @@ def midedge_rule(mesh, spec=None, elements=None):
         area, grads, p = area[elements], grads[elements], p[elements]
     rule = MidEdgeRule(area, grads, 0.5 * (p + np.roll(p, -1, axis=1)))
     if spec is not None:
-        rule.b = pointwise(spec.b_fn, rule.points, (2,))
-        rule.c = pointwise(spec.c_fn, rule.points)
-        rule.f = pointwise(spec.f_fn, rule.points)
+        rule.b = spec.b_fn.array(rule.points)
+        rule.c = spec.c_fn.array(rule.points)
+        rule.f = spec.f_fn.array(rule.points)
     return rule
 
 
@@ -160,7 +156,7 @@ def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
     if spec.eps <= 0:
         raise ValueError("SUPG parameters require eps > 0")
     _area, grads, p = element_geometry(mesh)
-    b = pointwise(spec.b_fn, p.mean(axis=1), (2,))
+    b = spec.b_fn.array(p.mean(axis=1))
     nb = np.sqrt(np.vecdot(b, b))
     on = nb != 0.0
     nb, b, grads = nb[on], b[on], grads[on]
@@ -208,12 +204,13 @@ def dirichlet_lift(mesh, spec, with_constraints=True):
             dir_nodes.add(j)
     if with_constraints:
         dir_nodes |= mesh.constraint_node_set()
-    for v in sorted(dir_nodes):
+    dir_nodes = sorted(dir_nodes)
+    given = [v for v in dir_nodes if v not in mesh.node_values]
+    u_d[given] = spec.g1_fn.array(mesh.nodes[given])
+    for v in dir_nodes:
         if v in mesh.node_values:
             u_d[v] = mesh.node_values[v]
-        else:
-            u_d[v] = spec.g1_fn(mesh.nodes[v])
-    return u_d, sorted(dir_nodes)
+    return u_d, dir_nodes
 
 
 def _neumann_load(mesh, spec, load):
@@ -342,15 +339,14 @@ def gauss5_cells(f, x):
     """5-point Gauss rule on the cells [x_k, x_{k+1}] of the nodes x.
 
     Returns lam, the local coordinate (x - x_k) / h_k of each point, and
-    the weight times f there, both (cells, 5); f is called once per point.
+    the weight times f there, both (cells, 5).  A callable f is evaluated
+    by one call of its array form `f.array` on the (cells, 5) points if it
+    has one, else once per point (see `wind.array_form`).
     """
     a, b = x[:-1, None], x[1:, None]
     h = b - a
     xq = 0.5 * (a + b) + 0.5 * h * _GAUSS5_X
-    if callable(f):
-        fv = np.array([f(t) for t in xq.ravel()]).reshape(xq.shape)
-    else:
-        fv = float(f)
+    fv = array_form(f, ())(xq) if callable(f) else float(f)
     return (xq - a) / h, 0.5 * h * _GAUSS5_W * fv
 
 

@@ -492,11 +492,12 @@ def _ex1_solve(case, method, mesh, spec, dec):
         u, omesh, _mask = solvers.solve_shishkin_oracle_2d(
             problems.ex1_spec(case.eps), case.N, sx, sy)
         wall = time.perf_counter() - t0
-        # oracle nodes matching the interior coarse lattice
-        key = {(round(x, 12), round(y, 12)) for x, y in mesh.nodes[interior]}
-        onodes = [v for v in range(omesh.n_nodes)
-                  if (round(omesh.nodes[v][0], 12),
-                      round(omesh.nodes[v][1], 12)) in key]
+        # oracle nodes matching the interior coarse lattice, in oracle
+        # order; a rounded (x, y) as x + iy, which np.isin sorts and
+        # compares as the pair
+        key = lambda p: np.round(p[:, 0], 12) + 1j * np.round(p[:, 1], 12)
+        onodes = np.flatnonzero(np.isin(key(omesh.nodes),
+                                        key(mesh.nodes[interior])))
         return metrics.linf_nodal_error(omesh, u, exact, nodes=onodes), wall
     u = _solve_method(mesh, spec, method, decomposition=dec)
     wall = time.perf_counter() - t0

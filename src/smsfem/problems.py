@@ -43,48 +43,43 @@ def fig1_problem(eps=1e-8):
 # manufactured solution with exponential outflow layers
 
 
-def _ex1_parts(eps):
-    def A(x):
-        return x - math.exp(2.0 * (x - 1.0) / eps)
+def _array_exp(t):
+    """math.exp of each entry (np.exp can differ in the last bit)."""
+    return np.fromiter(map(math.exp, t.ravel()), float, t.size).reshape(
+        t.shape)
 
-    def Ap(x):
-        return 1.0 - (2.0 / eps) * math.exp(2.0 * (x - 1.0) / eps)
 
-    def App(x):
-        return -(4.0 / eps ** 2) * math.exp(2.0 * (x - 1.0) / eps)
+def _ex1_function(eps, formula):
+    """formula((A, A', A''), (B, B', B'')) of u = A(x) B(y) as a point
+    function with its array form.  Both take math.exp, once for x and once
+    for y, and so give the same bits."""
+    def parts(x, y, exp):
+        ex, ey = exp(2.0 * (x - 1.0) / eps), exp(3.0 * (y - 1.0) / eps)
+        return ((x - ex, 1.0 - (2.0 / eps) * ex, -(4.0 / eps ** 2) * ex),
+                (y * y - ey, 2.0 * y - (3.0 / eps) * ey,
+                 2.0 - (9.0 / eps ** 2) * ey))
 
-    def B(y):
-        return y * y - math.exp(3.0 * (y - 1.0) / eps)
-
-    def Bp(y):
-        return 2.0 * y - (3.0 / eps) * math.exp(3.0 * (y - 1.0) / eps)
-
-    def Bpp(y):
-        return 2.0 - (9.0 / eps ** 2) * math.exp(3.0 * (y - 1.0) / eps)
-
-    return A, Ap, App, B, Bp, Bpp
+    fn = lambda p: formula(*parts(p[0], p[1], math.exp))
+    fn.array = lambda p: formula(*parts(p[..., 0], p[..., 1], _array_exp))
+    return fn
 
 
 def ex1_exact(eps):
-    A, _, _, B, _, _ = _ex1_parts(eps)
-    return lambda p: A(p[0]) * B(p[1])
+    return _ex1_function(eps, lambda A, B: A[0] * B[0])
 
 
 def ex1_exact_gradient(eps):
-    A, Ap, _, B, Bp, _ = _ex1_parts(eps)
-    return lambda p: np.array([Ap(p[0]) * B(p[1]), A(p[0]) * Bp(p[1])])
+    return _ex1_function(
+        eps, lambda A, B: np.stack([A[1] * B[0], A[0] * B[1]], axis=-1))
 
 
 def ex1_spec(eps):
-    A, Ap, App, B, Bp, Bpp = _ex1_parts(eps)
-    b = np.array([2.0, 3.0])
+    def f(A, B):
+        return (-eps * (A[2] * B[0] + A[0] * B[2])
+                + 2.0 * A[1] * B[0] + 3.0 * A[0] * B[1])
 
-    def f(p):
-        x, y = p
-        return (-eps * (App(x) * B(y) + A(x) * Bpp(y))
-                + 2.0 * Ap(x) * B(y) + 3.0 * A(x) * Bp(y))
-
-    return ProblemSpec(eps=eps, b=b, f=f, g1=ex1_exact(eps))
+    return ProblemSpec(eps=eps, b=np.array([2.0, 3.0]),
+                       f=_ex1_function(eps, f), g1=ex1_exact(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +161,14 @@ GLAZING_DOMAIN = ((-1.0, -1.0), (1.0, 1.0))
 
 
 def glazing_wind(p):
-    x, y = p
-    return np.array([y * (1.0 - x * x), -x * (1.0 - y * y)])
+    """b(x, y) = (y (1 - x^2), -x (1 - y^2)) at a point or at (..., 2)
+    points, so the function is its own array form."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([y * (1.0 - x * x), -x * (1.0 - y * y)], axis=-1)
+
+
+glazing_wind.array = glazing_wind
 
 
 def glazing_boundary(p):

@@ -25,12 +25,34 @@ class RemediationError(RuntimeError):
     """Defects persisted after the maximum number of refinement rounds."""
 
 
+def array_form(fn, point_shape=(2,), shape=()):
+    """The array form of the point function fn: its own `fn.array` if it
+    has one, else a loop that calls fn once per point.  Points are
+    (...) + point_shape, values (...) + shape."""
+    if hasattr(fn, "array"):
+        return fn.array
+
+    def each_point(points):
+        points = np.asarray(points, dtype=float)
+        lead = points.shape[:points.ndim - len(point_shape)]
+        values = [fn(q) for q in points.reshape((-1,) + point_shape)]
+        return np.array(values, dtype=float).reshape(lead + shape)
+
+    return each_point
+
+
 def vector_field(b):
-    """Wind as a callable point -> (2,) array; a constant keeps `constant`."""
+    """Wind as a callable point -> (2,) array, with the array form
+    `array` of (..., 2) points -> (..., 2) (see `array_form`); a constant
+    keeps `constant` for the ray casting and is broadcast, not called."""
     if callable(b):
-        return lambda p: np.asarray(b(np.asarray(p, dtype=float)), dtype=float)
+        fn = lambda p: np.asarray(b(np.asarray(p, dtype=float)), dtype=float)
+        fn.array = array_form(b, shape=(2,))
+        return fn
     fn = lambda p: fn.constant
     fn.constant = np.asarray(b, dtype=float)
+    fn.array = lambda points: np.full(
+        np.shape(points)[:-1] + fn.constant.shape, fn.constant)
     return fn
 
 
@@ -66,7 +88,7 @@ def classify_boundary(mesh, b):
         raise ValidationError("a boundary edge is not the side of one element")
     i, j = pairs.T
     opp = mesh.elements[t.first[t.find(pairs)] // 3].sum(axis=1) - i - j
-    bmid = np.array([bf(mid) for mid in 0.5 * (x[i] + x[j])]).reshape(-1, 2)
+    bmid = bf.array(0.5 * (x[i] + x[j]))
     # np.vecdot rounds as np.dot and np.linalg.norm on one edge
     e = x[j] - x[i]
     n = np.column_stack([-e[:, 1], e[:, 0]])

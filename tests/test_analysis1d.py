@@ -153,6 +153,53 @@ def test_verify_stability_calls_the_load_once_per_gauss_point(J,
     assert [f.calls for f in loads] == [5 * J] * 4
 
 
+class _CountingArrayLoad(_CountingLoad):
+    """A load whose array form is passed on; both kinds of call counted."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.array_calls = 0
+
+    def array(self, x):
+        self.array_calls += 1
+        return self.f.array(x)
+
+
+@pytest.mark.parametrize("J", [2, 3, 16, 17])
+def test_verify_stability_calls_the_array_form_once_per_mesh(J,
+                                                             monkeypatch):
+    loads = []
+
+    def counted(rng):
+        loads.append(_CountingArrayLoad(random_f(rng)))
+        return loads[-1]
+
+    random_f = analysis1d._random_piecewise_smooth_f
+    monkeypatch.setattr(analysis1d, "_random_piecewise_smooth_f", counted)
+    report = verify_stability(4, [J], seed=J)
+    assert report.trials == len(loads) == 4
+    assert [(f.calls, f.array_calls) for f in loads] == [(0, 1)] * 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.sampled_from([2, 3, 8, 9, 64, 255, 256]),
+       seed=st.integers(0, 10 ** 6), b=st.sampled_from([1.0, 0.7]))
+def test_array_load_keeps_the_bytes_of_the_scalar_path(J, seed, b):
+    rng = np.random.default_rng(seed)
+    mesh = random_mesh_1d(J, rng)
+    load = analysis1d._random_piecewise_smooth_f(rng)
+    by_array, by_point = _CountingArrayLoad(load), _CountingLoad(load)
+    results = []
+    for f in (by_array, by_point):
+        sol = solvers.solve_sms_1d(mesh, 0.0, b, f)
+        bound, work, r = stability_bound(f, mesh, b)
+        results.append((sol.u, sol.t, work.moments, work.sums, bound, r))
+    assert (by_array.calls, by_array.array_calls) == (0, 1)
+    assert by_point.calls == 5 * J
+    for got, want in zip(*results):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(J=st.sampled_from([2, 3, 8, 9, 64, 255, 256]),
        seed=st.integers(0, 10 ** 6), b=st.sampled_from([1.0, 0.7]))

@@ -12,11 +12,11 @@ from smsfem import analysis1d, assembly, experiments, metrics, problems, \
     sparse
 from smsfem.assembly import (ProblemSpec, assemble_galerkin, assemble_supg,
                              compute_supg_parameters, dirichlet_lift,
-                             hat_moments_1d)
+                             hat_moments_1d, scalar_field)
 from smsfem.meshes import (Triangulation, perturb_structured,
                            structured_triangulation, uniform_mesh_1d)
 from smsfem.wind import OmegaPlusDecomposition, build_omega_plus, \
-    classify_boundary
+    classify_boundary, vector_field
 
 
 def _one_triangle():
@@ -545,13 +545,15 @@ def test_array_assembly_1d_matches_loop_reference(J, random_mesh, f, eps, b,
 # Constant coefficients are broadcast, not called per point
 
 
-def _counting(fn, calls):
+def _counting(fn, calls, field, constant):
+    """fn wrapped again by field, its point calls counted; a constant
+    passes its array form on, so only a callable is called per point."""
     def counted(p):
         calls.append(p)
         return fn(p)
-    if hasattr(fn, "constant"):
-        counted.constant = fn.constant
-    return counted
+    if constant:
+        counted.array = fn.array
+    return field(counted)
 
 
 @settings(max_examples=20, deadline=None)
@@ -572,8 +574,10 @@ def test_constant_coefficients_match_lambdas_without_calls(
                           f=lambda p: f)
     const_calls, lambda_calls = [], []
     for spec, calls in ((const, const_calls), (lambdas, lambda_calls)):
-        for name in ("b_fn", "c_fn", "f_fn"):
-            setattr(spec, name, _counting(getattr(spec, name), calls))
+        for name, field in (("b_fn", vector_field), ("c_fn", scalar_field),
+                            ("f_fn", scalar_field)):
+            setattr(spec, name, _counting(getattr(spec, name), calls, field,
+                                          spec is const))
     hat = list(rng.permutation(mesh.n_elements)[:rng.integers(
         0, mesh.n_elements + 1)])
     dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=hat, n_delta=[],
