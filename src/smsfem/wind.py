@@ -234,7 +234,7 @@ def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
     for p0, p1, n in sides:
         ts = (np.arange(samples_per_side) + 0.5) / samples_per_side
         seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-        keep = np.array([np.dot(bf(p), n) >= 0.0 for p in seg])
+        keep = np.vecdot(bf.array(seg), n) >= 0.0
         pts.extend(seg[keep])
     if not pts:
         raise ValidationError("outflow portion of the inset square is empty")
