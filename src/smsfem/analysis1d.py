@@ -31,10 +31,9 @@ def discrete_negative_norm(f, mesh1d):
     half = (j_prime - 1) // 2
     sums = np.zeros(j_prime)  # S_1..S_{j_prime-1} at indices 1..j_prime-1
     sums[2:2 * half + 1:2] = np.cumsum(moments[1:2 * half:2])
-    # S_{2j-1} adds f_{2j}, f_{2j+2}, ... upward, one after another: the
-    # last column of the running sums of row j of the upper triangle of
-    # the even moments (its leading zeros add nothing, as moments are
-    # sums from +0.0, never -0.0), in chunks of rows
+    # S_{2j-1} adds f_{2j}, f_{2j+2}, ... upward: the last running sum of
+    # row j of the even moments' upper triangle, whose leading zeros add
+    # nothing (moments are sums from +0.0, never -0.0); chunks of rows
     even = moments[2:2 * half + 1:2]
     step = max(1, _TRIANGLE_ENTRIES // max(half, 1))
     for j in range(0, half, step):

@@ -339,9 +339,8 @@ def gauss5_cells(f, x):
     """5-point Gauss rule on the cells [x_k, x_{k+1}] of the nodes x.
 
     Returns lam, the local coordinate (x - x_k) / h_k of each point, and
-    the weight times f there, both (cells, 5).  A callable f is evaluated
-    by one call of its array form `f.array` on the (cells, 5) points if it
-    has one, else once per point (see `wind.array_form`).
+    the weight times f there, both (cells, 5); a callable f is evaluated
+    through `wind.array_form`, so by its array form `f.array` if it has one.
     """
     a, b = x[:-1, None], x[1:, None]
     h = b - a

@@ -25,20 +25,27 @@ class RemediationError(RuntimeError):
     """Defects persisted after the maximum number of refinement rounds."""
 
 
-def array_form(fn, point_shape=(2,), shape=()):
-    """The array form of the point function fn: its own `fn.array` if it
-    has one, else a loop that calls fn once per point.  Points are
-    (...) + point_shape, values (...) + shape."""
-    if hasattr(fn, "array"):
-        return fn.array
+POINT_CHUNK = 4096   # points per evaluation of a point function
 
-    def each_point(points):
+
+def array_form(fn, point_shape=(2,), shape=()):
+    """fn on (...) + point_shape points, values (...) + shape, chunk by
+    chunk: by fn's own array form `fn.array` if it has one, else one call
+    per point.  Full-size temporaries of a formula are mapped, and freeing
+    them raised glibc's mmap threshold: ex1's paper run kept 100 MB more."""
+    array = getattr(fn, "array", None) or (
+        lambda chunk: np.array([fn(q) for q in chunk], dtype=float))
+
+    def in_chunks(points):
         points = np.asarray(points, dtype=float)
         lead = points.shape[:points.ndim - len(point_shape)]
-        values = [fn(q) for q in points.reshape((-1,) + point_shape)]
-        return np.array(values, dtype=float).reshape(lead + shape)
+        flat = points.reshape((-1,) + point_shape)
+        values = np.empty((len(flat),) + shape)
+        for i in range(0, len(flat), POINT_CHUNK):
+            values[i:i + POINT_CHUNK] = array(flat[i:i + POINT_CHUNK])
+        return values.reshape(lead + shape)
 
-    return each_point
+    return in_chunks
 
 
 def vector_field(b):

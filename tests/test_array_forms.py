@@ -85,8 +85,8 @@ def _ex1_points(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_ex1_points())
-def test_ex1_array_forms_equal_their_scalar_forms(case):
+@given(case=_ex1_points(), chunk=st.sampled_from([1, 7, wind.POINT_CHUNK]))
+def test_ex1_array_forms_equal_their_scalar_forms(case, chunk):
     eps, points = case
     ref = _ex1_reference(eps)
     spec = problems.ex1_spec(eps)
@@ -97,8 +97,16 @@ def test_ex1_array_forms_equal_their_scalar_forms(case):
         _same([fn(p) for p in points], want)
         _same(fn.array(points), want)
         _same(fn.array(points[None]), want[None])
-    _same(spec.f_fn.array(points), [spec.f_fn(p) for p in points])
-    _same(spec.g1_fn.array(points), [spec.g1_fn(p) for p in points])
+    saved, wind.POINT_CHUNK = wind.POINT_CHUNK, chunk
+    try:
+        # the wrapped fields evaluate chunk by chunk
+        _same(spec.f_fn.array(points[None]),
+              [[spec.f_fn(p) for p in points]])
+        _same(spec.g1_fn.array(points), [spec.g1_fn(p) for p in points])
+        _same(wind.vector_field(problems.ex1_exact_gradient(eps)).array(
+            points), [ref["gradient"](p) for p in points])
+    finally:
+        wind.POINT_CHUNK = saved
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +143,7 @@ def test_random_load_array_form_equals_its_scalar_form(seed, xs):
 @settings(max_examples=40, deadline=None)
 @given(c=st.floats(-10.0, 10.0),
        b=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-       lead=st.sampled_from([(0,), (1,), (7,), (4, 3), (2, 3, 3)]),
+       lead=st.sampled_from([(0,), (1,), (7,), (4, 3), (2, 3, 3), (5000,)]),
        seed=st.integers(0, 10 ** 6))
 def test_constant_and_plain_fields_array_forms(c, b, lead, seed):
     points = np.random.default_rng(seed).uniform(-1.0, 1.0, lead + (2,))
