@@ -387,6 +387,20 @@ class Operators1D:
     mesh: object
 
 
+def _tridiagonal(lower, diag, upper):
+    """Sorted CSR SparseMatrix of the bands (i + 1, i) = lower[i],
+    (i, i) = diag[i] (none if diag is None) and (i, i + 1) = upper[i]."""
+    offsets = [-1, 1] if diag is None else [-1, 0, 1]
+    n, k = len(upper) + 1, len(offsets)
+    vals = np.empty((n, k))   # the bands row by row, the two corners unused
+    vals[1:, 0], vals[:-1, -1] = lower, upper
+    if diag is not None:
+        vals[:, 1] = diag
+    cols = np.arange(n)[:, None] + offsets
+    indptr = np.append(np.maximum(k * np.arange(n) - 1, 0), k * n - 2)
+    return sparse.csr(vals.ravel()[1:-1], cols.ravel()[1:-1], indptr, n, n)
+
+
 def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     """Operators of -eps u'' + b u' = f on the partition, u fixed at both
     ends; residual Gram over (0, x_{J-1}); constraint node x_{J-1}."""
@@ -395,17 +409,14 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     nfree = J - 1
     lam, wf = mesh_gauss5(f, mesh1d)
     moments = _hat_moments(lam, wf)
-    # interior node i is free index r = i - 1; lower/upper neighbours
-    r = np.arange(nfree)
-    lo, up = r[1:], r[:-1]
-    # convection (b phi_j', phi_i): +-b/2 off-diagonals
-    rows, cols = [lo, up], [up, lo]
-    vals = [np.full(nfree - 1, -b / 2.0), np.full(nfree - 1, b / 2.0)]
+    # convection (b phi_j', phi_i): +-b/2 off-diagonals, plus the diffusion
+    # stencil; no entry sums more than two terms, so no order rounds apart
+    lower, upper = np.full(nfree - 1, -b / 2.0), np.full(nfree - 1, b / 2.0)
+    diag = None
     if eps != 0.0:
-        rows += [r, lo, up]
-        cols += [r, up, lo]
-        vals += [eps * (1.0 / h[:-1] + 1.0 / h[1:]), -eps / h[1:-1],
-                 -eps / h[1:-1]]
+        diag = eps * (1.0 / h[:-1] + 1.0 / h[1:])
+        lower, upper = lower - eps / h[1:-1], upper - eps / h[1:-1]
+    A = _tridiagonal(lower, diag, upper)
     load = moments[1:J].copy()
     # lifting contributions from the end values
     if u_left != 0.0:
@@ -416,8 +427,6 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
         if eps != 0.0:
             load[nfree - 1] += eps * u_right / h[J - 1]
         load[nfree - 1] -= b * u_right / 2.0
-    A = sparse.compress(np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), nfree, nfree)
 
     # residual Gram over cells 1..J-1 (the interval (0, x_{J-1})), where
     # L phi_i = b phi_i' is b/h on cell i and -b/h on cell i+1
@@ -425,11 +434,10 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     right = b / hk           # phi_{k+1} on cell k+1: free index k
     left = -b / hk[1:]       # phi_k on cell k+1, k >= 1: free index k-1
     intf = wf[:-1].sum(axis=1)
-    S = sparse.compress(
-        np.concatenate([r, up, up, lo]), np.concatenate([r, up, lo, up]),
-        np.concatenate([right * right * hk, left * left * hk[1:],
-                        left * right[1:] * hk[1:],
-                        right[1:] * left * hk[1:]]), nfree, nfree)
+    diag = right * right * hk
+    diag[:-1] += left * left * hk[1:]
+    off = left * right[1:] * hk[1:]
+    S = _tridiagonal(off, diag, off)
     resload = np.zeros(nfree)
     resload += right * intf
     resload[:-1] += left * intf[1:]
@@ -438,7 +446,7 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
         h1 = h[0]
         s0 = -b / h1  # slope of phi_0 on cell 1
         resload[0] -= (b / h1) * s0 * u_left * h1
-    E = sparse.compress([nfree - 1], [0], [1.0], nfree, 1)
+    E = sparse.csr([1.0], [0], np.arange(nfree + 1) // nfree, nfree, 1)
     lifting = np.zeros(J + 1)
     lifting[0] = u_left
     lifting[J] = u_right

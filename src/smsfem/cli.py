@@ -19,14 +19,14 @@ from .meshes import (ArgumentError, GenerationError, MeshFileError,
                      write_node_values_csv)
 from .problems import UnknownProblemError
 from .solvers import SolveError
-from .sparse import RankDeficiencyError
+from .sparse import RankDeficiencyError, StructuralError
 from .wind import RemediationError, ValidationError, diagnose
 
 _CONFIG_ERRORS = (ConfigError, UnknownProblemError, MeshFileError,
                   ArgumentError, GenerationError, ValidationError,
                   FileNotFoundError, IsADirectoryError)
 _SOLVER_ERRORS = (SolveError, RankDeficiencyError, RemediationError,
-                  DegenerateCrossingError)
+                  DegenerateCrossingError, StructuralError)
 
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

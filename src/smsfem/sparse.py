@@ -31,7 +31,7 @@ class RankDeficiencyError(RuntimeError):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in CSR form built from coordinate arrays."""
+    """Immutable sparse matrix in CSR form."""
 
     def __init__(self, n_rows, n_cols, csr):
         self.n_rows = n_rows
@@ -44,22 +44,6 @@ class SparseMatrix:
 
     def toarray(self):
         return self.csr.toarray()
-
-    def __matmul__(self, other):
-        return self.csr @ other
-
-    def entries(self):
-        """Return (row, col, value) arrays in deterministic CSR order."""
-        coo = self.csr.tocoo()
-        return coo.row, coo.col, coo.data
-
-    def dump(self, path):
-        """Write a plain-text dump: 'rows cols nnz' then 'row col value' lines."""
-        rows, cols, vals = self.entries()
-        with open(path, "w") as fh:
-            fh.write("%d %d %d\n" % (self.n_rows, self.n_cols, self.nnz))
-            for r, c, v in zip(rows, cols, vals):
-                fh.write("%d %d %.17g\n" % (r, c, v))
 
 
 def compress(rows, cols, vals, n_rows, n_cols):
@@ -79,6 +63,12 @@ def compress(rows, cols, vals, n_rows, n_cols):
     csr.sum_duplicates()
     csr.sort_indices()
     return SparseMatrix(n_rows, n_cols, csr)
+
+
+def csr(data, indices, indptr, n_rows, n_cols):
+    """SparseMatrix of the arrays of a sorted CSR matrix without duplicates."""
+    return SparseMatrix(n_rows, n_cols, sp.csr_matrix(
+        (data, indices, indptr), shape=(n_rows, n_cols)))
 
 
 def from_csr(csr):
@@ -106,10 +96,12 @@ class SaddleSystem:
         self.m = m = E.n_cols
         if (S.csr.shape, A.csr.shape, E.csr.shape[0]) != ((n, n), (n, n), n):
             raise StructuralError("inconsistent saddle block sizes")
-        self._matrix = _block_csr(
-            [(S.csr, 0, 0), (A.csr.T.tocsr(), 0, n + m),
-             (E.csr.T.tocsr(), n, n + m),
-             (A.csr, n + m, 0), (E.csr, n + m, n)], 2 * n + m)
+        # the CSC arrays of A and E are the CSR arrays of A^T and E^T
+        blocks = ((S.csr, 0, 0), (A.csr.tocsc(), 0, n + m),
+                  (E.csr.tocsc(), n, n + m), (A.csr, n + m, 0),
+                  (E.csr, n + m, n))
+        self._matrix = _block_csr([(B.data, B.indices, B.indptr, r, c)
+                                   for B, r, c in blocks], 2 * n + m)
 
     def matrix(self):
         return self._matrix
@@ -119,47 +111,56 @@ class SaddleSystem:
 
 
 def _block_csr(blocks, size):
-    """Square CSR matrix of sorted CSR blocks (block, first row, first
-    column) listed in row-major order; every row keeps its columns sorted."""
-    nnz = sum(B.nnz for B, _r, _c in blocks)
+    """Square CSR matrix of blocks (data, indices, indptr, first row, first
+    column), the arrays of sorted CSR blocks listed in row-major order;
+    every row keeps its columns sorted."""
+    nnz = sum(data.size for data, *_ in blocks)
     idx = np.int32 if max(size, nnz) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(size + 1, dtype=idx)
-    for B, r, _c in blocks:
-        indptr[r + 1:r + 1 + B.shape[0]] += np.diff(B.indptr)
+    per_row = [np.diff(ptr) for _d, _i, ptr, _r, _c in blocks]
+    for (_d, _i, ptr, r, _c), k in zip(blocks, per_row):
+        indptr[r + 1:r + ptr.size] += k
     np.cumsum(indptr, out=indptr)
     indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
     fill = indptr[:-1].copy()   # next free slot of each row
-    for B, r, c in blocks:
-        per_row, rows = np.diff(B.indptr), slice(r, r + B.shape[0])
-        at = (np.repeat(fill[rows] - B.indptr[:-1], per_row)
-              + np.arange(B.nnz, dtype=idx))
-        indices[at], data[at] = B.indices + idx(c), B.data
-        fill[rows] += per_row
+    for (vals, cols, ptr, r, c), k in zip(blocks, per_row):
+        rows = slice(r, r + k.size)
+        at = np.repeat(fill[rows] - ptr[:-1], k) + np.arange(vals.size)
+        indices[at], data[at] = cols + idx(c), vals
+        fill[rows] += k
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def solve_symmetric_indefinite(system, rhs=None):
+def solve_symmetric_indefinite(system, rhs=None, csc=None):
     """Solve a SaddleSystem (or a raw square SparseMatrix with rhs).
 
-    Returns the solution vector; verifies the relative residual
-    ||Mx - r|| / max(||r||, 1) <= 1e-8 with one step of iterative
-    refinement if the first factorization misses the tolerance.  Raises
-    RankDeficiencyError, with SuperLU's reason, if the factor fails.
+    SuperLU factors csc, the same matrix in CSC form, if given.  Returns
+    the solution and its relative residual ||Mx - r|| / max(||r||, 1),
+    which must be <= 1e-8 after one step of iterative refinement if the
+    first factorization misses it.  Raises RankDeficiencyError, with
+    SuperLU's reason, if the factor fails; StructuralError for a missing,
+    wrong-length or non-finite rhs.
     """
     if isinstance(system, SaddleSystem):
-        M = system.matrix()
-        r = system.rhs() if rhs is None else np.asarray(rhs, dtype=float)
+        M, rhs = system.matrix(), system.rhs() if rhs is None else rhs
     else:
         M = system.csr if isinstance(system, SparseMatrix) else sp.csr_matrix(system)
-        r = np.asarray(rhs, dtype=float)
+    if rhs is None:
+        raise StructuralError("a matrix needs a right-hand side")
+    r = np.asarray(rhs, dtype=float)
     n = M.shape[0]
     if n != M.shape[1]:
         raise StructuralError("system must be square")
+    if r.shape != (n,):
+        raise StructuralError("right-hand side of shape %s for %d unknowns"
+                              % (r.shape, n))
+    if not np.isfinite(r).all():
+        raise StructuralError("right-hand side is not finite")
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(0), 0.0
     try:
         with np.errstate(all="ignore"):
-            lu = spla.splu(M.tocsc())
+            lu = spla.splu(M.tocsc() if csc is None else csc)
     except (RuntimeError, ValueError) as exc:
         raise RankDeficiencyError(
             "sparse LU failed on %d unknowns: %s" % (n, exc)) from exc
@@ -173,7 +174,7 @@ def solve_symmetric_indefinite(system, rhs=None):
             raise RankDeficiencyError(
                 "direct solve residual %.3e exceeds tolerance" % res
             )
-    return x
+    return x, float(res)
 
 
 def norm(v):

@@ -114,6 +114,16 @@ def test_solver_failure_exit_code(tmp_path, capsys):
             "Factor is exactly singular") in capsys.readouterr().err
 
 
+def test_structural_error_exit_code(tmp_path, capsys):
+    # eps = nan makes the load not finite: a typed StructuralError, which
+    # the CLI reports as a solver failure
+    cfg = _write(tmp_path, "n.cfg",
+                 "problem = ex4\nmethod = galerkin\neps = nan\nN = 4\n")
+    assert cli.main(["solve", "--config", cfg]) == 3
+    assert ("solver failure: right-hand side is not finite"
+            in capsys.readouterr().err)
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path, "e.cfg", "N = 8\nmethod = sms-galerkin\n")
     outdir = str(tmp_path / "exp")

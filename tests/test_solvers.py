@@ -130,6 +130,35 @@ def test_kkt_symmetry_check_sees_asymmetric_s(dim, factor, raises):
         assert solvers._solve_kkt(ops, n_delta_free, "SMS")[3] <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kkt_solve_of_slightly_asymmetric_s_factors_the_real_csc(dim):
+    # S within the symmetry bound but not bitwise symmetric: SuperLU gets
+    # the arrays of M.tocsc(), which differ from those of the view M.T
+    ops, n_delta_free = _kkt_ops(dim)
+    scale = max(abs(B.csr.data).max() for B in (ops.S, ops.A, ops.E))
+    S = ops.S.csr.tolil()
+    S[0, 1] += 0.5e-14 * scale
+    ops.S = sparse.from_csr(S)
+    M = sparse.SaddleSystem(ops.S, ops.A, ops.E, ops.residual_load,
+                            ops.load).matrix()
+    handed = []
+
+    def splu(A, *args, **kwargs):
+        handed.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    real_splu = sparse.spla.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse.spla, "splu", splu)
+        assert solvers._solve_kkt(ops, n_delta_free, "SMS")[3] <= 1e-8
+    want = M.tocsc()
+    assert len(handed) == 1 and handed[0].format == "csc"
+    assert handed[0].data.tobytes() != M.T.data.tobytes()
+    for part in ("data", "indices", "indptr"):
+        assert (getattr(handed[0], part).tobytes()
+                == getattr(want, part).tobytes()), part
+
+
 def test_sms_invalid_base():
     m = structured_triangulation(3, 3)
     spec = ProblemSpec(eps=1e-3, b=np.array([1.0, 0.0]), f=1.0)

@@ -62,13 +62,13 @@ def test_compress_order_independent(perm):
 
 def test_solve_diagonal():
     m = sparse.compress([0, 1], [0, 1], [2.0, -3.0], 2, 2)
-    x = sparse.solve_symmetric_indefinite(m, np.array([2.0, 3.0]))
+    x, _ = sparse.solve_symmetric_indefinite(m, np.array([2.0, 3.0]))
     assert np.allclose(x, [1.0, -1.0], atol=1e-12)
 
 
 def test_solve_small_saddle():
     m = sparse.compress([0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], 2, 2)
-    x = sparse.solve_symmetric_indefinite(m, np.array([2.0, 1.0]))
+    x, _ = sparse.solve_symmetric_indefinite(m, np.array([2.0, 1.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_solve_residual_verified():
     rows, cols = np.indices((20, 20))
     m = sparse.compress(rows, cols, a, 20, 20)
     r = rng.normal(size=20)
-    x = sparse.solve_symmetric_indefinite(m, r)
+    x, _ = sparse.solve_symmetric_indefinite(m, r)
     assert np.linalg.norm(a @ x - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
 
 
@@ -108,7 +108,7 @@ def test_refinement_step_reuses_the_factor(monkeypatch):
 
     real_splu = sparse.spla.splu
     monkeypatch.setattr(sparse.spla, "splu", splu)
-    x = sparse.solve_symmetric_indefinite(m, r)
+    x, _ = sparse.solve_symmetric_indefinite(m, r)
     assert len(factors) == 1 and factors[0].solves == 2
     assert np.linalg.norm(a @ x - r) <= 1e-8 * max(np.linalg.norm(r), 1.0)
 
@@ -174,17 +174,6 @@ def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
         sparse.solve_symmetric_indefinite(m, np.ones(n))
 
 
-def test_dump_format(tmp_path):
-    m = sparse.compress([0, 1], [1, 0], [2.5, -1.0], 2, 2)
-    path = tmp_path / "m.txt"
-    m.dump(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "2 2 2"
-    assert len(lines) == 3
-    row, col, val = lines[1].split()
-    assert (int(row), int(col), float(val)) == (0, 1, 2.5)
-
-
 def _small_kkt_system():
     mesh = structured_triangulation(4, 4)
     spec = assembly.ProblemSpec(eps=0.0, b=np.array([1.0, 1.0]), f=1.0)
@@ -210,7 +199,7 @@ def test_saddle_solve_matches_dense_oracle():
     ops = assembly.assemble_1d(mesh, 1e-8, 1.0, 1.0)
     system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
                                  ops.residual_load, ops.load)
-    x = sparse.solve_symmetric_indefinite(system)
+    x, _ = sparse.solve_symmetric_indefinite(system)
     dense = np.linalg.solve(system.matrix().toarray(), system.rhs())
     assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
@@ -268,3 +257,150 @@ def test_saddle_matrix_matches_bmat_without_n_delta():
     ops = assembly.assemble_galerkin(mesh, spec, dec)
     assert ops.E.n_cols == 0
     _assert_saddle_matches_bmat(ops)
+
+
+def test_solve_rejects_a_missing_wrong_or_nonfinite_rhs():
+    # a bad right-hand side is the caller's fault, not the matrix's
+    m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
+    with pytest.raises(sparse.StructuralError, match="needs a right-hand"):
+        sparse.solve_symmetric_indefinite(m)
+    with pytest.raises(sparse.StructuralError, match=r"\(2,\) for 3 unknowns"):
+        sparse.solve_symmetric_indefinite(m, np.ones(2))
+    system = _small_kkt_system()
+    with pytest.raises(sparse.StructuralError, match="for %d unknowns"
+                       % system.matrix().shape[0]):
+        sparse.solve_symmetric_indefinite(system, np.ones(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(sparse.StructuralError, match="not finite"):
+            sparse.solve_symmetric_indefinite(m, np.array([1.0, bad, 1.0]))
+
+
+def _reference_operators_1d(mesh1d, eps, b, f, u_left, u_right):
+    """assemble_1d's operators with A, S and E compressed from coordinate
+    arrays, as they were built before the direct CSR build."""
+    ops = assembly.assemble_1d(mesh1d, eps, b, f, u_left, u_right)
+    h, nfree = mesh1d.widths, mesh1d.J - 1
+    r = np.arange(nfree)
+    lo, up = r[1:], r[:-1]
+    rows, cols = [lo, up], [up, lo]
+    vals = [np.full(nfree - 1, -b / 2.0), np.full(nfree - 1, b / 2.0)]
+    if eps != 0.0:
+        rows += [r, lo, up]
+        cols += [r, up, lo]
+        vals += [eps * (1.0 / h[:-1] + 1.0 / h[1:]), -eps / h[1:-1],
+                 -eps / h[1:-1]]
+    A = sparse.compress(np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals), nfree, nfree)
+    hk = h[:-1]
+    right, left = b / hk, -b / hk[1:]
+    S = sparse.compress(
+        np.concatenate([r, up, up, lo]), np.concatenate([r, up, lo, up]),
+        np.concatenate([right * right * hk, left * left * hk[1:],
+                        left * right[1:] * hk[1:],
+                        right[1:] * left * hk[1:]]), nfree, nfree)
+    E = sparse.compress([nfree - 1], [0], [1.0], nfree, 1)
+    return dataclasses.replace(ops, A=A, S=S, E=E)
+
+
+def _reference_kkt(ops, n_delta_free):
+    """(CSC matrix, u, t, z, residual) of the SMS optimality system as
+    solved before the symmetric shortcut: bmat's matrix, its tocsc()
+    factored, one refinement step, the residual recomputed and checked,
+    then the constraint and multiplier checks."""
+    n, m = ops.S.n_rows, ops.E.n_cols
+    M = _bmat_reference(ops)
+    r = np.concatenate([ops.residual_load, np.zeros(m), ops.load])
+    csc = M.tocsc()
+    lu = sparse.spla.splu(csc.copy())
+    x = lu.solve(r)
+    if sparse.norm(M @ x - r) / max(sparse.norm(r), 1.0) > 1e-8:
+        x = x + lu.solve(r - M @ x)
+    residual = float(sparse.norm(M @ x - r) / max(sparse.norm(r), 1.0))
+    if not residual <= 1e-8:
+        raise RuntimeError("direct solve residual %.3e" % residual)
+    u, t, z = x[:n], x[n:n + m], -x[n + m:]
+    cons = ops.A.csr @ u + ops.E.csr @ t - ops.load
+    if sparse.norm(cons) / max(sparse.norm(ops.load), 1.0) > 1e-8:
+        raise solvers.SolveError("SMS constraint equation residual")
+    zmax = np.abs(z).max() if z.size else 0.0
+    if zmax > 0 and n_delta_free and max(
+            abs(z[i]) for i in n_delta_free) > 1e-10 * zmax:
+        raise solvers.SolveError("SMS multiplier does not vanish on N_delta")
+    return csc, u, t, z, residual
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except RuntimeError as exc:
+        return exc
+
+
+def _assert_same_csr(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def _assert_kkt_matches_reference(ops, n_delta_free):
+    """_solve_kkt hands SuperLU the reference CSC arrays and returns the
+    reference bytes, or fails where the reference fails: a failed factor
+    as RankDeficiencyError, a failed check with the same SolveError."""
+    handed = []
+
+    def splu(A, *args, **kwargs):
+        handed.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    real_splu = sparse.spla.splu
+    want = _outcome(lambda: _reference_kkt(ops, n_delta_free))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse.spla, "splu", splu)
+        got = _outcome(lambda: solvers._solve_kkt(ops, n_delta_free, "SMS"))
+    assert len(handed) == 1 and handed[0].format == "csc"
+    _assert_same_csr(handed[0], _bmat_reference(ops).tocsc())
+    if isinstance(want, solvers.SolveError):
+        assert type(got) is solvers.SolveError
+        assert str(got).startswith(str(want))
+    elif isinstance(want, RuntimeError):
+        assert isinstance(got, sparse.RankDeficiencyError)
+    else:
+        assert not isinstance(got, Exception), got
+        for a, b in zip(got[:3], want[1:4]):
+            assert a.tobytes() == b.tobytes()
+        assert got[3] == want[4] and got[4] == want[0].shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(2, 300), eps=st.sampled_from([0.0, 1e-8, 1e-3]),
+       b=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+       u_left=st.sampled_from([0.0, 0.75, -2.0]),
+       u_right=st.sampled_from([0.0, 1.5, -0.25]))
+def test_kkt_path_equals_reference_bitwise_1d(J, eps, b, seed, u_left,
+                                              u_right):
+    # the direct CSR operators and the SuperLU handoff keep every byte
+    mesh = analysis1d.random_mesh_1d(J, np.random.default_rng(seed))
+    f = lambda x: 1.0 + x * x
+    ops = assembly.assemble_1d(mesh, eps, b, f, u_left, u_right)
+    ref = _reference_operators_1d(mesh, eps, b, f, u_left, u_right)
+    for name in ("A", "S", "E"):
+        _assert_same_csr(getattr(ops, name).csr, getattr(ref, name).csr)
+    _assert_kkt_matches_reference(ops, [J - 2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(N=st.integers(2, 8), perturbed=st.booleans(),
+       seed=st.integers(0, 1000), eps=st.sampled_from([1e-8, 1e-3]),
+       base=st.sampled_from(["galerkin", "supg"]))
+def test_kkt_path_equals_reference_bitwise_2d(N, perturbed, seed, eps, base):
+    mesh = structured_triangulation(N, N)
+    if perturbed:
+        mesh = perturb_structured(mesh, 0.3, seed)
+    spec = assembly.ProblemSpec(eps=eps, b=np.array([2.0, 3.0]), f=1.0,
+                                g1=0.5)
+    dec = solvers.default_decomposition(mesh, spec)
+    assemble = {"galerkin": assembly.assemble_galerkin,
+                "supg": assembly.assemble_supg}[base]
+    ops = assemble(mesh, spec, decomposition=dec)
+    _assert_kkt_matches_reference(
+        ops, [ops.free_index[v] for v in ops.n_delta])
