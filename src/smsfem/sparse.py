@@ -1,10 +1,10 @@
 """Sparse matrix storage, saddle-point assembly and direct solves.
 
 Finite element assembly hands over coordinate arrays (rows, columns,
-values), which are compressed to CSR once.  The saddle-point systems
-arising from the constrained least-squares formulation are symmetric
-indefinite; we factor them with SuperLU and verify the residual
-afterwards.  A factor that fails is a RankDeficiencyError: the method is
+values), which are compressed to CSR once, or the 1D operators' sorted
+CSR arrays.  The saddle-point systems arising from the constrained
+least-squares formulation are symmetric indefinite; we factor them with
+SuperLU and verify the residual afterwards.  A factor that fails is a RankDeficiencyError: the method is
 well posed only when these systems are nonsingular.
 """
 
