@@ -14,6 +14,7 @@ per-element loops they replaced (np.vecdot or batched matmul, whichever
 matches the loop's dot product; sums from +0.0 in element order).
 """
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import sparse
-from .wind import array_form, vector_field
+from .wind import ValidationError, array_form, vector_field
 
 
 def scalar_field(c):
@@ -54,8 +55,14 @@ class ProblemSpec:
     g2: object = 0.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (self.eps >= 0 and math.isfinite(self.eps)):
+            raise ValidationError("eps must be finite and nonnegative, got %r"
+                                  % self.eps)
+        for name in ("b", "c", "f", "g1", "g2"):
+            value = getattr(self, name)
+            if not callable(value) and not np.all(np.isfinite(value)):
+                raise ValidationError("%s must be finite, got %r"
+                                      % (name, value))
         self.b_fn = vector_field(self.b)
         self.c_fn = scalar_field(self.c)
         self.f_fn = scalar_field(self.f)
@@ -154,7 +161,7 @@ def _qsum(x, y):
 
 def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
     if spec.eps <= 0:
-        raise ValueError("SUPG parameters require eps > 0")
+        raise ValidationError("SUPG parameters require eps > 0")
     _area, grads, p = element_geometry(mesh)
     b = spec.b_fn.array(p.mean(axis=1))
     nb = np.sqrt(np.vecdot(b, b))
@@ -322,7 +329,8 @@ def assemble_galerkin(mesh, spec, decomposition=None, with_constraints=True):
 def assemble_supg(mesh, spec, parameters=None, decomposition=None,
                   with_constraints=True):
     if spec.eps <= 0.0:
-        raise ValueError("SUPG requires eps > 0; use the Galerkin eps=0 mode")
+        raise ValidationError(
+            "SUPG requires eps > 0; use the Galerkin eps=0 mode")
     if parameters is None:
         parameters = compute_supg_parameters(mesh, spec)
     return assemble(mesh, spec, decomposition, supg=parameters,

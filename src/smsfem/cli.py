@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -189,11 +190,19 @@ def _cmd_mesh(args):
 
 def _cmd_solve(args):
     raw = _load_config(args.config)
-    mesh, spec, dec = _problem_setup(raw, args.seed)
     method = _scalar(raw, "method", "sms-supg")
     if method not in experiments._SOLVE_METHODS:
         raise ConfigError("unknown method %r (known: %s)"
                           % (method, ", ".join(experiments._SOLVE_METHODS)))
+    # as ExperimentConfig takes eps, except that the Galerkin methods
+    # also solve the reduced problem eps = 0
+    if _scalar(raw, "eps") is not None:
+        eps = _as_float(raw, "eps", None)
+        reduced = eps == 0 and "supg" not in method
+        if not (math.isfinite(eps) and (eps > 0 or reduced)):
+            raise ConfigError("eps must be finite and positive (or 0 with "
+                              "a Galerkin method), got %r" % eps)
+    mesh, spec, dec = _problem_setup(raw, args.seed)
     u = experiments._solve_method(mesh, spec, method, decomposition=dec)
     over, under = metrics.over_undershoot(u)
     print("method: %s" % method)

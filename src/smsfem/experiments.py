@@ -100,8 +100,9 @@ class ExperimentConfig:
                 raise ConfigError("unknown method %r (known: %s)"
                                   % (m, ", ".join(_METHODS)))
         for e in self.eps:
-            if not e > 0.0:
-                raise ConfigError("eps must be positive, got %r" % e)
+            if not (e > 0.0 and math.isfinite(e)):
+                raise ConfigError("eps must be finite and positive, got %r"
+                                  % e)
 
 
 def _cast(key, value, kind):

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Topology, Triangulation, _edge_key, _signed_areas
+from .meshes import (Topology, Triangulation, _edge_key, _pair_code,
+                     _signed_areas)
 from . import wind
 
 
@@ -196,7 +197,7 @@ def embed_characteristic(mesh, path):
         is taken from the lower-index endpoint so both adjacent elements
         resolve the same crossing to the same node."""
         key = _edge_key(i, j)
-        pa, pb = np.asarray(nodes[key[0]]), np.asarray(nodes[key[1]])
+        pa, pb = mesh.nodes[key[0]], mesh.nodes[key[1]]   # of the input
         L2 = float((pb - pa) @ (pb - pa))
         t = float((p - pa) @ (pb - pa)) / L2
         if t <= 1e-9:
@@ -211,56 +212,60 @@ def embed_characteristic(mesh, path):
         edge_points.setdefault(key, []).append((t, idx))
         return idx
 
-    def classify_point(tri, pts, p, h):
-        """(kind, data): ('vertex', node) or ('edge', (i, j, point))."""
-        for a in range(3):
-            if np.linalg.norm(p - pts[a]) <= 1e-9 * h:
-                return ("vertex", int(tri[a]))
-        for a in range(3):
-            i, j = int(tri[a]), int(tri[(a + 1) % 3])
-            pa, pb = pts[a], pts[(a + 1) % 3]
-            e = pb - pa
-            L = np.linalg.norm(e)
-            t = float((p - pa) @ e) / (L * L)
-            dist = np.linalg.norm(p - (pa + t * e))
-            if -1e-9 < t < 1 + 1e-9 and dist <= 1e-9 * h:
-                return ("edge", (i, j, p))
-        raise DegenerateCrossingError(
-            "path endpoint not on the element boundary; snap nodes first")
-
     corner = mesh.nodes[mesh.elements]
     e = np.roll(corner, -1, axis=1) - corner
     hs = np.sqrt(np.vecdot(e, e)).max(axis=1)
     crossed, chords = _crossings(mesh, path, hs, 1e-10)
-    new_elements = []
+    # per crossed element, chord end c and side a from vertex a:
+    # whether the end is at vertex a, whether it is on side a, and
+    # whether both ends are on side a's line (the chord runs along it)
+    cut = np.flatnonzero(crossed)
+    pts, side = corner[cut][:, None], e[cut][:, None]
+    length = np.sqrt(np.vecdot(side, side))
+    tol = 1e-9 * hs[cut][:, None, None]
+    p = chords[cut][:, :, None]
+    q = p - pts
+    off = np.abs(q[..., 0] * side[..., 1] - q[..., 1] * side[..., 0]) / length
+    t = np.vecdot(q, side) / (length * length)
+    r = p - (pts + t[..., None] * side)
+    at_vertex = (np.sqrt(np.vecdot(q, q)) <= tol).tolist()
+    on_side = ((-1e-9 < t) & (t < 1 + 1e-9)
+               & (np.sqrt(np.vecdot(r, r)) <= tol)).tolist()
+    on_line = (off <= tol).all(axis=1).tolist()
+
+    def classify_point(row, c, tri):
+        """(kind, data): ('vertex', node) or ('edge', (i, j, point))."""
+        for a in range(3):
+            if at_vertex[row][c][a]:
+                return ("vertex", tri[a])
+        for a in range(3):
+            if on_side[row][c][a]:
+                return ("edge", (tri[a], tri[(a + 1) % 3],
+                                 chords[cut[row], c]))
+        raise DegenerateCrossingError(
+            "path endpoint not on the element boundary; snap nodes first")
+
+    # the uncrossed runs of elements stay as they are
+    runs, start = [], 0
     on_path_edges = []
-    for k, row in enumerate(mesh.elements.tolist()):
-        if not crossed[k]:
-            new_elements.append(tuple(row))
-            continue
-        tri, pts, h = mesh.elements[k], corner[k], hs[k]
+    for row, k in enumerate(cut.tolist()):
+        new_elements = []
+        runs += [mesh.elements[start:k], new_elements]
+        start = k + 1
+        tri, pts, h = mesh.elements[k].tolist(), corner[k], hs[k]
         p_in, p_out = chords[k]
         mid = 0.5 * (p_in + p_out)
         value = path.value_at(mid)
         # chord lying along an existing edge: record it and keep the element
-        along = None
-        for a in range(3):
-            i, j = int(tri[a]), int(tri[(a + 1) % 3])
-            pa, pb = pts[a], pts[(a + 1) % 3]
-            e = pb - pa
-            L = np.linalg.norm(e)
-            d_in = abs((p_in - pa)[0] * e[1] - (p_in - pa)[1] * e[0]) / L
-            d_out = abs((p_out - pa)[0] * e[1] - (p_out - pa)[1] * e[0]) / L
-            if d_in <= 1e-9 * h and d_out <= 1e-9 * h:
-                along = (i, j)
-                break
+        along = next(((tri[a], tri[(a + 1) % 3]) for a in range(3)
+                      if on_line[row][a]), None)
         if along is not None:
             # the clipped chord endpoints are unreliable when the path is
             # collinear with the edge (degenerate half-plane clipping), so
             # recompute the covered part as the 1d overlap of the path
             # with the edge; it may be partial (a path end mid-edge)
             key = _edge_key(along[0], along[1])
-            pa, pb = np.asarray(nodes[key[0]]), np.asarray(nodes[key[1]])
+            pa, pb = mesh.nodes[key[0]], mesh.nodes[key[1]]
             e = pb - pa
             L = np.linalg.norm(e)
             t0, t1 = np.inf, -np.inf
@@ -280,10 +285,10 @@ def embed_characteristic(mesh, path):
                 n_out = node_on_edge(key[0], key[1], pa + t1 * e)
                 if n_in != n_out:
                     on_path_edges.append((n_in, n_out, value))
-            new_elements.append(tuple(int(v) for v in tri))
+            new_elements.append(tri)
             continue
         try:
-            kin = classify_point(tri, pts, p_in, h)
+            kin = classify_point(row, 0, tri)
         except DegenerateCrossingError:
             if not np.allclose(p_in, path.points[0]):
                 raise
@@ -291,25 +296,25 @@ def embed_characteristic(mesh, path):
             # on a curved boundary between nodes): attach it to the
             # nearest vertex, perturbing the origin by at most h
             a = int(np.argmin(np.linalg.norm(pts - p_in, axis=1)))
-            kin = ("vertex", int(tri[a]))
-        kout = classify_point(tri, pts, p_out, h)
+            kin = ("vertex", tri[a])
+        kout = classify_point(row, 1, tri)
         if kin[0] == "vertex" and kout[0] == "vertex":
             a, b = kin[1], kout[1]
             if a != b:
                 on_path_edges.append((a, b, value))
-            new_elements.append(tuple(int(v) for v in tri))
+            new_elements.append(tri)
         elif kin[0] == "vertex" or kout[0] == "vertex":
             vtx = kin[1] if kin[0] == "vertex" else kout[1]
             i, j, p = kin[1] if kin[0] == "edge" else kout[1]
             m = node_on_edge(i, j, p)
             if m == vtx:
-                new_elements.append(tuple(int(v) for v in tri))
+                new_elements.append(tri)
                 continue
             if vtx in (i, j):
                 # chord covers part of edge (i, j); m is registered, so
                 # the conformity pass below splits both neighbors
                 on_path_edges.append((vtx, m, value))
-                new_elements.append(tuple(int(v) for v in tri))
+                new_elements.append(tri)
                 continue
             opp = vtx
             new_elements.append((opp, i, m))
@@ -324,7 +329,7 @@ def embed_characteristic(mesh, path):
                 # chord lies inside a single edge between two new nodes
                 if m1 != m2:
                     on_path_edges.append((m1, m2, value))
-                new_elements.append(tuple(int(v) for v in tri))
+                new_elements.append(tri)
                 continue
             shared = set(k1) & set(k2)
             if not shared:
@@ -343,25 +348,38 @@ def embed_characteristic(mesh, path):
             new_elements.append((m2, m1, g))
             on_path_edges.append((m1, m2, value))
 
+    new_elements = np.concatenate([
+        np.asarray(piece, dtype=np.int64).reshape(-1, 3)
+        for piece in runs + [mesh.elements[start:]]])
+
     # conformity pass: fan out any element whose edge carries chain points
-    # (partial-edge chords register nodes on edges of unsplit elements)
-    resolved = []
-    stack = list(new_elements)
-    while stack:
-        tri = stack.pop()
-        for a in range(3):
-            key = _edge_key(int(tri[a]), int(tri[(a + 1) % 3]))
-            pieces = edge_points.get(key)
-            if not pieces:
-                continue
-            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
-            opp = int(tri[(a + 2) % 3])
-            for c in range(len(chain) - 1):
-                stack.append((opp, chain[c], chain[c + 1]))
-            break
-        else:
-            resolved.append(tuple(int(v) for v in tri))
-    new_elements = resolved
+    # (partial-edge chords register nodes on edges of unsplit elements).
+    # It walks the elements last to first, depth first within each
+    ends = np.stack([new_elements, np.roll(new_elements, -1, axis=1)], -1)
+    fanned = np.isin(_pair_code(np.sort(ends, axis=-1).reshape(-1, 2)),
+                     [i * 2 ** 32 + j for i, j in edge_points])
+    resolved, stop = [], len(new_elements)
+    for k in np.flatnonzero(fanned.reshape(-1, 3).any(axis=1))[::-1].tolist():
+        resolved.append(new_elements[k + 1:stop][::-1])
+        stop, stack, done = k, [new_elements[k].tolist()], []
+        while stack:
+            tri = stack.pop()
+            for a in range(3):
+                key = _edge_key(tri[a], tri[(a + 1) % 3])
+                pieces = edge_points.get(key)
+                if not pieces:
+                    continue
+                chain = ([key[0]] + [idx for _t, idx in sorted(pieces)]
+                         + [key[1]])
+                opp = tri[(a + 2) % 3]
+                for c in range(len(chain) - 1):
+                    stack.append((opp, chain[c], chain[c + 1]))
+                break
+            else:
+                done.append(tri)
+        resolved.append(np.array(done, dtype=np.int64))
+    resolved.append(new_elements[:stop][::-1])
+    new_elements = np.concatenate(resolved)
 
     # split boundary and constraint edges that received new nodes
     def split_tagged(edge_list, rebuild):
@@ -398,8 +416,8 @@ def embed_characteristic(mesh, path):
     node_values = dict(mesh.node_values)
     on_path_nodes = set()
     path_edges = sorted(seen.items())
-    counts = Topology(np.asarray(new_elements, dtype=np.int64).reshape(-1, 3),
-                      len(nodes)).count([key for key, _v in path_edges])
+    counts = Topology(new_elements, len(nodes)).count(
+        [key for key, _v in path_edges])
     bkeys = {_edge_key(i, j) for i, j, _t in boundary}
     for (key, v), count in zip(path_edges, counts):
         i, j = key

@@ -1,10 +1,11 @@
 """1D partitions and 2D conforming triangulations.
 
-Generators (uniform, Shishkin, perturbed structured), outflow strips,
-red refinement with hanging-node closure, and plain-text file I/O.
+Generators (uniform, Shishkin, perturbed structured), red refinement
+with hanging-node closure, and plain-text file I/O.
 All operations return new meshes; meshes are immutable once built.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,8 +159,7 @@ class Triangulation:
         Dirichlet value overrides (data discontinuities, layer values).
 
     Adjacency is built on first use as the arrays of `topology`, which
-    `edge_to_elements()` and `node_to_elements()` turn into a dict and a
-    list.
+    `node_to_elements()` turns into a list.
     """
 
     def __init__(self, nodes, elements, boundary_edges, constraint_edges=None,
@@ -197,16 +197,6 @@ class Triangulation:
     @cached_property
     def topology(self):
         return Topology(self.elements, self.n_nodes)
-
-    def edge_to_elements(self):
-        """Map sorted node pair (numpy ints) -> list of adjacent element
-        indices, in order of first appearance; built on each call."""
-        t = self.topology
-        order = np.argsort(t.first)
-        elems, ptr = t.edge_elements.tolist(), t.edge_ptr.tolist()
-        i, j = t.pairs[order].T
-        return {key: elems[ptr[e]:ptr[e + 1]]
-                for key, e in zip(zip(i, j), order.tolist())}
 
     def node_to_elements(self):
         """Per node, the incident element indices in increasing order;
@@ -388,124 +378,50 @@ def perturb_structured(mesh, amplitude_fraction, seed, frozen=(), max_retries=20
     hloc = np.full(mesh.n_nodes, np.inf)
     np.minimum.at(hloc, t.pairs[:, 0], length)
     np.minimum.at(hloc, t.pairs[:, 1], length)
-    amps = (amplitude_fraction * hloc).tolist()
-    xy, tris = nodes.tolist(), mesh.elements.tolist()
-    ptr, around = t.node_ptr.tolist(), t.node_elements.tolist()
-    # in index order: each draw sees the nodes moved before it
-    for k in np.flatnonzero(~fixed).tolist():
-        amp, (x, y) = amps[k], xy[k]
-        sub = [tris[e] for e in around[ptr[k]:ptr[k + 1]]]
+    amps = amplitude_fraction * hloc
+    free = np.flatnonzero(~fixed)
+    if not np.isfinite(amps[free]).all():
+        # a free node on no element: its draw fails as numpy's uniform does
+        rng.uniform(-np.inf, np.inf)
+    owner = np.repeat(np.arange(mesh.n_nodes), np.diff(t.node_ptr))
+    # in index order: each draw sees the nodes moved before it.  All draws
+    # are made at once and checked against the nodes before them; from
+    # the first rejected node on, the draws are made again
+    start = 0
+    while start < len(free):
+        todo, state = free[start:], rng.bit_generator.state
+        a = amps[todo][:, None]
+        moved = nodes[todo] + (-a + (a - (-a)) * rng.random((len(todo), 2)))
+        at = np.full(mesh.n_nodes, len(todo))
+        at[todo] = np.arange(len(todo))
+        pair = np.flatnonzero(at[owner] < len(todo))
+        tri, r = mesh.elements[t.node_elements[pair]], at[owner[pair]]
+        # a vertex is seen moved if it is drawn no later than the node
+        seen = at[tri] <= r[:, None]
+        xy = np.where(seen[..., None],
+                      moved[np.minimum(at[tri], len(todo) - 1)], nodes[tri])
+        (xa, ya), (xb, yb), (xc, yc) = xy.transpose(1, 2, 0)
+        area = 0.5 * ((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya))
+        rejected = r[~(area > 0)]
+        stop = rejected.min() if rejected.size else len(todo)
+        nodes[todo[:stop]] = moved[:stop]
+        if stop == len(todo):
+            break
+        rng.bit_generator.state = state
+        rng.random((stop, 2))
+        k = todo[stop]
+        (x, y), sub = nodes[k].tolist(), mesh.elements[t.node_elements[
+            t.node_ptr[k]:t.node_ptr[k + 1]]].tolist()
         for _ in range(max_retries):
-            dx, dy = rng.uniform(-amp, amp, size=2).tolist()
-            xy[k] = [x + dx, y + dy]
-            if _all_positive(xy, sub):
+            dx, dy = rng.uniform(-amps[k], amps[k], size=2).tolist()
+            nodes[k] = [x + dx, y + dy]
+            if _all_positive(nodes, sub):
                 break
         else:
             raise GenerationError("could not keep element areas positive")
-    return Triangulation(np.array(xy), mesh.elements, mesh.boundary_edges,
+        start += stop + 1
+    return Triangulation(nodes, mesh.elements, mesh.boundary_edges,
                          mesh.constraint_edges, mesh.node_values)
-
-
-# -- outflow strip ----------------------------------------------------------
-
-
-def build_outflow_strip(mesh, on, thickness=None, wind=None):
-    """Insert a strip of elements along a subset of the boundary.
-
-    The target boundary nodes are displaced into the domain along the
-    averaged inward edge normals; new boundary nodes are created at the
-    original positions and each resulting rectangle is split in two by
-    the diagonal from its upstream-most corner.
-
-    Parameters
-    ----------
-    on : iterable of boundary-edge indices, or predicate on edge midpoint
-    thickness : displacement; default the local boundary-edge length
-    wind : optional wind vector/function for the diagonal rule
-    """
-    if callable(on):
-        idx = [k for k, (i, j, _t) in enumerate(mesh.boundary_edges)
-               if on(0.5 * (mesh.nodes[i] + mesh.nodes[j]))]
-    else:
-        idx = sorted(int(k) for k in on)
-    if not idx:
-        return mesh
-    target_edges = [mesh.boundary_edges[k] for k in idx]
-    target_set = {_edge_key(i, j) for i, j, _t in target_edges}
-    target_nodes = sorted({v for i, j, _t in target_edges for v in (i, j)})
-
-    emap = mesh.edge_to_elements()
-    # inward unit normal of each target edge (toward the adjacent element)
-    normals = {}
-    lengths = {}
-    for i, j, _t in target_edges:
-        key = _edge_key(i, j)
-        (k,) = emap[key]
-        a, b, c = mesh.elements[k]
-        opp = [v for v in (a, b, c) if v not in key][0]
-        e = mesh.nodes[key[1]] - mesh.nodes[key[0]]
-        n = np.array([-e[1], e[0]])
-        if np.dot(n, mesh.nodes[opp] - mesh.nodes[key[0]]) < 0:
-            n = -n
-        normals[key] = n / np.linalg.norm(n)
-        lengths[key] = float(np.linalg.norm(e))
-
-    nodes = mesh.nodes.copy().tolist()
-    new_of = {}
-    for v in target_nodes:
-        keys = [k for k in normals if v in k]
-        n = sum(normals[k] for k in keys)
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            raise GenerationError("opposing normals at strip node %d" % v)
-        n = n / nn
-        t = thickness if thickness is not None else float(
-            np.mean([lengths[k] for k in keys]))
-        orig = mesh.nodes[v].copy()
-        new_idx = len(nodes)
-        nodes.append(list(orig))          # new boundary node at old position
-        nodes[v] = list(orig + t * n)     # existing node moves inward
-        new_of[v] = new_idx
-    nodes = np.asarray(nodes)
-
-    def upstream_key(corner_idx):
-        if wind is None:
-            return (corner_idx,)
-        b = wind(nodes[corner_idx]) if callable(wind) else np.asarray(wind, float)
-        return (float(np.dot(b, nodes[corner_idx])), corner_idx)
-
-    elements = mesh.elements.tolist()
-    for i, j, _t in target_edges:
-        ai, aj = new_of[i], new_of[j]
-        # quad corners in cyclic order: ai -- aj -- j -- i
-        corners = [ai, aj, j, i]
-        c = min(corners, key=upstream_key)
-        if c in (ai, j):
-            elements.append((ai, aj, j))
-            elements.append((ai, j, i))
-        else:
-            elements.append((ai, aj, i))
-            elements.append((aj, j, i))
-
-    boundary = []
-    cap_tags = {}
-    for k, (i, j, t) in enumerate(mesh.boundary_edges):
-        if k in set(idx):
-            boundary.append((new_of[i], new_of[j], t))
-        else:
-            boundary.append((i, j, t))
-            for v in (i, j):
-                if v in new_of:
-                    cap_tags[v] = t
-    for v, t in sorted(cap_tags.items()):
-        boundary.append((v, new_of[v], t))
-
-    try:
-        out = Triangulation(nodes, elements, boundary,
-                            mesh.constraint_edges, mesh.node_values)
-    except GenerationError as exc:
-        raise GenerationError("strip generation failed: %s" % exc) from exc
-    return out
 
 
 # -- red refinement with hanging-node closure --------------------------------
@@ -523,49 +439,63 @@ def red_refine(mesh, elements):
     if any(e < 0 or e >= mesh.n_elements for e in subset):
         raise ArgumentError("element index out of range")
     nodes = mesh.nodes.tolist()
-    midpoint = {}
+    midpoint, codes = {}, []
 
     def mid(i, j):
         key = _edge_key(i, j)
         if key not in midpoint:
             midpoint[key] = len(nodes)
-            nodes.append(list(0.5 * (np.asarray(nodes[i]) + np.asarray(nodes[j]))))
+            codes.append(key[0] * 2 ** 32 + key[1])
+            (xi, yi), (xj, yj) = nodes[i], nodes[j]
+            nodes.append([0.5 * (xi + xj), 0.5 * (yi + yj)])
         return midpoint[key]
 
-    tris = []
-    subset_set = set(subset)
-    for k, (a, b, c) in enumerate(mesh.elements):
-        if k in subset_set:
-            mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-            tris.extend([(a, mab, mca), (mab, b, mbc),
-                         (mca, mbc, c), (mab, mbc, mca)])
-        else:
-            tris.append((int(a), int(b), int(c)))
+    pieces, start = [], 0
+    for k in subset:
+        a, b, c = mesh.elements[k].tolist()
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        pieces += [mesh.elements[start:k], [(a, mab, mca), (mab, b, mbc),
+                                           (mca, mbc, c), (mab, mbc, mca)]]
+        start = k + 1
+    tris = np.concatenate(pieces + [mesh.elements[start:]])
 
-    # closure: bisect the longest edge of any element with a hanging node
+    # closure: bisect the longest edge of any element with a hanging node,
+    # in list order, so a midpoint made in a round hangs the later
+    # elements on its edge in that same round
     for _round in range(10 * (len(tris) + len(subset))):
-        changed = False
-        next_tris = []
-        pts = np.asarray(nodes)  # this round's elements use no newer node
-        for tri in tris:
-            a, b, c = tri
-            hanging = any(_edge_key(i, j) in midpoint
-                          for i, j in ((a, b), (b, c), (c, a)))
-            if not hanging:
-                next_tris.append(tri)
-                continue
-            changed = True
-            edges = [(a, b, c), (b, c, a), (c, a, b)]
-            def elen(e):
-                return float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
-            # longest edge; deterministic tie-break on the sorted node pair
-            i, j, opp = max(edges, key=lambda e: (elen(e), _edge_key(e[0], e[1])))
-            m = mid(i, j)
-            next_tris.append((i, m, opp))
-            next_tris.append((m, j, opp))
-        tris = next_tris
-        if not changed:
+        ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
+        side = _pair_code(np.sort(ends, axis=-1).reshape(-1, 2))
+        heap = np.flatnonzero(np.isin(side, codes).reshape(-1, 3).any(axis=1))
+        if not heap.size:
             break
+        heap = heap.tolist()
+        by_code = np.argsort(side, kind="stable")
+        sorted_side = side[by_code]
+        # this round's elements use no newer node
+        corner = np.asarray(nodes)[ends]
+        d = corner[:, :, 0] - corner[:, :, 1]
+        length = np.sqrt(np.vecdot(d, d)).tolist()
+        pieces, start = [], 0
+        while heap:
+            p = heapq.heappop(heap)
+            if p < start:
+                continue  # queued twice
+            tri = tris[p].tolist()
+            # longest edge; deterministic tie-break on the sorted node pair
+            s = max(range(3), key=lambda s: (
+                length[p][s], _edge_key(tri[s], tri[(s + 1) % 3])))
+            i, j, opp = tri[s], tri[(s + 1) % 3], tri[(s + 2) % 3]
+            made = len(codes)
+            m = mid(i, j)
+            if len(codes) > made:
+                lo, hi = np.searchsorted(sorted_side,
+                                         [codes[-1], codes[-1] + 1])
+                for q in (by_code[lo:hi] // 3).tolist():
+                    if q > p:
+                        heapq.heappush(heap, q)
+            pieces += [tris[start:p], [(i, m, opp), (m, j, opp)]]
+            start = p + 1
+        tris = np.concatenate(pieces + [tris[start:]])
     else:
         raise GenerationError("hanging-node closure did not terminate")
 

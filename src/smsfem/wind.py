@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meshes import red_refine, _edge_key, _mask
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from .meshes import red_refine, _mask
 
 CHARACTERISTIC_RTOL = 1e-12
 PARALLEL_RTOL = 1e-10
@@ -327,6 +330,15 @@ def _clip_rays(x, d, tri, interval=(1e-12, np.inf), tol=1e-14):
     return hit & (lo <= hi), lo, hi
 
 
+def _winds(bf, points):
+    """The wind at each of the (n, 2) points: a constant one broadcast,
+    else by `array_form`."""
+    constant = getattr(bf, "constant", None)
+    if constant is not None:
+        return np.broadcast_to(constant, points.shape)
+    return array_form(bf, shape=(2,))(points)
+
+
 def upwind_hits(mesh, decomposition, elements, bf):
     """Clip the upwind ray from each element's barycenter against Omega_h+.
 
@@ -352,14 +364,10 @@ def upwind_hits(mesh, decomposition, elements, bf):
     plus = np.asarray(decomposition.omega_plus, dtype=np.int64)
     x = mesh.nodes[mesh.elements[elements]].mean(axis=1)
     d = np.zeros_like(x)
-    lit = np.zeros(len(x), dtype=bool)
-    # a constant wind casts one direction; a point callable, one per ray
-    constant = getattr(bf, "constant", None)
-    for i, b in ([(slice(None), constant)] if constant is not None
-                 else enumerate(map(bf, x))):
-        nb = np.linalg.norm(b)
-        if nb != 0.0:
-            d[i], lit[i] = -b / nb, True
+    b = _winds(bf, x)
+    nb = np.sqrt(np.vecdot(b, b))
+    lit = nb != 0.0
+    d[lit] = -b[lit] / nb[lit, None]
     downwind = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), -1, dtype=np.int64)
     if plus.size == 0:
@@ -378,14 +386,29 @@ def upwind_hits(mesh, decomposition, elements, bf):
     # across each ray (d x c - d x x), then along it from x: d.(c - x)
     (d0, d1), (c0, c1), (x0, x1) = d.T[..., None], centre.T, x.T[..., None]
     rays = np.flatnonzero(lit)
-    step = max(1, RAY_CLIP_PAIRS // plus.size)
-    near = [np.zeros((2, 0), dtype=np.int64)]
-    for s in range(0, len(rays), step):
-        i = rays[s:s + step]
-        perp = d0[i] * c1 - d1[i] * c0 - (d0[i] * x1[i] - d1[i] * x0[i])
-        r, j = np.nonzero(np.abs(perp) <= reach)
-        near.append(np.stack([i[r], j]))
-    ii, jj = np.concatenate(near, axis=1)
+    if getattr(bf, "constant", None) is not None and rays.size:
+        # one direction: d x c - d x x falls as d x x grows, so the rays
+        # within each triangle's reach are a run of the rays sorted by
+        # d x x, inside the run within twice the reach
+        across = d0[rays[0]] * c1 - d1[rays[0]] * c0
+        offset = (d0 * x1 - d1 * x0)[:, 0]
+        by = rays[np.argsort(offset[rays], kind="stable")]
+        lo = np.searchsorted(offset[by], across - 2.0 * reach)
+        hi = np.searchsorted(offset[by], across + 2.0 * reach, side="right")
+        jj = np.repeat(np.arange(plus.size), hi - lo)
+        ii = by[np.arange(len(jj)) - np.repeat(np.cumsum(hi - lo) - hi,
+                                               hi - lo)]
+        near = np.abs(across[jj] - offset[ii]) <= reach[jj]
+        ii, jj = ii[near], jj[near]
+    else:
+        step = max(1, RAY_CLIP_PAIRS // plus.size)
+        near = [np.zeros((2, 0), dtype=np.int64)]
+        for s in range(0, len(rays), step):
+            i = rays[s:s + step]
+            perp = d0[i] * c1 - d1[i] * c0 - (d0[i] * x1[i] - d1[i] * x0[i])
+            r, j = np.nonzero(np.abs(perp) <= reach)
+            near.append(np.stack([i[r], j]))
+        ii, jj = np.concatenate(near, axis=1)
     ahead = np.vecdot(d[ii], centre[jj] - x[ii]) >= -reach[jj]
     ii, jj = ii[ahead], jj[ahead]
     hit, entry, _exit = _clip_rays(x[ii], d[ii], tri[jj])
@@ -398,77 +421,56 @@ def upwind_hits(mesh, decomposition, elements, bf):
     return downwind, first
 
 
-def first_upwind_hit(mesh, decomposition, k, bf):
-    """Omega_h+ element first hit by the upwind ray from k's barycenter."""
-    hit = int(upwind_hits(mesh, decomposition, [k], bf)[1][0])
-    return None if hit < 0 else hit
-
-
 def diagnose(decomposition, mesh, b):
     """Connectivity of Omega_hat and wind-parallel downwind edges."""
     bf = vector_field(b)
-    hat = decomposition.omega_hat
-    hat_set = set(hat)
+    hat = np.asarray(decomposition.omega_hat, dtype=np.int64)
+    in_hat = _mask(mesh.n_elements, hat)
     # connected components under shared-edge adjacency
-    parent = {k: k for k in hat}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for key, elems in mesh.edge_to_elements().items():
-        if len(elems) == 2 and all(e in hat_set for e in elems):
-            a, c = find(elems[0]), find(elems[1])
-            if a != c:
-                parent[max(a, c)] = min(a, c)
-    groups = {}
-    for k in hat:
-        groups.setdefault(find(k), []).append(k)
-    components = sorted((sorted(g) for g in groups.values()),
-                        key=lambda g: (-len(g), g))
+    t = mesh.topology
+    ptr = t.edge_ptr[:-1][t.counts == 2]
+    left, right = t.edge_elements[ptr], t.edge_elements[ptr + 1]
+    inner = in_hat[left] & in_hat[right]
+    graph = coo_matrix((np.ones(inner.sum()), (left[inner], right[inner])),
+                       shape=(mesh.n_elements,) * 2)
+    label = connected_components(graph, directed=False)[1]
+    members = hat[np.lexsort((hat, label[hat]))]
+    cut = np.flatnonzero(np.diff(label[members])) + 1
+    components = sorted((g.tolist() for g in np.split(members, cut)
+                         if g.size), key=lambda g: (-len(g), g))
     # a component carrying any prescribed data (Dirichlet or embedded
     # values) is pinned through it along characteristics; only fully
     # data-free components admit a convective kernel
-    pinned = (mesh.dirichlet_node_set() | mesh.constraint_node_set()
-              | set(mesh.node_values))
-    isolated = [comp for comp in components
-                if not set(mesh.elements[comp].ravel().tolist()) & pinned]
+    pinned = _mask(mesh.n_nodes, mesh.dirichlet_node_set()
+                   | mesh.constraint_node_set() | set(mesh.node_values))
+    touches = pinned[mesh.elements].any(axis=1)
+    isolated = [comp for comp in components if not touches[comp].any()]
 
-    nmap = mesh.node_to_elements()
     is_downwind = upwind_hits(mesh, decomposition, hat, bf)[0]
-
-    def opposite_edge_parallel(k, opp):
-        tri = [int(v) for v in mesh.elements[k]]
-        i, j = [v for v in tri if v != opp]
-        bary = mesh.nodes[tri].mean(axis=0)
-        bvec = bf(bary)
-        e = mesh.nodes[j] - mesh.nodes[i]
-        cross = bvec[0] * e[1] - bvec[1] * e[0]
-        return (abs(cross) <= PARALLEL_RTOL * np.linalg.norm(bvec)
-                * np.linalg.norm(e)), _edge_key(i, j)
-
-    downwind, parallel = [], []
-    for k, down in zip(hat, is_downwind):
-        if not down:
-            continue
-        downwind.append(k)
-        for opp in (int(v) for v in mesh.elements[k]):
-            # kernel candidate: the basis function of the vertex opposite
-            # a wind-parallel edge.  It needs a dof (not pinned) and its
-            # convective derivative must vanish on every element of
-            # Omega_hat it touches, i.e. each such element must have its
-            # opposite edge parallel to the wind as well
-            if opp in pinned:
-                continue
-            ok, key = opposite_edge_parallel(k, opp)
-            if not ok:
-                continue
-            if all(opposite_edge_parallel(kk, opp)[0]
-                   for kk in nmap[opp] if kk in hat_set):
-                parallel.append((int(k), key))
-    return DiagnosticsReport(components, isolated, sorted(parallel), downwind)
+    # parallel[r, a]: the side (i, j) opposite vertex a of hat[r], i and j
+    # in element order, is parallel to the wind at the barycentre
+    others = np.array([[1, 2], [0, 2], [0, 1]])
+    tri = mesh.elements[hat]
+    corner = mesh.nodes[tri]
+    wind = _winds(bf, corner.mean(axis=1))
+    side = corner[:, others[:, 1]] - corner[:, others[:, 0]]
+    cross = wind[:, None, 0] * side[..., 1] - wind[:, None, 1] * side[..., 0]
+    norm_b = np.sqrt(np.vecdot(wind, wind))[:, None]
+    parallel = (np.abs(cross)
+                <= PARALLEL_RTOL * norm_b * np.sqrt(np.vecdot(side, side)))
+    # kernel candidate: the basis function of the vertex opposite a
+    # wind-parallel edge.  It needs a dof (not pinned) and its convective
+    # derivative must vanish on every element of Omega_hat it touches,
+    # i.e. each such element must have its opposite edge parallel to the
+    # wind as well
+    bad = pinned.copy()
+    bad[tri[~parallel]] = True
+    rows, a = np.nonzero(is_downwind[:, None] & parallel & ~bad[tri])
+    ends = np.sort(tri[rows[:, None], others[a]], axis=1)
+    edges = sorted((k, (i, j)) for k, i, j in zip(
+        hat[rows].tolist(), *ends.T.tolist()))
+    return DiagnosticsReport(components, isolated, edges,
+                             hat[is_downwind].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +501,27 @@ def absorb_isolated(mesh, decomposition, report, b):
 def _refinement_targets(mesh, decomposition, report, bf):
     """Omega_h+ elements upwind of each defect element."""
     plus = decomposition.omega_plus_set()
-    defects = []
-    for comp in report.isolated_components:
-        defects.extend((k, False) for k in comp)
-    defects.extend((k, True) for k, _e in report.parallel_edges)
+    defects = [(k, False) for comp in report.isolated_components
+               for k in comp]
+    defects += [(k, True) for k, _e in report.parallel_edges]
+    elements = np.array([k for k, _p in defects], dtype=np.int64)
+    # the Omega_h+ element each defect's upwind ray enters first, or -1
+    first = upwind_hits(mesh, decomposition, elements, bf)[1].tolist()
+    t = mesh.topology
+    tri = mesh.elements[elements]
+    sides = t.find(np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1))
+    ptr, around = t.edge_ptr.tolist(), t.edge_elements.tolist()
     targets = set()
-    emap = mesh.edge_to_elements()
-    for k, is_parallel in defects:
+    for (k, is_parallel), hit, edges in zip(defects, first,
+                                            sides.reshape(-1, 3).tolist()):
         local = set()
         a, bb, c = mesh.elements[k]
         bary = mesh.nodes[[a, bb, c]].mean(axis=0)
         bvec = bf(bary)
-        for i, j in ((a, bb), (bb, c), (c, a)):
-            adj = [e for e in emap[_edge_key(int(i), int(j))] if e != k]
+        # the other elements on each side, in increasing order
+        adjacent = [[e for e in around[ptr[s]:ptr[s + 1]] if e != k]
+                    for s in edges]
+        for (i, j), adj in zip(((a, bb), (bb, c), (c, a)), adjacent):
             if not adj or adj[0] not in plus:
                 continue
             e = mesh.nodes[j] - mesh.nodes[i]
@@ -521,20 +531,13 @@ def _refinement_targets(mesh, decomposition, report, bf):
                 n = -n  # outward from the defect element
             if np.dot(bvec, n) <= 1e-12 * np.linalg.norm(bvec) * np.linalg.norm(n):
                 local.add(adj[0])
-        if is_parallel:
-            hit = first_upwind_hit(mesh, decomposition, k, bf)
-            if hit is not None:
-                local.add(hit)
+        if is_parallel and hit >= 0:
+            local.add(hit)
         if not local:
             # fallback: every Omega_h+ edge-neighbor, else the first ray hit
-            for i, j in ((a, bb), (bb, c), (c, a)):
-                for e in emap[_edge_key(int(i), int(j))]:
-                    if e != k and e in plus:
-                        local.add(e)
-            if not local:
-                hit = first_upwind_hit(mesh, decomposition, k, bf)
-                if hit is not None:
-                    local.add(hit)
+            local = {e for adj in adjacent for e in adj if e in plus}
+            if not local and hit >= 0:
+                local.add(hit)
         targets |= local
     return sorted(targets)
 

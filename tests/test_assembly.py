@@ -15,8 +15,8 @@ from smsfem.assembly import (ProblemSpec, assemble_galerkin, assemble_supg,
                              hat_moments_1d, scalar_field)
 from smsfem.meshes import (Triangulation, perturb_structured,
                            structured_triangulation, uniform_mesh_1d)
-from smsfem.wind import OmegaPlusDecomposition, build_omega_plus, \
-    classify_boundary, vector_field
+from smsfem.wind import OmegaPlusDecomposition, ValidationError, \
+    build_omega_plus, classify_boundary, vector_field
 
 
 def _one_triangle():
@@ -127,6 +127,24 @@ def test_supg_rejects_zero_diffusion():
         assemble_supg(m, spec)
     with pytest.raises(ValueError):
         compute_supg_parameters(m, spec)
+
+
+@pytest.mark.parametrize("data", [
+    dict(eps=math.nan), dict(eps=math.inf), dict(eps=-1.0),
+    dict(b=[1.0, math.nan]), dict(b=np.array([math.inf, 0.0])),
+    dict(c=math.nan), dict(f=-math.inf), dict(g1=math.nan),
+    dict(g2=math.inf)])
+def test_problem_spec_rejects_non_finite_data(data):
+    kwargs = dict(eps=1e-3, b=np.array([1.0, 0.0]), f=1.0)
+    kwargs.update(data)
+    with pytest.raises(ValidationError):
+        ProblemSpec(**kwargs)
+
+
+def test_problem_spec_takes_callables_and_zero_diffusion():
+    spec = ProblemSpec(eps=0.0, b=lambda p: np.array([math.nan, 0.0]),
+                       f=lambda p: math.inf)
+    assert spec.eps == 0.0
 
 
 def test_dirichlet_lift_homogeneous():

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from smsfem import cli
 
 
@@ -115,13 +117,23 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 
 
 def test_structural_error_exit_code(tmp_path, capsys):
-    # eps = nan makes the load not finite: a typed StructuralError, which
-    # the CLI reports as a solver failure
+    # eps = 1e308 overflows the stiffness matrix, so the load lifted by the
+    # Dirichlet data is not finite: a typed StructuralError, which the CLI
+    # reports as a solver failure
     cfg = _write(tmp_path, "n.cfg",
-                 "problem = ex4\nmethod = galerkin\neps = nan\nN = 4\n")
+                 "problem = ex4\nmethod = galerkin\neps = 1e308\nN = 4\n")
     assert cli.main(["solve", "--config", cfg]) == 3
     assert ("solver failure: right-hand side is not finite"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+def test_solve_rejects_bad_eps(tmp_path, capsys, eps):
+    # eps = 0 is the reduced problem, which the default sms-supg cannot
+    # stabilize; the others are no diffusion coefficient at all
+    cfg = _write(tmp_path, "e.cfg", "problem = ex4\neps = %s\nN = 4\n" % eps)
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert "config error: eps must be finite" in capsys.readouterr().err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -1,0 +1,92 @@
+"""The benchmark's meshes, pinned byte for byte.
+
+sha256 of the `write_mesh` bytes and of every `DiagnosticsReport.to_text()`
+along the repair sequence of `experiments._safe_decomposition`, for the
+embedded-layer meshes of the benchmark (ex5 seeds 1 and 3 at '2hmin2',
+the channel at theta index 9) and for one mild random grid.  The
+benchmark pins ex6/9's roundoff answer to 1e-6, so a changed byte here
+is a bug, not roundoff.  Like experiment_digests.json the values are tied
+to the numpy build they were recorded with (numpy 2.4.6, x86-64).
+
+    PYTHONPATH=src python3 tests/test_mesh_digests.py > tests/mesh_digests.json
+
+records them again.
+"""
+
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+
+from smsfem import experiments, problems, wind
+from smsfem.meshes import write_mesh
+
+EPS = 1e-8
+CASES = ("ex5/1", "ex5/3", "ex6/9", "ex3/7")
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _mesh_sha(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        write_mesh(mesh, path)
+        with open(path, "rb") as fh:
+            return _sha(fh.read())
+
+
+def _case(key):
+    kind, param = key.split("/")
+    param = int(param)
+    if kind == "ex5":
+        b = problems.ex5_spec(EPS).b
+        return experiments.interior_layer_mesh(24, "2hmin2", seed=param), b
+    if kind == "ex6":
+        theta = (param + 1) * (math.pi / 4.0) / 10
+        b = problems.ex6_spec(EPS, theta=theta).b
+        return experiments.hemker_layered_mesh(theta, "hmin2/10"), b
+    b = problems.ex3_spec(EPS).b
+    return experiments.mild_random_grid(40, b, param), None
+
+
+def digests(key):
+    """{'mesh', 'repaired', 'reports'} of one case; a mesh with no wind
+    given is not repaired."""
+    mesh, b = _case(key)
+    out = {"mesh": _mesh_sha(mesh)}
+    if b is None:
+        return out
+    texts, diagnose = [], wind.diagnose
+
+    def recorded(*args):
+        report = diagnose(*args)
+        texts.append(_sha(report.to_text().encode()))
+        return report
+
+    # experiments calls diagnose as its own name, remediate as wind's
+    wind.diagnose = experiments.diagnose = recorded
+    try:
+        repaired, _dec = experiments._safe_decomposition(mesh, b)
+    finally:
+        wind.diagnose = experiments.diagnose = diagnose
+    out["repaired"] = _mesh_sha(repaired)
+    out["reports"] = texts
+    return out
+
+
+def test_benchmark_meshes_and_reports_are_unchanged():
+    with open(os.path.join(os.path.dirname(__file__),
+                           "mesh_digests.json")) as fh:
+        pinned = json.load(fh)
+    assert sorted(pinned) == sorted(CASES)
+    for key in CASES:
+        assert digests(key) == pinned[key], key
+
+
+if __name__ == "__main__":
+    json.dump({key: digests(key) for key in CASES}, sys.stdout, indent=1)
+    sys.stdout.write("\n")

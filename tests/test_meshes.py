@@ -7,10 +7,10 @@ import pytest
 
 from smsfem.meshes import (ArgumentError, GenerationError, MeshFileError,
                            Mesh1D, ShishkinSpec1D, Triangulation,
-                           build_outflow_strip, perturb_structured,
-                           read_mesh, red_refine, shishkin_mesh_1d,
-                           structured_triangulation, tensor_shishkin_2d,
-                           tensor_triangulation, trochoid_point,
+                           perturb_structured, read_mesh, red_refine,
+                           shishkin_mesh_1d, structured_triangulation,
+                           tensor_shishkin_2d, tensor_triangulation,
+                           trochoid_point,
                            uniform_mesh_1d, write_mesh,
                            write_node_values_csv)
 
@@ -169,30 +169,6 @@ def test_perturb_amplitude_guard():
         perturb_structured(m, 0.5, seed=0)
 
 
-# -- outflow strip -------------------------------------------------------------
-
-
-def test_strip_east_side_counts():
-    m = structured_triangulation(4, 4)
-    s = build_outflow_strip(m, lambda p: p[0] > 1.0 - 1e-9, thickness=0.1)
-    assert s.n_nodes == m.n_nodes + 5
-    assert s.n_elements == m.n_elements + 8
-
-
-def test_strip_empty_subset_identity():
-    m = structured_triangulation(4, 4)
-    assert build_outflow_strip(m, []) is m
-
-
-def test_strip_corner_turns():
-    m = structured_triangulation(4, 4)
-    s = build_outflow_strip(
-        m, lambda p: p[0] > 1.0 - 1e-9 or p[1] > 1.0 - 1e-9,
-        thickness=0.1, wind=np.array([1.0, 1.0]))
-    assert s.n_nodes == m.n_nodes + 9
-    assert np.all(s.areas() > 0)
-
-
 # -- red refinement ------------------------------------------------------------
 
 
@@ -233,8 +209,7 @@ def test_red_refine_argument_errors():
 def test_mesh_roundtrip(tmp_path):
     m = structured_triangulation(2, 2)
     # promote one interior edge to a valued constraint edge
-    interior = [k for k, adj in m.edge_to_elements().items()
-                if len(adj) == 2][0]
+    interior = m.topology.pairs[m.topology.counts == 2][0].tolist()
     m2 = Triangulation(m.nodes, m.elements, m.boundary_edges,
                        constraint_edges=[(interior[0], interior[1], 0.5)])
     path = tmp_path / "m.mesh"
