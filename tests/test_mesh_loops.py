@@ -12,7 +12,6 @@ refinement targets, the same `write_mesh` bytes and the same errors.
 """
 
 import heapq
-import math
 import os
 import tempfile
 
