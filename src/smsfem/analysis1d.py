@@ -55,7 +55,7 @@ def build_q_h(mesh1d, b):
     j = np.arange(J + 1)
     q[1:J] = -(1.0 - (-1.0) ** j[1:J]) / b
     ops = assembly.assemble_1d(mesh1d, 0.0, b, 0.0)
-    aq = ops.A.csr @ q[1:J]
+    aq = ops.A @ q[1:J]
     target = np.zeros(J - 1)
     if J % 2 == 1:
         target[J - 2] = 1.0

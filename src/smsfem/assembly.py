@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import sparse
 from .wind import ValidationError, array_form, vector_field
@@ -185,16 +186,15 @@ def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
 class DiscreteOperators:
     """Assembled operators restricted to free (non-Dirichlet) nodes."""
 
-    A: sparse.SparseMatrix
+    A: sp.csr_matrix
     load: np.ndarray
     lifting: np.ndarray            # full nodal Dirichlet lift
-    free_nodes: np.ndarray         # global indices of free nodes
-    free_index: dict               # global node -> position in free order
-    S: Optional[sparse.SparseMatrix] = None
+    free_nodes: np.ndarray         # global indices of free nodes, ascending
+    S: Optional[sp.csr_matrix] = None
     residual_load: Optional[np.ndarray] = None
-    E: Optional[sparse.SparseMatrix] = None
+    E: Optional[sp.csr_matrix] = None
     n_delta: list = field(default_factory=list)
-    S_full: Optional[sparse.SparseMatrix] = None
+    S_full: Optional[sp.csr_matrix] = None
 
 
 def dirichlet_lift(mesh, spec, with_constraints=True):
@@ -293,14 +293,11 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     is_free = np.ones(n, dtype=bool)
     is_free[dir_nodes] = False
     free = np.flatnonzero(is_free)
-    free_index = {int(v): i for i, v in enumerate(free)}
 
     A_full = _coo(tri, local, n)
-    A_free = sparse.from_csr(A_full.csr[free][:, free])
-    load_free = load[free] - A_full.csr[free] @ u_d
-
-    ops = DiscreteOperators(A=A_free, load=load_free, lifting=u_d,
-                            free_nodes=free, free_index=free_index)
+    ops = DiscreteOperators(A=A_full[free][:, free],
+                            load=load[free] - A_full[free] @ u_d,
+                            lifting=u_d, free_nodes=free)
     if decomposition is not None:
         hat = np.zeros(mesh.n_elements, dtype=bool)
         hat[list(decomposition.omega_hat)] = True
@@ -309,13 +306,13 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
         resload = _scatter(tri[hat], w[hat, None]
                            * (rule.f[hat][:, :, None] * lh).sum(axis=1), n)
         ops.S_full = S_full
-        ops.S = sparse.from_csr(S_full.csr[free][:, free])
-        ops.residual_load = resload[free] - S_full.csr[free] @ u_d
+        ops.S = S_full[free][:, free]
+        ops.residual_load = resload[free] - S_full[free] @ u_d
         nd = list(decomposition.n_delta)
         for v in nd:
             if not is_free[v]:
                 raise ValueError("constraint node %d is Dirichlet" % v)
-        ops.E = sparse.compress([free_index[v] for v in nd], range(len(nd)),
+        ops.E = sparse.compress(np.searchsorted(free, nd), range(len(nd)),
                                 np.ones(len(nd)), free.size, len(nd))
         ops.n_delta = nd
     return ops
@@ -386,17 +383,16 @@ def hat_moments_1d(f, mesh1d):
 
 @dataclass
 class Operators1D:
-    A: sparse.SparseMatrix        # over interior nodes 1..J-1
+    A: sp.csr_matrix              # over interior nodes 1..J-1
     load: np.ndarray
-    S: sparse.SparseMatrix        # residual Gram over (0, x_{J-1})
+    S: sp.csr_matrix              # residual Gram over (0, x_{J-1})
     residual_load: np.ndarray
-    E: sparse.SparseMatrix        # single constraint at x_{J-1}
+    E: sp.csr_matrix              # single constraint at x_{J-1}
     lifting: np.ndarray           # full nodal values (Dirichlet ends)
-    mesh: object
 
 
 def _tridiagonal(lower, diag, upper):
-    """Sorted CSR SparseMatrix of the bands (i + 1, i) = lower[i],
+    """Sorted CSR matrix of the bands (i + 1, i) = lower[i],
     (i, i) = diag[i] (none if diag is None) and (i, i + 1) = upper[i]."""
     offsets = [-1, 1] if diag is None else [-1, 0, 1]
     n, k = len(upper) + 1, len(offsets)
@@ -406,7 +402,8 @@ def _tridiagonal(lower, diag, upper):
         vals[:, 1] = diag
     cols = np.arange(n)[:, None] + offsets
     indptr = np.append(np.maximum(k * np.arange(n) - 1, 0), k * n - 2)
-    return sparse.csr(vals.ravel()[1:-1], cols.ravel()[1:-1], indptr, n, n)
+    return sp.csr_matrix((vals.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                         shape=(n, n))
 
 
 def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
@@ -454,8 +451,9 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
         h1 = h[0]
         s0 = -b / h1  # slope of phi_0 on cell 1
         resload[0] -= (b / h1) * s0 * u_left * h1
-    E = sparse.csr([1.0], [0], np.arange(nfree + 1) // nfree, nfree, 1)
+    E = sp.csr_matrix(([1.0], [0], np.arange(nfree + 1) // nfree),
+                      shape=(nfree, 1))
     lifting = np.zeros(J + 1)
     lifting[0] = u_left
     lifting[J] = u_right
-    return Operators1D(A, load, S, resload, E, lifting, mesh1d)
+    return Operators1D(A, load, S, resload, E, lifting)

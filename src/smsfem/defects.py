@@ -6,7 +6,6 @@ Dirichlet boundary, so Gamma_D^{0+} is the sides x = 1 and y = 1."""
 
 import numpy as np
 
-from . import assembly, sparse
 from .meshes import structured_triangulation, Triangulation
 from .wind import (classify_boundary, band_elements, OmegaPlusDecomposition,
                    _extract_n_delta)
@@ -106,16 +105,3 @@ def band_decomposition(mesh, b):
                                   n_delta=_extract_n_delta(mesh, b_h_set),
                                   b_h=b_h)
 
-
-def kkt_min_singular(mesh, b, decomposition):
-    """Relative smallest singular value of the eps = 0 optimality system
-    (dense SVD oracle)."""
-    spec = assembly.ProblemSpec(eps=0.0, b=b, f=0.0, c=0.0)
-    ops = assembly.assemble_galerkin(mesh, spec, decomposition,
-                                     with_constraints=True)
-    M = sparse.SaddleSystem(ops.S, ops.A, ops.E,
-                            ops.residual_load, ops.load).matrix()
-    if M.shape[0] > sparse.DENSE_LIMIT:
-        raise sparse.CapacityError("matrix too large for dense diagnostic")
-    s = np.linalg.svd(M.toarray(), compute_uv=False)
-    return float(s[-1] / s[0])

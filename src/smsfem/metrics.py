@@ -4,7 +4,6 @@ smearing indicators, and log-log rate fits."""
 
 import math
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,28 +15,6 @@ class ArgumentError(ValueError):
 
 
 NOT_CROSSED = float("nan")
-
-
-@dataclass
-class MetricReport:
-    values: dict
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for k, v in self.values.items():
-            if isinstance(v, float) and math.isinf(v):
-                raise ArgumentError("metric %s is not finite" % k)
-
-    def rows(self):
-        return [(k, self.values[k]) for k in sorted(self.values)]
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            for k, v in sorted(self.provenance.items()):
-                fh.write("# %s=%s\n" % (k, v))
-            fh.write("metric,value\n")
-            for k, v in self.rows():
-                fh.write("%s,%.16e\n" % (k, v))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +80,6 @@ def _locate(mesh, points, tol=1e-12):
         raise ArgumentError("point (%g, %g) outside the mesh" % tuple(
             pts[np.setdiff1d(np.arange(n), found)[0]]))
     return k[hit[first]], np.clip(lam[hit[first]], 0.0, 1.0)
-
-
-def locate_point(mesh, point, tol=1e-12):
-    """Element index and barycentric coordinates containing the point."""
-    k, lam = _locate(mesh, [point], tol)
-    return int(k[0]), lam[0]
 
 
 def evaluate_p1(mesh, u, points):

@@ -130,17 +130,6 @@ def hemker_boundary(p, theta=0.0):
     return 0.0
 
 
-def hemker_tag(p, theta=0.0):
-    """Dirichlet on the circle and the inflow walls, Neumann elsewhere."""
-    if abs(p[0] * p[0] + p[1] * p[1] - 1.0) < 1e-6:
-        return "D"
-    if abs(p[0] + 3.0) < 1e-9:
-        return "D"
-    if theta > 0.0 and abs(p[1] + 3.0) < 1e-9:
-        return "D"
-    return "N"
-
-
 def ex6_spec(eps, theta=0.0):
     b = np.array([math.cos(theta), math.sin(theta)])
     return ProblemSpec(eps=eps, b=b, f=0.0,

@@ -71,8 +71,7 @@ def solve_sms(mesh, spec, decomposition=None, base="galerkin",
     else:
         raise ValueError("base must be 'galerkin' or 'supg'")
     try:
-        uf, t, z_free, residual, size = _solve_kkt(
-            ops, [ops.free_index[v] for v in ops.n_delta], "SMS")
+        uf, t, z_free, residual, size = _solve_kkt(ops, "SMS")
     except sparse.RankDeficiencyError as exc:
         raise sparse.RankDeficiencyError(
             "SMS system singular; run diagnose/remediate on the mesh "
@@ -85,16 +84,16 @@ def solve_sms(mesh, spec, decomposition=None, base="galerkin",
                        method="sms-" + base, residual=residual, size=size)
 
 
-def _solve_kkt(ops, n_delta_free, what):
+def _solve_kkt(ops, what):
     """Solve the SMS optimality system of ops (1D or 2D) and check it.
 
-    n_delta_free: free-node indices of N_delta, where the multiplier must
-    vanish.  Returns (u on free nodes, t, z on free nodes, relative KKT
-    residual, system size).
+    The multiplier must vanish on N_delta, the rows E selects.  Returns
+    (u on free nodes, t, z on free nodes, relative KKT residual, system
+    size).
     """
     system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
                                  ops.residual_load, ops.load)
-    M, S, St = system.matrix(), ops.S.csr, ops.S.csr.tocsc()
+    M, S, St = system.matrix(), ops.S, ops.S.tocsc()
     # St holds the CSR arrays of S^T; if they are S's, bit for bit, M is
     # bitwise symmetric and its CSR arrays are its CSC arrays
     if all(getattr(S, a).tobytes() == getattr(St, a).tobytes()
@@ -103,7 +102,7 @@ def _solve_kkt(ops, n_delta_free, what):
     else:
         # only S can break symmetry; |M| peaks on the largest of S, A and E
         asym = abs(S - St.T).max()
-        scale = max(abs(B.csr.data).max(initial=0.0)
+        scale = max(abs(B.data).max(initial=0.0)
                     for B in (ops.S, ops.A, ops.E))
         if asym > 1e-14 * max(scale, 1e-300):
             raise SolveError("saddle system lost symmetry: %.3e" % asym)
@@ -114,12 +113,13 @@ def _solve_kkt(ops, n_delta_free, what):
     t = x[n:n + m]
     z = -x[n + m:]  # un-negate the symmetrizing substitution
     # re-verify the constraint equation and the multiplier conditions
-    cons = ops.A.csr @ uf + ops.E.csr @ t - ops.load
+    cons = ops.A @ uf + ops.E @ t - ops.load
     rel = sparse.norm(cons) / max(sparse.norm(ops.load), 1.0)
     if rel > 1e-8:
         raise SolveError("%s constraint equation residual %.3e" % (what, rel))
     zmax = np.abs(z).max(initial=0.0)
-    if zmax > 0 and np.abs(z[n_delta_free]).max(initial=0.0) > 1e-10 * zmax:
+    n_delta = ops.E.tocsc().indices   # E's one row in each column
+    if zmax > 0 and np.abs(z[n_delta]).max(initial=0.0) > 1e-10 * zmax:
         raise SolveError("%s multiplier does not vanish on N_delta" % what)
     return uf, t, z, residual, M.shape[0]
 
@@ -140,8 +140,7 @@ def solve_sms_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     """1D SMS: single relaxation scalar alpha at x_{J-1}, residual
     minimized over (0, x_{J-1})."""
     ops = assembly.assemble_1d(mesh1d, eps, b, f, u_left, u_right)
-    n = ops.A.n_rows
-    uf, t, z, residual, size = _solve_kkt(ops, [n - 1], "1D SMS")
+    uf, t, z, residual, size = _solve_kkt(ops, "1D SMS")
     u = ops.lifting.copy()
     u[1:mesh1d.J] = uf
     return SmsSolution(u=u, z=np.concatenate([[0.0], z, [0.0]]),

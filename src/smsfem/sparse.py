@@ -1,11 +1,13 @@
-"""Sparse matrix storage, saddle-point assembly and direct solves.
+"""Sparse compression, saddle-point assembly and direct solves.
 
 Finite element assembly hands over coordinate arrays (rows, columns,
-values), which are compressed to CSR once, or the 1D operators' sorted
-CSR arrays.  The saddle-point systems arising from the constrained
-least-squares formulation are symmetric indefinite; we factor them with
-SuperLU and verify the residual afterwards.  A factor that fails is a RankDeficiencyError: the method is
-well posed only when these systems are nonsingular.
+values), which are compressed once to scipy CSR matrices with sorted
+indices; the 1D operators are built as such matrices directly.  The
+saddle-point systems arising from the constrained least-squares
+formulation are symmetric indefinite; we factor them with SuperLU and
+verify the residual afterwards.  A factor that fails is a
+RankDeficiencyError: the method is well posed only when these systems
+are nonsingular.
 """
 
 import numpy as np
@@ -17,37 +19,13 @@ class StructuralError(ValueError):
     """Raised for out-of-range indices or malformed matrix structure."""
 
 
-class CapacityError(ValueError):
-    """Raised when a dense diagnostic is requested on too large a matrix."""
-
-
-# largest row count for which the dense SVD diagnostics run: 2000 rows of
-# float64 are 32 MB, while the SVD of an 8,575-row KKT peaks above 4 GB
-DENSE_LIMIT = 2000
-
-
 class RankDeficiencyError(RuntimeError):
     """Raised when a factorization is singular to working precision."""
 
 
-class SparseMatrix:
-    """Immutable sparse matrix in CSR form."""
-
-    def __init__(self, n_rows, n_cols, csr):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.csr = csr
-
-    @property
-    def nnz(self):
-        return self.csr.nnz
-
-    def toarray(self):
-        return self.csr.toarray()
-
-
-def compress(rows, cols, vals, n_rows, n_cols):
-    """Compress coordinate arrays (row, col, value) to a SparseMatrix.
+def compress(rows, cols, vals, m, n):
+    """Compress coordinate arrays (row, col, value) to the m x n CSR matrix
+    with sorted indices.
 
     Duplicate coordinates are summed.  The result is independent of the
     order of the entries.
@@ -55,27 +33,14 @@ def compress(rows, cols, vals, n_rows, n_cols):
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=np.float64).ravel()
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
         raise StructuralError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
         raise StructuralError("col index out of range")
-    csr = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    csr = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
     csr.sum_duplicates()
     csr.sort_indices()
-    return SparseMatrix(n_rows, n_cols, csr)
-
-
-def csr(data, indices, indptr, n_rows, n_cols):
-    """SparseMatrix of the arrays of a sorted CSR matrix without duplicates."""
-    return SparseMatrix(n_rows, n_cols, sp.csr_matrix(
-        (data, indices, indptr), shape=(n_rows, n_cols)))
-
-
-def from_csr(csr):
-    csr = sp.csr_matrix(csr)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return SparseMatrix(csr.shape[0], csr.shape[1], csr)
+    return csr
 
 
 class SaddleSystem:
@@ -92,14 +57,13 @@ class SaddleSystem:
     def __init__(self, S, A, E, residual_load, load):
         self.residual_load = np.asarray(residual_load, dtype=float)
         self.load = np.asarray(load, dtype=float)
-        self.n = n = S.n_rows
-        self.m = m = E.n_cols
-        if (S.csr.shape, A.csr.shape, E.csr.shape[0]) != ((n, n), (n, n), n):
+        self.n = n = S.shape[0]
+        self.m = m = E.shape[1]
+        if (S.shape, A.shape, E.shape[0]) != ((n, n), (n, n), n):
             raise StructuralError("inconsistent saddle block sizes")
         # the CSC arrays of A and E are the CSR arrays of A^T and E^T
-        blocks = ((S.csr, 0, 0), (A.csr.tocsc(), 0, n + m),
-                  (E.csr.tocsc(), n, n + m), (A.csr, n + m, 0),
-                  (E.csr, n + m, n))
+        blocks = ((S, 0, 0), (A.tocsc(), 0, n + m), (E.tocsc(), n, n + m),
+                  (A, n + m, 0), (E, n + m, n))
         self._matrix = _block_csr([(B.data, B.indices, B.indptr, r, c)
                                    for B, r, c in blocks], 2 * n + m)
 
@@ -132,7 +96,7 @@ def _block_csr(blocks, size):
 
 
 def solve_symmetric_indefinite(system, rhs=None, csc=None):
-    """Solve a SaddleSystem (or a raw square SparseMatrix with rhs).
+    """Solve a SaddleSystem (or a square sparse matrix with rhs).
 
     SuperLU factors csc, the same matrix in CSC form, if given.  Returns
     the solution and its relative residual ||Mx - r|| / max(||r||, 1),
@@ -144,7 +108,7 @@ def solve_symmetric_indefinite(system, rhs=None, csc=None):
     if isinstance(system, SaddleSystem):
         M, rhs = system.matrix(), system.rhs() if rhs is None else rhs
     else:
-        M = system.csr if isinstance(system, SparseMatrix) else sp.csr_matrix(system)
+        M = sp.csr_matrix(system)
     if rhs is None:
         raise StructuralError("a matrix needs a right-hand side")
     r = np.asarray(rhs, dtype=float)

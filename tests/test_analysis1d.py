@@ -74,14 +74,14 @@ def test_q_h_small_odd_case():
     q = build_q_h(uniform_mesh_1d(3), 1.0)
     assert np.allclose(q[1:3], [-2.0, 0.0])
     ops = assembly.assemble_1d(uniform_mesh_1d(3), 0.0, 1.0, 0.0)
-    aq = ops.A.csr @ q[1:3]
+    aq = ops.A @ q[1:3]
     assert np.allclose(aq, [0.0, 1.0], atol=1e-14)
 
 
 def test_q_h_even_case_annihilates():
     q = build_q_h(uniform_mesh_1d(4), 2.0)
     ops = assembly.assemble_1d(uniform_mesh_1d(4), 0.0, 2.0, 0.0)
-    assert np.abs(ops.A.csr @ q[1:4]).max() <= 1e-14
+    assert np.abs(ops.A @ q[1:4]).max() <= 1e-14
 
 
 def test_q_h_identities_both_parities_random_meshes():

@@ -195,10 +195,11 @@ def test_constraint_selector_columns():
     spec = ProblemSpec(eps=0.0, b=b, f=1.0)
     ops = assemble_galerkin(m, spec, dec)
     e = ops.E.toarray()
-    assert e.shape == (ops.A.n_rows, len(dec.n_delta))
+    assert e.shape == (ops.A.shape[0], len(dec.n_delta))
     assert np.all(e.sum(axis=0) == 1.0)
+    free = list(ops.free_nodes)
     for col, v in enumerate(ops.n_delta):
-        assert e[ops.free_index[v], col] == 1.0
+        assert e[free.index(v), col] == 1.0
 
 
 def test_quadrature_exact_constant_coefficients():
@@ -403,7 +404,7 @@ def _assert_same_bytes(got, want, what):
 
 def _assert_same_csr(got, want, what):
     for part in ("indptr", "indices", "data"):
-        _assert_same_bytes(getattr(got.csr, part), getattr(want.csr, part),
+        _assert_same_bytes(getattr(got, part), getattr(want, part),
                            "%s.%s" % (what, part))
 
 
@@ -429,10 +430,10 @@ def _check_against_loops(mesh, spec, dec, supg=None):
     free, u_d = ops.free_nodes, ops.lifting
     _assert_same_csr(A_full, A_ref, "A_full")
     _assert_same_csr(ops.S_full, S_ref, "S_full")
-    _assert_same_bytes(ops.load, load_ref[free] - A_ref.csr[free] @ u_d,
+    _assert_same_bytes(ops.load, load_ref[free] - A_ref[free] @ u_d,
                        "load")
     _assert_same_bytes(ops.residual_load,
-                       resload_ref[free] - S_ref.csr[free] @ u_d,
+                       resload_ref[free] - S_ref[free] @ u_d,
                        "residual load")
     position = {int(v): i for i, v in enumerate(free)}
     E_ref = _compress_triplets([(position[v], col, 1.0)

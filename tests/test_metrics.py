@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from smsfem.assembly import ProblemSpec
 from smsfem.meshes import Triangulation, perturb_structured, \
     structured_triangulation
-from smsfem.metrics import (ArgumentError, MetricReport, NOT_CROSSED,
+from smsfem import metrics
+from smsfem.metrics import (ArgumentError, NOT_CROSSED,
                             convective_residual_l2, element_gradients,
                             evaluate_p1, fit_rate, h1_seminorm_error,
-                            linf_nodal_error, locate_point,
-                            osc_int_smear_int, osc_para_exp, osc_smear,
-                            over_undershoot)
+                            linf_nodal_error, osc_int_smear_int,
+                            osc_para_exp, osc_smear, over_undershoot)
 
 
 def test_evaluate_p1_linear_exact():
@@ -31,7 +31,7 @@ def test_evaluate_p1_linear_exact():
 def test_locate_point_outside():
     m = structured_triangulation(3, 3)
     with pytest.raises(ArgumentError, match=r"point \(1\.5, 0\.5\) outside"):
-        locate_point(m, np.array([1.5, 0.5]))
+        metrics._locate(m, [np.array([1.5, 0.5])])
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,11 @@ def _locate_reference(mesh, point, tol=1e-12):
     return k, np.clip(lam[k], 0.0, 1.0)
 
 
+def _locate_one(mesh, point):
+    k, lam = metrics._locate(mesh, [point])
+    return int(k[0]), lam[0]
+
+
 def _outcome(locate, mesh, point):
     try:
         k, lam = locate(mesh, point)
@@ -68,10 +73,10 @@ def _outcome(locate, mesh, point):
 
 
 def _check_locations(mesh, u, points):
-    """locate_point and evaluate_p1 against the full scan, point by point
+    """_locate and evaluate_p1 against the full scan, point by point
     and all at once (where the first outside point must raise)."""
     want = [_outcome(_locate_reference, mesh, pt) for pt in points]
-    assert [_outcome(locate_point, mesh, pt) for pt in points] == want
+    assert [_outcome(_locate_one, mesh, pt) for pt in points] == want
     errors = [w for w in want if isinstance(w, str)]
     if errors:
         with pytest.raises(ArgumentError) as err:
@@ -224,20 +229,6 @@ def test_fit_rate():
         fit_rate([(0.1, 1.0), (0.05, 0.5)])
     with pytest.raises(ArgumentError):
         fit_rate([(h, 0.0) for h in hs])
-
-
-def test_metric_report_rejects_inf_and_writes_csv(tmp_path):
-    with pytest.raises(ArgumentError):
-        MetricReport({"osc": float("inf")})
-    rep = MetricReport({"osc": 0.125, "smear": float("nan")},
-                       provenance={"N": 8})
-    path = tmp_path / "m.csv"
-    rep.write_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# N=8"
-    assert lines[1] == "metric,value"
-    assert lines[2].startswith("osc,1.25")
-    assert rep.rows()[0][0] == "osc"
 
 
 def test_measures_invariant_under_node_relabeling():

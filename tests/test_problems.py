@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from smsfem import experiments
 from smsfem.problems import (EX5_LAYER_VALUE, EX5_ORIGIN, EX5_WIND,
                              GLAZING_DOMAIN, HEMKER_DOMAIN,
                              UnknownProblemError, catalog, ex1_exact,
@@ -13,7 +14,7 @@ from smsfem.problems import (EX5_LAYER_VALUE, EX5_ORIGIN, EX5_WIND,
                              ex4_spec, ex5_boundary, ex5_spec, ex6_spec,
                              ex7_spec, fig1_problem, glazing_boundary,
                              glazing_wind, hemker_boundary,
-                             hemker_layer_origins, hemker_tag)
+                             hemker_layer_origins)
 
 
 def test_catalog_lookup_and_unknown():
@@ -97,12 +98,20 @@ def test_hemker_data():
     assert HEMKER_DOMAIN == ((-3.0, -3.0), (9.0, 3.0))
     assert hemker_boundary((1.0, 0.0)) == 1.0
     assert hemker_boundary((-3.0, 0.5)) == 0.0
-    assert hemker_tag((0.0, 1.0)) == "D"
-    assert hemker_tag((-3.0, 2.0)) == "D"
-    assert hemker_tag((9.0, 0.0)) == "N"
-    # the south wall turns inflow only when the wind has a lift component
-    assert hemker_tag((0.0, -3.0), theta=0.0) == "N"
-    assert hemker_tag((0.0, -3.0), theta=0.2) == "D"
+    for theta in (0.0, 0.2):
+        mesh = experiments.hemker_layered_mesh(theta)
+
+        def tags(on_wall):
+            return {t for i, j, t in mesh.boundary_edges
+                    if on_wall(mesh.nodes[i]) and on_wall(mesh.nodes[j])}
+
+        assert tags(lambda p: abs(p @ p - 1.0) < 1e-6) == {"D"}
+        assert tags(lambda p: abs(p[0] + 3.0) < 1e-9) == {"D"}
+        assert tags(lambda p: abs(p[0] - 9.0) < 1e-9) == {"N"}
+        # the south wall turns inflow only when the wind has a lift
+        # component
+        assert tags(lambda p: abs(p[1] + 3.0) < 1e-9) == \
+            ({"D"} if theta > 0.0 else {"N"})
 
 
 def test_hemker_spec_and_origins():

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smsfem import solvers, sparse
+from smsfem import experiments, solvers, sparse
 from smsfem.assembly import ProblemSpec
 from smsfem.meshes import (perturb_structured, structured_triangulation,
                            uniform_mesh_1d)
@@ -74,6 +75,42 @@ def test_sms_scaling_equivariance():
         assert np.abs(s2.z - lam * s1.z).max() <= 1e-8 * lam
 
 
+def _linear_data(scale, a, c):
+    """f and g1, scaled; each is its own array form."""
+    def f(p):
+        p = np.asarray(p, dtype=float)
+        return scale * a * (1.0 + p[..., 0] * p[..., 1])
+
+    def g1(p):
+        p = np.asarray(p, dtype=float)
+        return scale * c * (p[..., 0] - 2.0 * p[..., 1])
+
+    f.array, g1.array = f, g1
+    return f, g1
+
+
+_COEFFICIENT = st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0))
+
+
+@pytest.mark.parametrize("grid", ["structured", "mild-random"])
+@pytest.mark.parametrize("eps", [1e-8, 1e-3])
+@pytest.mark.parametrize("base", ["galerkin", "supg"])
+@settings(max_examples=5, deadline=None)
+@given(a=_COEFFICIENT, c=_COEFFICIENT)
+def test_sms_solution_scales_bitwise_with_the_data(grid, eps, base, a, c):
+    # scaling by a power of two rounds exactly, and nothing in the solve
+    # branches on the size of the data: f, g1 times 4 give u, t, z times 4
+    b = np.array([1.0, 0.5])
+    mesh = (structured_triangulation(16, 16) if grid == "structured"
+            else experiments.mild_random_grid(12, b, 3))
+    one, four = (solvers.solve_sms(mesh, ProblemSpec(
+        eps=eps, b=b, f=f, g1=g1), base=base)
+        for f, g1 in (_linear_data(1.0, a, c), _linear_data(4.0, a, c)))
+    for name in ("u", "t", "z"):
+        assert (4.0 * getattr(one, name)).tobytes() == \
+            getattr(four, name).tobytes(), name
+
+
 def test_sms_multiplier_vanishes_on_constraint_nodes():
     m = structured_triangulation(8, 8)
     spec = ProblemSpec(eps=1e-8, b=np.array([1.0, 1.0]), f=1.0)
@@ -95,7 +132,7 @@ def test_sms_feasibility_reverified():
         else:
             ops = assembly.assemble_supg(m, spec, decomposition=dec)
         uf = sol.u[ops.free_nodes]
-        res = ops.A.csr @ uf + ops.E.csr @ sol.t - ops.load
+        res = ops.A @ uf + ops.E @ sol.t - ops.load
         assert np.linalg.norm(res) <= 1e-8 * max(
             np.linalg.norm(ops.load), 1.0)
         assert sol.method == "sms-" + base
@@ -105,12 +142,11 @@ def _kkt_ops(dim):
     from smsfem import assembly
     if dim == 1:
         return assembly.assemble_1d(uniform_mesh_1d(8), 1e-8, 1.0, 1.0,
-                                    0.0, 0.0), [6]
+                                    0.0, 0.0)
     m = structured_triangulation(6, 6)
     spec = ProblemSpec(eps=1e-8, b=np.array([2.0, 3.0]), f=1.0)
     dec = build_omega_plus(m, classify_boundary(m, spec.b), spec.b)
-    ops = assembly.assemble_galerkin(m, spec, dec, with_constraints=True)
-    return ops, [ops.free_index[v] for v in ops.n_delta]
+    return assembly.assemble_galerkin(m, spec, dec, with_constraints=True)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -118,27 +154,27 @@ def _kkt_ops(dim):
 def test_kkt_symmetry_check_sees_asymmetric_s(dim, factor, raises):
     # the check compares |S - S^T| with 1e-14 times the largest |entry|
     # of the saddle matrix, which is the largest of S, A and E
-    ops, n_delta_free = _kkt_ops(dim)
-    scale = max(abs(B.csr.data).max() for B in (ops.S, ops.A, ops.E))
-    S = ops.S.csr.tolil()
+    ops = _kkt_ops(dim)
+    scale = max(abs(B.data).max() for B in (ops.S, ops.A, ops.E))
+    S = ops.S.tolil()
     S[0, 1] += factor * 1e-14 * scale
-    ops.S = sparse.from_csr(S)
+    ops.S = S.tocsr()
     if raises:
         with pytest.raises(solvers.SolveError, match="lost symmetry"):
-            solvers._solve_kkt(ops, n_delta_free, "SMS")
+            solvers._solve_kkt(ops, "SMS")
     else:
-        assert solvers._solve_kkt(ops, n_delta_free, "SMS")[3] <= 1e-8
+        assert solvers._solve_kkt(ops, "SMS")[3] <= 1e-8
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kkt_solve_of_slightly_asymmetric_s_factors_the_real_csc(dim):
     # S within the symmetry bound but not bitwise symmetric: SuperLU gets
     # the arrays of M.tocsc(), which differ from those of the view M.T
-    ops, n_delta_free = _kkt_ops(dim)
-    scale = max(abs(B.csr.data).max() for B in (ops.S, ops.A, ops.E))
-    S = ops.S.csr.tolil()
+    ops = _kkt_ops(dim)
+    scale = max(abs(B.data).max() for B in (ops.S, ops.A, ops.E))
+    S = ops.S.tolil()
     S[0, 1] += 0.5e-14 * scale
-    ops.S = sparse.from_csr(S)
+    ops.S = S.tocsr()
     M = sparse.SaddleSystem(ops.S, ops.A, ops.E, ops.residual_load,
                             ops.load).matrix()
     handed = []
@@ -150,7 +186,7 @@ def test_kkt_solve_of_slightly_asymmetric_s_factors_the_real_csc(dim):
     real_splu = sparse.spla.splu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse.spla, "splu", splu)
-        assert solvers._solve_kkt(ops, n_delta_free, "SMS")[3] <= 1e-8
+        assert solvers._solve_kkt(ops, "SMS")[3] <= 1e-8
     want = M.tocsc()
     assert len(handed) == 1 and handed[0].format == "csc"
     assert handed[0].data.tobytes() != M.T.data.tobytes()

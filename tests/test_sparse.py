@@ -55,9 +55,9 @@ def test_compress_order_independent(perm):
     vals = rng.normal(size=8)
     a = sparse.compress(rows, cols, vals, 4, 4)
     b = sparse.compress(rows[perm], cols[perm], vals[perm], 4, 4)
-    assert np.array_equal(a.csr.indptr, b.csr.indptr)
-    assert np.array_equal(a.csr.indices, b.csr.indices)
-    assert np.array_equal(a.csr.data, b.csr.data)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_solve_diagonal():
@@ -130,17 +130,18 @@ def test_solve_singular_raises_without_svd(monkeypatch):
     lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
 def test_solve_singular_raises_superlu_reason_without_dense_copy(case):
     # identity with one zero row: splu fails, its reason and the row count
-    # reach the caller, and no dense copy of the matrix is made
+    # reach the caller, and neither a dense copy nor an SVD is made
     n, zero = case
     keep = [i for i in range(n) if i != zero]
     m = sparse.compress(keep, keep, np.ones(n - 1), n, n)
 
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense copy made")
+        raise AssertionError("dense copy or SVD made")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(m.csr), "toarray", no_dense)
-        mp.setattr(type(m.csr.tocsc()), "toarray", no_dense)
+        mp.setattr(type(m), "toarray", no_dense)
+        mp.setattr(type(m.tocsc()), "toarray", no_dense)
+        mp.setattr(np.linalg, "svd", no_dense)
         with pytest.raises(sparse.RankDeficiencyError) as exc:
             sparse.solve_symmetric_indefinite(m, np.ones(n))
     assert "Factor is exactly singular" in str(exc.value)
@@ -158,20 +159,6 @@ def test_solve_nonfinite_factor_raises(monkeypatch):
     m = sparse.compress(range(3), range(3), np.ones(3), 3, 3)
     with pytest.raises(sparse.RankDeficiencyError, match="3 unknowns"):
         sparse.solve_symmetric_indefinite(m, np.ones(3))
-
-
-def test_solve_singular_above_svd_limit_skips_svd(monkeypatch):
-    # above the SVD diagnostics' limit a failed sparse LU raises, and no
-    # SVD follows its failure
-    n = sparse.DENSE_LIMIT + 1
-    m = sparse.compress(range(n - 1), range(n - 1), np.ones(n - 1), n, n)
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("dense SVD ran")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    with pytest.raises(sparse.RankDeficiencyError):
-        sparse.solve_symmetric_indefinite(m, np.ones(n))
 
 
 def _small_kkt_system():
@@ -206,11 +193,11 @@ def test_saddle_solve_matches_dense_oracle():
 
 def _bmat_reference(ops):
     """The saddle matrix as sp.bmat assembles it from the blocks."""
-    n, m = ops.S.n_rows, ops.E.n_cols
+    n, m = ops.S.shape[0], ops.E.shape[1]
     Z = sp.csr_matrix((n, m))
-    return sp.bmat([[ops.S.csr, Z, ops.A.csr.T],
-                    [Z.T, sp.csr_matrix((m, m)), ops.E.csr.T],
-                    [ops.A.csr, ops.E.csr, sp.csr_matrix((n, n))]],
+    return sp.bmat([[ops.S, Z, ops.A.T],
+                    [Z.T, sp.csr_matrix((m, m)), ops.E.T],
+                    [ops.A, ops.E, sp.csr_matrix((n, n))]],
                    format="csr")
 
 
@@ -245,7 +232,7 @@ def test_saddle_matrix_matches_bmat_2d(perturbed, base):
     assemble = {"galerkin": assembly.assemble_galerkin,
                 "supg": assembly.assemble_supg}[base]
     ops = assemble(mesh, spec, decomposition=dec)
-    assert ops.E.n_cols > 0
+    assert ops.E.shape[1] > 0
     _assert_saddle_matches_bmat(ops)
 
 
@@ -255,7 +242,7 @@ def test_saddle_matrix_matches_bmat_without_n_delta():
     dec = dataclasses.replace(solvers.default_decomposition(mesh, spec),
                               n_delta=[])
     ops = assembly.assemble_galerkin(mesh, spec, dec)
-    assert ops.E.n_cols == 0
+    assert ops.E.shape[1] == 0
     _assert_saddle_matches_bmat(ops)
 
 
@@ -307,7 +294,7 @@ def _reference_kkt(ops, n_delta_free):
     solved before the symmetric shortcut: bmat's matrix, its tocsc()
     factored, one refinement step, the residual recomputed and checked,
     then the constraint and multiplier checks."""
-    n, m = ops.S.n_rows, ops.E.n_cols
+    n, m = ops.S.shape[0], ops.E.shape[1]
     M = _bmat_reference(ops)
     r = np.concatenate([ops.residual_load, np.zeros(m), ops.load])
     csc = M.tocsc()
@@ -319,7 +306,7 @@ def _reference_kkt(ops, n_delta_free):
     if not residual <= 1e-8:
         raise RuntimeError("direct solve residual %.3e" % residual)
     u, t, z = x[:n], x[n:n + m], -x[n + m:]
-    cons = ops.A.csr @ u + ops.E.csr @ t - ops.load
+    cons = ops.A @ u + ops.E @ t - ops.load
     if sparse.norm(cons) / max(sparse.norm(ops.load), 1.0) > 1e-8:
         raise solvers.SolveError("SMS constraint equation residual")
     zmax = np.abs(z).max() if z.size else 0.0
@@ -345,7 +332,9 @@ def _assert_same_csr(got, want):
 def _assert_kkt_matches_reference(ops, n_delta_free):
     """_solve_kkt hands SuperLU the reference CSC arrays and returns the
     reference bytes, or fails where the reference fails: a failed factor
-    as RankDeficiencyError, a failed check with the same SolveError."""
+    as RankDeficiencyError, a failed check with the same SolveError.
+    n_delta_free (the free-node positions of N_delta) is the reference's;
+    _solve_kkt reads N_delta from E."""
     handed = []
 
     def splu(A, *args, **kwargs):
@@ -356,7 +345,7 @@ def _assert_kkt_matches_reference(ops, n_delta_free):
     want = _outcome(lambda: _reference_kkt(ops, n_delta_free))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse.spla, "splu", splu)
-        got = _outcome(lambda: solvers._solve_kkt(ops, n_delta_free, "SMS"))
+        got = _outcome(lambda: solvers._solve_kkt(ops, "SMS"))
     assert len(handed) == 1 and handed[0].format == "csc"
     _assert_same_csr(handed[0], _bmat_reference(ops).tocsc())
     if isinstance(want, solvers.SolveError):
@@ -384,7 +373,7 @@ def test_kkt_path_equals_reference_bitwise_1d(J, eps, b, seed, u_left,
     ops = assembly.assemble_1d(mesh, eps, b, f, u_left, u_right)
     ref = _reference_operators_1d(mesh, eps, b, f, u_left, u_right)
     for name in ("A", "S", "E"):
-        _assert_same_csr(getattr(ops, name).csr, getattr(ref, name).csr)
+        _assert_same_csr(getattr(ops, name), getattr(ref, name))
     _assert_kkt_matches_reference(ops, [J - 2])
 
 
@@ -402,5 +391,5 @@ def test_kkt_path_equals_reference_bitwise_2d(N, perturbed, seed, eps, base):
     assemble = {"galerkin": assembly.assemble_galerkin,
                 "supg": assembly.assemble_supg}[base]
     ops = assemble(mesh, spec, decomposition=dec)
-    _assert_kkt_matches_reference(
-        ops, [ops.free_index[v] for v in ops.n_delta])
+    position = {int(v): i for i, v in enumerate(ops.free_nodes)}
+    _assert_kkt_matches_reference(ops, [position[v] for v in ops.n_delta])
