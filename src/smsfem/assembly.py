@@ -184,7 +184,8 @@ def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
 
 @dataclass
 class DiscreteOperators:
-    """Assembled operators restricted to free (non-Dirichlet) nodes."""
+    """Assembled operators restricted to free (non-Dirichlet) nodes, in
+    2D (`assemble`) and 1D (`assemble_1d`)."""
 
     A: sp.csr_matrix
     load: np.ndarray
@@ -194,7 +195,6 @@ class DiscreteOperators:
     residual_load: Optional[np.ndarray] = None
     E: Optional[sp.csr_matrix] = None
     n_delta: list = field(default_factory=list)
-    S_full: Optional[sp.csr_matrix] = None
 
 
 def dirichlet_lift(mesh, spec, with_constraints=True):
@@ -242,6 +242,18 @@ def _coo(elements, blocks, n):
     """n x n matrix of the (K, 3, 3) element blocks, entries element-major."""
     return sparse.compress(np.repeat(elements, 3, axis=1),
                            np.tile(elements, (1, 3)), blocks, n, n)
+
+
+def constraint_selector(free, n_delta):
+    """E: column j selects the free node n_delta[j] (distinct nodes, any
+    order); the sorted CSR matrix `sparse.compress` would build."""
+    rows = np.searchsorted(free, np.asarray(n_delta, dtype=np.int64))
+    # scipy's own index type for this size, so it converts nothing
+    idx = np.int32 if free.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(free.size + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=free.size), out=indptr[1:])
+    return sp.csr_matrix((np.ones(rows.size), np.argsort(rows).astype(idx),
+                          indptr), shape=(free.size, rows.size))
 
 
 def _scatter(nodes, values, n):
@@ -305,15 +317,13 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
         S_full = _coo(tri[hat], w[hat, None, None] * _qsum(lh, lh), n)
         resload = _scatter(tri[hat], w[hat, None]
                            * (rule.f[hat][:, :, None] * lh).sum(axis=1), n)
-        ops.S_full = S_full
         ops.S = S_full[free][:, free]
         ops.residual_load = resload[free] - S_full[free] @ u_d
         nd = list(decomposition.n_delta)
         for v in nd:
             if not is_free[v]:
                 raise ValueError("constraint node %d is Dirichlet" % v)
-        ops.E = sparse.compress(np.searchsorted(free, nd), range(len(nd)),
-                                np.ones(len(nd)), free.size, len(nd))
+        ops.E = constraint_selector(free, nd)
         ops.n_delta = nd
     return ops
 
@@ -381,16 +391,6 @@ def hat_moments_1d(f, mesh1d):
     return _hat_moments(*mesh_gauss5(f, mesh1d))
 
 
-@dataclass
-class Operators1D:
-    A: sp.csr_matrix              # over interior nodes 1..J-1
-    load: np.ndarray
-    S: sp.csr_matrix              # residual Gram over (0, x_{J-1})
-    residual_load: np.ndarray
-    E: sp.csr_matrix              # single constraint at x_{J-1}
-    lifting: np.ndarray           # full nodal values (Dirichlet ends)
-
-
 def _tridiagonal(lower, diag, upper):
     """Sorted CSR matrix of the bands (i + 1, i) = lower[i],
     (i, i) = diag[i] (none if diag is None) and (i, i + 1) = upper[i]."""
@@ -451,9 +451,9 @@ def assemble_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
         h1 = h[0]
         s0 = -b / h1  # slope of phi_0 on cell 1
         resload[0] -= (b / h1) * s0 * u_left * h1
-    E = sp.csr_matrix(([1.0], [0], np.arange(nfree + 1) // nfree),
-                      shape=(nfree, 1))
     lifting = np.zeros(J + 1)
     lifting[0] = u_left
     lifting[J] = u_right
-    return Operators1D(A, load, S, resload, E, lifting)
+    free, n_delta = np.arange(1, J), [J - 1]
+    return DiscreteOperators(A, load, lifting, free, S, resload,
+                             constraint_selector(free, n_delta), n_delta)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import experiments, metrics, problems
-from .experiments import ConfigError, parse_config
+from .experiments import ConfigError, _option, parse_config
 from .layers import DegenerateCrossingError
 from .meshes import (ArgumentError, GenerationError, MeshFileError,
                      perturb_structured, read_mesh, red_refine,
@@ -32,36 +32,6 @@ _SOLVER_ERRORS = (SolveError, RankDeficiencyError, RemediationError,
 _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def _scalar(raw, key, default=None):
-    """Config values parse as lists (repeated keys accumulate); commands
-    outside `experiment` take single values."""
-    v = raw.get(key, default)
-    if isinstance(v, list):
-        if not v:
-            return default
-        if len(v) > 1:
-            raise ConfigError("%s given %d times, expected once"
-                              % (key, len(v)))
-        return v[0]
-    return v
-
-
-def _as_float(raw, key, default):
-    v = _scalar(raw, key, default)
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be a number, got %r" % (key, v))
-
-
-def _as_int(raw, key, default):
-    v = _scalar(raw, key, default)
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        raise ConfigError("%s must be an integer, got %r" % (key, v))
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -75,12 +45,12 @@ def _mesh_from_config(raw, seed):
     domain, fixture name or path, optional perturb amplitude and refine
     list ('all' or element ids).
     """
-    kind = _scalar(raw, "kind", "structured")
+    kind = _option(raw, "kind", "structured")
     if kind == "structured":
-        nx = _as_int(raw, "nx", _as_int(raw, "n", 8))
-        ny = _as_int(raw, "ny", nx)
-        diagonal = _scalar(raw, "diagonal", "SW-NE")
-        dom = _scalar(raw, "domain")
+        nx = _option(raw, "nx", _option(raw, "n", 8, int), int)
+        ny = _option(raw, "ny", nx, int)
+        diagonal = _option(raw, "diagonal", "SW-NE")
+        dom = _option(raw, "domain")
         if dom is not None:
             try:
                 parts = [float(t) for t in str(dom).replace(",", " ").split()]
@@ -95,7 +65,7 @@ def _mesh_from_config(raw, seed):
         mesh = structured_triangulation(nx, ny, diagonal=diagonal,
                                         domain=domain)
     elif kind == "fixture":
-        name = _scalar(raw, "fixture")
+        name = _option(raw, "fixture")
         if not name:
             raise ConfigError("kind=fixture requires a fixture name")
         path = os.path.join(_FIXTURES, "%s.mesh" % name)
@@ -103,16 +73,16 @@ def _mesh_from_config(raw, seed):
             raise ConfigError("unknown fixture %r" % name)
         mesh = read_mesh(path)
     elif kind == "file":
-        path = _scalar(raw, "path")
+        path = _option(raw, "path")
         if not path:
             raise ConfigError("kind=file requires path")
         mesh = read_mesh(path)
     else:
         raise ConfigError("unknown mesh kind %r" % kind)
-    amp = _as_float(raw, "perturb", 0.0)
+    amp = _option(raw, "perturb", 0.0, float)
     if amp:
         mesh = perturb_structured(mesh, amp, seed)
-    refine = _scalar(raw, "refine")
+    refine = _option(raw, "refine")
     if refine is not None:
         if refine == "all":
             targets = range(mesh.n_elements)
@@ -141,8 +111,8 @@ def _describe(mesh):
 
 def _wind_from_config(raw, spec=None):
     if "bx" in raw or "by" in raw:
-        return np.array([_as_float(raw, "bx", 0.0),
-                         _as_float(raw, "by", 0.0)])
+        return np.array([_option(raw, "bx", 0.0, float),
+                         _option(raw, "by", 0.0, float)])
     if spec is not None:
         return spec.b
     raise ConfigError("wind required: set bx/by or problem")
@@ -150,25 +120,25 @@ def _wind_from_config(raw, spec=None):
 
 def _problem_setup(raw, seed):
     """Mesh, spec and decomposition for a single named-problem solve."""
-    name = _scalar(raw, "problem")
+    name = _option(raw, "problem")
     if not name:
         raise ConfigError("solve requires problem=<id>")
     prob = problems.catalog(name)
     if prob.dimension != 2:
         raise ConfigError("problem %r is one-dimensional; use the library "
                           "solvers directly" % name)
-    eps = _as_float(raw, "eps", prob.default_eps)
-    N = _as_int(raw, "N", 16)
+    eps = _option(raw, "eps", prob.default_eps, float)
+    N = _option(raw, "N", 16, int)
     if name in ("ex5", "ex6", "ex7"):
         case = experiments.Case((), eps, N=N,
-                                theta=_as_float(raw, "theta", 0.0))
+                                theta=_option(raw, "theta", 0.0, float))
         return experiments.STUDIES[name].setup(raw, case)
     spec = prob.build(eps)
     if "kind" in raw or "fixture" in raw or "path" in raw:
         mesh = _mesh_from_config(raw, seed)
     else:
         mesh = structured_triangulation(N, N)
-        amp = _as_float(raw, "perturb", 0.0)
+        amp = _option(raw, "perturb", 0.0, float)
         if amp:
             mesh = perturb_structured(mesh, amp, seed)
     dec = experiments._decomposition(mesh, spec.b)
@@ -179,7 +149,7 @@ def _cmd_mesh(args):
     raw = _load_config(args.config)
     mesh = _mesh_from_config(raw, args.seed)
     print(_describe(mesh))
-    name = _scalar(raw, "write")
+    name = _option(raw, "write")
     if name or args.out != ".":
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name or "mesh.mesh")
@@ -190,14 +160,14 @@ def _cmd_mesh(args):
 
 def _cmd_solve(args):
     raw = _load_config(args.config)
-    method = _scalar(raw, "method", "sms-supg")
+    method = _option(raw, "method", "sms-supg")
     if method not in experiments._SOLVE_METHODS:
         raise ConfigError("unknown method %r (known: %s)"
                           % (method, ", ".join(experiments._SOLVE_METHODS)))
     # as ExperimentConfig takes eps, except that the Galerkin methods
     # also solve the reduced problem eps = 0
-    if _scalar(raw, "eps") is not None:
-        eps = _as_float(raw, "eps", None)
+    eps = _option(raw, "eps", None, float)
+    if eps is not None:
         reduced = eps == 0 and "supg" not in method
         if not (math.isfinite(eps) and (eps > 0 or reduced)):
             raise ConfigError("eps must be finite and positive (or 0 with "
@@ -209,7 +179,7 @@ def _cmd_solve(args):
     print("nodal range: [%.6e, %.6e]" % (u.min(), u.max()))
     print("overshoot: %.6e  undershoot: %.6e" % (over, under))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "%s_%s.csv" % (_scalar(raw, "problem"), method))
+    path = os.path.join(args.out, "%s_%s.csv" % (_option(raw, "problem"), method))
     write_node_values_csv(mesh, u, path)
     print("wrote %s" % path)
     return 0
@@ -217,7 +187,7 @@ def _cmd_solve(args):
 
 def _cmd_diagnose(args):
     raw = _load_config(args.config)
-    if _scalar(raw, "problem"):
+    if _option(raw, "problem"):
         mesh, spec, dec = _problem_setup(raw, args.seed)
         b = spec.b
     else:

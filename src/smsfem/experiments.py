@@ -112,10 +112,18 @@ def _cast(key, value, kind):
         raise ConfigError("bad value for %s: %r" % (key, value))
 
 
-def _option(options, key, default, kind=str):
-    """One value of `key` from ExperimentConfig.options or a parse_config
-    mapping (whose values are lists)."""
-    v = options.get(key, default)
+# the config keys ExperimentConfig takes; all others are study options
+_CONFIG_KEYS = ("experiment", "seed", "scale", "out", "method", "N", "eps",
+                "grids")
+
+
+def _option(options, key, default=None, kind=str):
+    """One value of `key`, cast to kind, from ExperimentConfig.options or
+    a parse_config mapping (whose values are lists); the default, as it
+    is, if the key is missing."""
+    if key not in options:
+        return default
+    v = options[key]
     if isinstance(v, list):
         if len(v) != 1:
             raise ConfigError("%s given %d times, expected once"
@@ -127,27 +135,13 @@ def _option(options, key, default, kind=str):
 def config_from_mapping(raw, experiment=None, out=None, seed=None, scale=None):
     """Build an ExperimentConfig from a parse_config mapping, with CLI
     overrides taking precedence over file entries."""
-    raw = {k: list(v) for k, v in raw.items()}
-
-    def take_scalar(key, kind, default=None):
-        vals = raw.pop(key, None)
-        if vals is None:
-            return default
-        if len(vals) != 1:
-            raise ConfigError("key %s given %d times, expected once"
-                              % (key, len(vals)))
-        return _cast(key, vals[0], kind)
-
     def take_list(key, kind):
-        vals = raw.pop(key, None)
-        if vals is None:
-            return None
-        return [_cast(key, v, kind) for v in vals]
+        return [_cast(key, v, kind) for v in raw[key]] if key in raw else None
 
-    file_exp = take_scalar("experiment", str)
-    file_seed = take_scalar("seed", int, 0)
-    file_scale = take_scalar("scale", str, "desk")
-    file_out = take_scalar("out", str, ".")
+    file_exp = _option(raw, "experiment")
+    file_seed = _option(raw, "seed", 0, int)
+    file_scale = _option(raw, "scale", "desk")
+    file_out = _option(raw, "out", ".")
     exp = experiment or file_exp
     if exp is None:
         raise ConfigError("no experiment id given")
@@ -157,10 +151,11 @@ def config_from_mapping(raw, experiment=None, out=None, seed=None, scale=None):
         N=take_list("N", int),
         eps=take_list("eps", float),
         seed=seed if seed is not None else file_seed,
-        grids=take_scalar("grids", int),
+        grids=_option(raw, "grids", None, int),
         scale=scale or file_scale,
         out=out or file_out,
-        options={k: (v[0] if len(v) == 1 else v) for k, v in raw.items()},
+        options={k: (v[0] if len(v) == 1 else list(v))
+                 for k, v in raw.items() if k not in _CONFIG_KEYS},
     )
     return cfg
 

@@ -95,9 +95,7 @@ def shishkin_mesh_1d(spec=None, N=None, eps=None, beta=1.0, sigma=None):
         raise ArgumentError("N must be at least 2 (log N degenerate for N=1)")
     if not 0.0 < sigma <= 0.5:
         raise ArgumentError("sigma must lie in (0, 1/2]")
-    coarse = np.arange(N + 1) * (1.0 - sigma) / N
-    fine = (1.0 - sigma) + np.arange(1, N + 1) * sigma / N
-    return Mesh1D(np.concatenate([coarse, fine]))
+    return Mesh1D(shishkin_lines(N, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ experiments: manufactured boundary layers, the parabolic-layer square,
 interior-layer data, the Hemker problem and the double-glazing vortex."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,7 @@ class NamedProblem:
     name: str
     builder: object                 # (eps, **options) -> ProblemSpec
     dimension: int = 2
-    domain: str = "unit-square"
-    exact: object = None            # (eps) -> u(point) callable
-    exact_gradient: object = None   # (eps) -> grad u(point) callable
     default_eps: float = 1e-8
-    notes: dict = field(default_factory=dict)
 
     def build(self, eps=None, **options):
         return self.builder(self.default_eps if eps is None else eps,
@@ -176,21 +172,13 @@ def ex7_spec(eps):
 # ---------------------------------------------------------------------------
 
 _CATALOG = {
-    "fig1": NamedProblem("fig1", lambda eps: fig1_problem(eps),
-                         dimension=1, domain="interval"),
-    "ex1": NamedProblem("ex1", ex1_spec, exact=ex1_exact,
-                        exact_gradient=ex1_exact_gradient,
-                        default_eps=1e-4),
-    "ex3": NamedProblem("ex3", ex3_spec, domain="trochoid",
-                        default_eps=1e-4),
+    "fig1": NamedProblem("fig1", lambda eps: fig1_problem(eps), dimension=1),
+    "ex1": NamedProblem("ex1", ex1_spec, default_eps=1e-4),
+    "ex3": NamedProblem("ex3", ex3_spec, default_eps=1e-4),
     "ex4": NamedProblem("ex4", ex4_spec),
-    "ex5": NamedProblem("ex5", ex5_spec,
-                        notes={"layer_origin": EX5_ORIGIN,
-                               "layer_value": EX5_LAYER_VALUE}),
-    "ex6": NamedProblem("ex6", ex6_spec, domain="hemker",
-                        notes={"layer_value": EX5_LAYER_VALUE}),
-    "ex7": NamedProblem("ex7", ex7_spec, domain="glazing",
-                        default_eps=1e-4),
+    "ex5": NamedProblem("ex5", ex5_spec),
+    "ex6": NamedProblem("ex6", ex6_spec),
+    "ex7": NamedProblem("ex7", ex7_spec, default_eps=1e-4),
 }
 
 

@@ -28,23 +28,29 @@ class SmsSolution:
     size: int
 
 
+def _lift(ops, x, fixed):
+    """Nodal values: x on the free nodes of ops, fixed (the Dirichlet
+    lifting, or zeros for a multiplier) on the others."""
+    out = fixed.copy()
+    out[ops.free_nodes] = x
+    return out
+
+
+def _solve_direct(ops):
+    """Solve A u = load on the free nodes; returns full nodal values."""
+    x, _ = sparse.solve_symmetric_indefinite(ops.A, ops.load)
+    return _lift(ops, x, ops.lifting)
+
+
 def solve_galerkin(mesh, spec, with_constraints=False):
     """Plain Galerkin solve; returns full nodal values."""
-    ops = assembly.assemble_galerkin(mesh, spec,
-                                     with_constraints=with_constraints)
-    x, _ = sparse.solve_symmetric_indefinite(ops.A, ops.load)
-    u = ops.lifting.copy()
-    u[ops.free_nodes] = x
-    return u
+    return _solve_direct(assembly.assemble_galerkin(
+        mesh, spec, with_constraints=with_constraints))
 
 
 def solve_supg(mesh, spec, parameters=None, with_constraints=False):
-    ops = assembly.assemble_supg(mesh, spec, parameters,
-                                 with_constraints=with_constraints)
-    x, _ = sparse.solve_symmetric_indefinite(ops.A, ops.load)
-    u = ops.lifting.copy()
-    u[ops.free_nodes] = x
-    return u
+    return _solve_direct(assembly.assemble_supg(
+        mesh, spec, parameters, with_constraints=with_constraints))
 
 
 def default_decomposition(mesh, spec):
@@ -71,25 +77,18 @@ def solve_sms(mesh, spec, decomposition=None, base="galerkin",
     else:
         raise ValueError("base must be 'galerkin' or 'supg'")
     try:
-        uf, t, z_free, residual, size = _solve_kkt(ops, "SMS")
+        return _solve_kkt(ops, "SMS", "sms-" + base)
     except sparse.RankDeficiencyError as exc:
         raise sparse.RankDeficiencyError(
             "SMS system singular; run diagnose/remediate on the mesh "
             "decomposition (%s)" % exc) from exc
-    u = ops.lifting.copy()
-    u[ops.free_nodes] = uf
-    z = np.zeros(mesh.n_nodes)
-    z[ops.free_nodes] = z_free
-    return SmsSolution(u=u, z=z, t=t, n_delta=list(ops.n_delta),
-                       method="sms-" + base, residual=residual, size=size)
 
 
-def _solve_kkt(ops, what):
-    """Solve the SMS optimality system of ops (1D or 2D) and check it.
+def _solve_kkt(ops, what, method):
+    """Solve the SMS optimality system of ops (1D or 2D) and check it;
+    what names the system in error messages.
 
-    The multiplier must vanish on N_delta, the rows E selects.  Returns
-    (u on free nodes, t, z on free nodes, relative KKT residual, system
-    size).
+    The multiplier must vanish on N_delta.  Returns the SmsSolution.
     """
     system = sparse.SaddleSystem(ops.S, ops.A, ops.E,
                                  ops.residual_load, ops.load)
@@ -111,17 +110,19 @@ def _solve_kkt(ops, what):
     n, m = system.n, system.m
     uf = x[:n]
     t = x[n:n + m]
-    z = -x[n + m:]  # un-negate the symmetrizing substitution
+    # un-negate the symmetrizing substitution
+    z = _lift(ops, -x[n + m:], np.zeros_like(ops.lifting))
     # re-verify the constraint equation and the multiplier conditions
     cons = ops.A @ uf + ops.E @ t - ops.load
     rel = sparse.norm(cons) / max(sparse.norm(ops.load), 1.0)
     if rel > 1e-8:
         raise SolveError("%s constraint equation residual %.3e" % (what, rel))
     zmax = np.abs(z).max(initial=0.0)
-    n_delta = ops.E.tocsc().indices   # E's one row in each column
-    if zmax > 0 and np.abs(z[n_delta]).max(initial=0.0) > 1e-10 * zmax:
+    if zmax > 0 and np.abs(z[ops.n_delta]).max(initial=0.0) > 1e-10 * zmax:
         raise SolveError("%s multiplier does not vanish on N_delta" % what)
-    return uf, t, z, residual, M.shape[0]
+    return SmsSolution(u=_lift(ops, uf, ops.lifting), z=z, t=t,
+                       n_delta=list(ops.n_delta), method=method,
+                       residual=residual, size=M.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +130,15 @@ def _solve_kkt(ops, what):
 
 
 def solve_galerkin_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
-    ops = assembly.assemble_1d(mesh1d, eps, b, f, u_left, u_right)
-    x, _ = sparse.solve_symmetric_indefinite(ops.A, ops.load)
-    u = ops.lifting.copy()
-    u[1:mesh1d.J] = x
-    return u
+    return _solve_direct(assembly.assemble_1d(mesh1d, eps, b, f, u_left,
+                                              u_right))
 
 
 def solve_sms_1d(mesh1d, eps, b, f, u_left=0.0, u_right=0.0):
     """1D SMS: single relaxation scalar alpha at x_{J-1}, residual
     minimized over (0, x_{J-1})."""
-    ops = assembly.assemble_1d(mesh1d, eps, b, f, u_left, u_right)
-    uf, t, z, residual, size = _solve_kkt(ops, "1D SMS")
-    u = ops.lifting.copy()
-    u[1:mesh1d.J] = uf
-    return SmsSolution(u=u, z=np.concatenate([[0.0], z, [0.0]]),
-                       t=t, n_delta=[mesh1d.J - 1],
-                       method="sms-1d", residual=residual, size=size)
+    return _solve_kkt(assembly.assemble_1d(mesh1d, eps, b, f, u_left,
+                                           u_right), "1D SMS", "sms-1d")
 
 
 def solve_shishkin_oracle_1d(N, eps, b, f, sigma):
@@ -157,10 +150,7 @@ def solve_shishkin_oracle_1d(N, eps, b, f, sigma):
     from .meshes import shishkin_mesh_1d
 
     mesh = shishkin_mesh_1d(N=N, sigma=sigma)
-    ops = assembly.assemble_1d(mesh, eps, b, f)
-    x, _ = sparse.solve_symmetric_indefinite(ops.A, ops.load)
-    u = ops.lifting.copy()
-    u[1:mesh.J] = x
+    u = _solve_direct(assembly.assemble_1d(mesh, eps, b, f))
     h_N = mesh.widths[N - 1]  # last coarse cell
     alpha_star = u[N] * (-eps / h_N - b / 2.0)
     return u, u[:N + 1].copy(), float(alpha_star), mesh

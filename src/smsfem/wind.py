@@ -168,6 +168,13 @@ class OmegaPlusDecomposition:
         return set(self.omega_plus)
 
 
+def _pinned_nodes(mesh):
+    """Mask of the nodes whose value is data: Dirichlet (constraint edges
+    included) or prescribed by node_values."""
+    return _mask(mesh.n_nodes,
+                 mesh.dirichlet_node_set() | set(mesh.node_values))
+
+
 def _interior_nodes_of(mesh, element_set):
     """Free nodes whose incident elements all lie in element_set.
 
@@ -177,8 +184,7 @@ def _interior_nodes_of(mesh, element_set):
     residual row and a relaxed Galerkin row, so without an Omega_hat
     anchor nothing determines them.
     """
-    excluded = _mask(mesh.n_nodes, mesh.dirichlet_node_set()
-                     | mesh.constraint_node_set() | set(mesh.node_values))
+    excluded = _pinned_nodes(mesh)
     # a node of an element outside the set is not interior to it
     excluded[mesh.elements[~_mask(mesh.n_elements, element_set)]] = True
     return np.flatnonzero((np.diff(mesh.topology.node_ptr) > 0)
@@ -441,8 +447,7 @@ def diagnose(decomposition, mesh, b):
     # a component carrying any prescribed data (Dirichlet or embedded
     # values) is pinned through it along characteristics; only fully
     # data-free components admit a convective kernel
-    pinned = _mask(mesh.n_nodes, mesh.dirichlet_node_set()
-                   | mesh.constraint_node_set() | set(mesh.node_values))
+    pinned = _pinned_nodes(mesh)
     touches = pinned[mesh.elements].any(axis=1)
     isolated = [comp for comp in components if not touches[comp].any()]
 

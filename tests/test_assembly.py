@@ -29,11 +29,11 @@ def test_residual_gram_one_triangle_hand_value():
     spec = ProblemSpec(eps=0.0, b=np.array([1.0, 0.0]), f=0.0)
     dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=[0], n_delta=[],
                                  b_h=[])
-    ops = assemble_galerkin(m, spec, dec)
+    _ops, _A_full, S_full = _array_assembly(m, spec, dec)
     # s_ij = area * (dx phi_i)(dx phi_j), gradients (-1, 1, 0), area 1/2
     gx = np.array([-1.0, 1.0, 0.0])
     expected = 0.5 * np.outer(gx, gx)
-    assert np.allclose(ops.S_full.toarray(), expected, atol=1e-14)
+    assert np.allclose(S_full.toarray(), expected, atol=1e-14)
 
 
 def test_galerkin_convection_identity_1d():
@@ -84,8 +84,7 @@ def test_residual_gram_positive_semidefinite(seed):
     spec = ProblemSpec(eps=0.0, b=b, f=0.0, c=float(rng.uniform(0, 1)))
     dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=list(
         range(m.n_elements)), n_delta=[], b_h=[])
-    ops = assemble_galerkin(m, spec, dec)
-    s = ops.S_full.toarray()
+    s = _array_assembly(m, spec, dec)[2].toarray()
     assert np.allclose(s, s.T, atol=1e-13)
     x = rng.normal(size=s.shape[0])
     norm = max(np.abs(s).max(), 1e-300)
@@ -408,8 +407,8 @@ def _assert_same_csr(got, want, what):
                            "%s.%s" % (what, part))
 
 
-def _array_assembly(mesh, spec, dec, supg):
-    """assemble() and the full (pre-restriction) A it built."""
+def _array_assembly(mesh, spec, dec, supg=None):
+    """assemble() and the full (pre-restriction) A and S it built."""
     built = []
     coo = assembly._coo
 
@@ -420,16 +419,16 @@ def _array_assembly(mesh, spec, dec, supg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_coo", keep)
         ops = assembly.assemble(mesh, spec, dec, supg=supg)
-    return ops, built[0]
+    return ops, built[0], built[1]
 
 
 def _check_against_loops(mesh, spec, dec, supg=None):
-    ops, A_full = _array_assembly(mesh, spec, dec, supg)
+    ops, A_full, S_full = _array_assembly(mesh, spec, dec, supg)
     A_ref, S_ref, load_ref, resload_ref = _assemble_reference(mesh, spec, dec,
                                                               supg)
     free, u_d = ops.free_nodes, ops.lifting
     _assert_same_csr(A_full, A_ref, "A_full")
-    _assert_same_csr(ops.S_full, S_ref, "S_full")
+    _assert_same_csr(S_full, S_ref, "S_full")
     _assert_same_bytes(ops.load, load_ref[free] - A_ref[free] @ u_d,
                        "load")
     _assert_same_bytes(ops.residual_load,

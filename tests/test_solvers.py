@@ -161,9 +161,9 @@ def test_kkt_symmetry_check_sees_asymmetric_s(dim, factor, raises):
     ops.S = S.tocsr()
     if raises:
         with pytest.raises(solvers.SolveError, match="lost symmetry"):
-            solvers._solve_kkt(ops, "SMS")
+            solvers._solve_kkt(ops, "SMS", "sms")
     else:
-        assert solvers._solve_kkt(ops, "SMS")[3] <= 1e-8
+        assert solvers._solve_kkt(ops, "SMS", "sms").residual <= 1e-8
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -186,7 +186,7 @@ def test_kkt_solve_of_slightly_asymmetric_s_factors_the_real_csc(dim):
     real_splu = sparse.spla.splu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse.spla, "splu", splu)
-        assert solvers._solve_kkt(ops, "SMS")[3] <= 1e-8
+        assert solvers._solve_kkt(ops, "SMS", "sms").residual <= 1e-8
     want = M.tocsc()
     assert len(handed) == 1 and handed[0].format == "csc"
     assert handed[0].data.tobytes() != M.T.data.tobytes()

@@ -329,12 +329,12 @@ def _assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
 
-def _assert_kkt_matches_reference(ops, n_delta_free):
+def _assert_kkt_matches_reference(ops, n_delta):
     """_solve_kkt hands SuperLU the reference CSC arrays and returns the
     reference bytes, or fails where the reference fails: a failed factor
     as RankDeficiencyError, a failed check with the same SolveError.
-    n_delta_free (the free-node positions of N_delta) is the reference's;
-    _solve_kkt reads N_delta from E."""
+    n_delta (the N_delta nodes) is the reference's, which finds their
+    free-node positions itself; _solve_kkt reads N_delta from ops."""
     handed = []
 
     def splu(A, *args, **kwargs):
@@ -342,10 +342,13 @@ def _assert_kkt_matches_reference(ops, n_delta_free):
         return real_splu(A, *args, **kwargs)
 
     real_splu = sparse.spla.splu
-    want = _outcome(lambda: _reference_kkt(ops, n_delta_free))
+    free = ops.free_nodes
+    position = {int(v): i for i, v in enumerate(free)}
+    want = _outcome(lambda: _reference_kkt(
+        ops, [position[int(v)] for v in n_delta]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse.spla, "splu", splu)
-        got = _outcome(lambda: solvers._solve_kkt(ops, "SMS"))
+        got = _outcome(lambda: solvers._solve_kkt(ops, "SMS", "sms"))
     assert len(handed) == 1 and handed[0].format == "csc"
     _assert_same_csr(handed[0], _bmat_reference(ops).tocsc())
     if isinstance(want, solvers.SolveError):
@@ -355,9 +358,14 @@ def _assert_kkt_matches_reference(ops, n_delta_free):
         assert isinstance(got, sparse.RankDeficiencyError)
     else:
         assert not isinstance(got, Exception), got
-        for a, b in zip(got[:3], want[1:4]):
+        csc, u, t, z, residual = want
+        z_nodes = np.zeros(ops.lifting.size)
+        z_nodes[free] = z
+        for a, b in ((got.u[free], u), (got.t, t), (got.z[free], z),
+                     (got.z, z_nodes)):
             assert a.tobytes() == b.tobytes()
-        assert got[3] == want[4] and got[4] == want[0].shape[0]
+        assert got.residual == residual and got.size == csc.shape[0]
+        assert got.n_delta == list(n_delta) and got.method == "sms"
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,7 +382,7 @@ def test_kkt_path_equals_reference_bitwise_1d(J, eps, b, seed, u_left,
     ref = _reference_operators_1d(mesh, eps, b, f, u_left, u_right)
     for name in ("A", "S", "E"):
         _assert_same_csr(getattr(ops, name), getattr(ref, name))
-    _assert_kkt_matches_reference(ops, [J - 2])
+    _assert_kkt_matches_reference(ops, [J - 1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -391,5 +399,4 @@ def test_kkt_path_equals_reference_bitwise_2d(N, perturbed, seed, eps, base):
     assemble = {"galerkin": assembly.assemble_galerkin,
                 "supg": assembly.assemble_supg}[base]
     ops = assemble(mesh, spec, decomposition=dec)
-    position = {int(v): i for i, v in enumerate(ops.free_nodes)}
-    _assert_kkt_matches_reference(ops, [position[v] for v in ops.n_delta])
+    _assert_kkt_matches_reference(ops, dec.n_delta)
