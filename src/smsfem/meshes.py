@@ -109,7 +109,8 @@ class Topology:
     `pairs`, `counts` (its elements), `first` (its first side; sorting
     by it gives the order of first appearance) and its elements
     edge_elements[edge_ptr[e]:edge_ptr[e + 1]] in increasing order;
-    node_ptr and node_elements group the elements of each node alike.
+    node_ptr and node_elements group the elements of each node alike,
+    built on first use.
     """
 
     def __init__(self, elements, n_nodes):
@@ -124,8 +125,16 @@ class Topology:
         self.edge_ptr = np.r_[start, len(code)]
         self.counts = np.diff(self.edge_ptr)
         self.edge_elements = perm // 3
-        self.node_ptr = np.r_[0, np.cumsum(np.bincount(a, minlength=n_nodes))]
-        self.node_elements = np.argsort(a, kind="stable") // 3
+        self._corners, self._n_nodes = a, n_nodes
+
+    @cached_property
+    def node_ptr(self):
+        return np.r_[0, np.cumsum(np.bincount(self._corners,
+                                              minlength=self._n_nodes))]
+
+    @cached_property
+    def node_elements(self):
+        return np.argsort(self._corners, kind="stable") // 3
 
     def find(self, pairs):
         """Edge index of each node pair (either order), -1 where none."""
@@ -156,8 +165,7 @@ class Triangulation:
     node_values : dict node -> value
         Dirichlet value overrides (data discontinuities, layer values).
 
-    Adjacency is built on first use as the arrays of `topology`, which
-    `node_to_elements()` turns into a list.
+    Adjacency is built on first use as the arrays of `topology`.
     """
 
     def __init__(self, nodes, elements, boundary_edges, constraint_edges=None,
@@ -195,13 +203,6 @@ class Triangulation:
     @cached_property
     def topology(self):
         return Topology(self.elements, self.n_nodes)
-
-    def node_to_elements(self):
-        """Per node, the incident element indices in increasing order;
-        built on each call."""
-        t = self.topology
-        elems, ptr = t.node_elements.tolist(), t.node_ptr.tolist()
-        return [elems[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def boundary_node_set(self):
         out = set()

@@ -50,9 +50,7 @@ def test_embed_two_edge_crossing():
     assert em.n_elements == 5
     assert abs(em.areas().sum() - 2.0) <= 1e-12
     assert len(on_path) == 2
-    for v in on_path:
-        q, d = path.closest_point(em.nodes[v])
-        assert d <= 1e-12
+    assert path.nearest(em.nodes[on_path])[1].max() <= 1e-12
     # the on-path edge became a valued constraint edge
     keys = {frozenset((i, j)): val for i, j, val in em.constraint_edges}
     assert keys[frozenset(on_path)] == 0.7
@@ -212,3 +210,17 @@ def test_segment_clip_matches_one_segment_clip(n, amplitude, seed, kinds):
             if pieces:
                 assert chords[k].tobytes() == np.array(
                     [pieces[0][0], pieces[-1][1]]).tobytes()
+
+
+def test_a_one_vertex_path_crosses_nothing():
+    m = structured_triangulation(3, 3)
+    path = LayerCharacteristic(np.array([[0.5, 0.4]]), np.array([0.7]),
+                               np.array([0.5, 0.4]))
+    snapped, moved, skipped = snap_nodes(m, path)
+    assert (moved, skipped) == ([], [])
+    assert np.array_equal(snapped.nodes, m.nodes)
+    em, on_path = embed_characteristic(m, path)
+    assert on_path == [] and em.n_elements == m.n_elements
+    q, d, value = path.nearest([(0.5, 0.0)])
+    assert q.tolist() == [[0.5, 0.4]]
+    assert (d.tolist(), value.tolist()) == ([0.4], [0.7])

@@ -4,6 +4,9 @@ sha256 of the `write_mesh` bytes and of every `DiagnosticsReport.to_text()`
 along the repair sequence of `experiments._safe_decomposition`, for the
 embedded-layer meshes of the benchmark (ex5 seeds 1 and 3 at '2hmin2',
 the channel at theta index 9) and for one mild random grid.  The
+snapped and embedded meshes alone (no repair) are pinned for every
+channel angle and for ex5 seeds 0-7 under both ex5 snap rules; their
+keys name the rule, e.g. 'ex5 hmin2/10/3' and 'ex6 hmin2/10/0'.  The
 benchmark pins ex6/9's roundoff answer to 1e-6, so a changed byte here
 is a bug, not roundoff.  Like experiment_digests.json the values are tied
 to the numpy build they were recorded with (numpy 2.4.6, x86-64).
@@ -25,6 +28,9 @@ from smsfem.meshes import write_mesh
 
 EPS = 1e-8
 CASES = ("ex5/1", "ex5/3", "ex6/9", "ex3/7")
+LAYERED = tuple(["ex6 hmin2/10/%d" % k for k in range(10)]
+                + ["ex5 %s/%d" % (rule, seed)
+                   for rule in ("2hmin2", "hmin2/10") for seed in range(8)])
 
 
 def _sha(data):
@@ -39,6 +45,19 @@ def _mesh_sha(mesh):
             return _sha(fh.read())
 
 
+def _theta(k):
+    return (k + 1) * (math.pi / 4.0) / 10
+
+
+def _layered(key):
+    """The snapped and embedded mesh of a LAYERED key."""
+    kind, param = key.rsplit("/", 1)
+    kind, rule = kind.split(" ")
+    if kind == "ex5":
+        return experiments.interior_layer_mesh(24, rule, seed=int(param))
+    return experiments.hemker_layered_mesh(_theta(int(param)), rule)
+
+
 def _case(key):
     kind, param = key.split("/")
     param = int(param)
@@ -46,7 +65,7 @@ def _case(key):
         b = problems.ex5_spec(EPS).b
         return experiments.interior_layer_mesh(24, "2hmin2", seed=param), b
     if kind == "ex6":
-        theta = (param + 1) * (math.pi / 4.0) / 10
+        theta = _theta(param)
         b = problems.ex6_spec(EPS, theta=theta).b
         return experiments.hemker_layered_mesh(theta, "hmin2/10"), b
     b = problems.ex3_spec(EPS).b
@@ -55,7 +74,9 @@ def _case(key):
 
 def digests(key):
     """{'mesh', 'repaired', 'reports'} of one case; a mesh with no wind
-    given is not repaired."""
+    given is not repaired, and a LAYERED key gives {'mesh'} alone."""
+    if key in LAYERED:
+        return {"mesh": _mesh_sha(_layered(key))}
     mesh, b = _case(key)
     out = {"mesh": _mesh_sha(mesh)}
     if b is None:
@@ -82,11 +103,20 @@ def test_benchmark_meshes_and_reports_are_unchanged():
     with open(os.path.join(os.path.dirname(__file__),
                            "mesh_digests.json")) as fh:
         pinned = json.load(fh)
-    assert sorted(pinned) == sorted(CASES)
+    assert sorted(pinned) == sorted(CASES + LAYERED)
     for key in CASES:
         assert digests(key) == pinned[key], key
 
 
+def test_layered_meshes_are_unchanged():
+    with open(os.path.join(os.path.dirname(__file__),
+                           "mesh_digests.json")) as fh:
+        pinned = json.load(fh)
+    for key in LAYERED:
+        assert digests(key) == pinned[key], key
+
+
 if __name__ == "__main__":
-    json.dump({key: digests(key) for key in CASES}, sys.stdout, indent=1)
+    json.dump({key: digests(key) for key in CASES + LAYERED}, sys.stdout,
+              indent=1)
     sys.stdout.write("\n")

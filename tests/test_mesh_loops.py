@@ -3,12 +3,16 @@ replaced.
 
 Below, verbatim, are the per-element implementations of `wind.diagnose`,
 `wind._refinement_targets` (with `first_upwind_hit`),
-`meshes.red_refine`, `meshes.perturb_structured` (with `_all_positive`)
-and `layers.embed_characteristic` as they were before the array passes.
-The deleted `Triangulation.edge_to_elements()` is kept as the function
-`edge_to_elements(mesh)`, which they call in its place.  The array
-versions must give the same reports (fields and `to_text()`), the same
-refinement targets, the same `write_mesh` bytes and the same errors.
+`meshes.red_refine`, `meshes.perturb_structured` (with `_all_positive`),
+`layers.embed_characteristic` and `layers.snap_nodes` (with the per-point
+`LayerCharacteristic.closest_point` and `value_at`) as they were before
+the array passes.  The deleted `Triangulation.edge_to_elements()` and
+`node_to_elements()` are kept as the functions `edge_to_elements(mesh)`
+and `node_to_elements(mesh)`, and the deleted methods `closest_point` and
+`value_at` as functions of the path, which they call in their place.
+The array versions must give the same reports (fields and `to_text()`),
+the same refinement targets, the same `write_mesh` bytes, the same moved
+and skipped nodes and the same errors.
 """
 
 import heapq
@@ -18,10 +22,10 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from smsfem import defects, layers, meshes, wind
+from smsfem import defects, experiments, layers, meshes, problems, wind
 from smsfem.layers import DegenerateCrossingError, _crossings
 from smsfem.meshes import (ArgumentError, GenerationError, Topology,
-                           Triangulation, _edge_key, _mask,
+                           Triangulation, _edge_key, _mask, _signed_areas,
                            structured_triangulation, write_mesh)
 from smsfem.wind import (PARALLEL_RTOL, DiagnosticsReport,
                          OmegaPlusDecomposition, build_omega_plus,
@@ -41,6 +45,14 @@ def edge_to_elements(mesh):
     i, j = t.pairs[order].T
     return {key: elems[ptr[e]:ptr[e + 1]]
             for key, e in zip(zip(i, j), order.tolist())}
+
+
+def node_to_elements(mesh):
+    """Per node, the incident element indices in increasing order;
+    built on each call."""
+    t = mesh.topology
+    elems, ptr = t.node_elements.tolist(), t.node_ptr.tolist()
+    return [elems[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def diagnose(decomposition, mesh, b):
@@ -75,7 +87,7 @@ def diagnose(decomposition, mesh, b):
     isolated = [comp for comp in components
                 if not set(mesh.elements[comp].ravel().tolist()) & pinned]
 
-    nmap = mesh.node_to_elements()
+    nmap = node_to_elements(mesh)
     is_downwind = upwind_hits(mesh, decomposition, hat, bf)[0]
 
     def opposite_edge_parallel(k, opp):
@@ -351,7 +363,7 @@ def embed_characteristic(mesh, path):
         tri, pts, h = mesh.elements[k], corner[k], hs[k]
         p_in, p_out = chords[k]
         mid = 0.5 * (p_in + p_out)
-        value = path.value_at(mid)
+        value = value_at(path, mid)
         # chord lying along an existing edge: record it and keep the element
         along = None
         for a in range(3):
@@ -524,6 +536,122 @@ def embed_characteristic(mesh, path):
     return out, sorted(on_path_nodes)
 
 
+def value_at(path, p):
+    """Value at the closest polyline point to p."""
+    p = np.asarray(p, dtype=float)
+    best_d, best_v = np.inf, path.values[0]
+    for k in range(len(path.points) - 1):
+        a, b = path.points[k], path.points[k + 1]
+        t = _project_t(p, a, b)
+        q = a + t * (b - a)
+        d = np.linalg.norm(p - q)
+        if d < best_d:
+            best_d = d
+            va, vb = path.values[k], path.values[k + 1]
+            best_v = va + t * (vb - va)
+    return float(best_v)
+
+
+def closest_point(path, p):
+    p = np.asarray(p, dtype=float)
+    best_d, best_q = np.inf, path.points[0]
+    for k in range(len(path.points) - 1):
+        a, b = path.points[k], path.points[k + 1]
+        t = _project_t(p, a, b)
+        q = a + t * (b - a)
+        d = np.linalg.norm(p - q)
+        if d < best_d:
+            best_d, best_q = d, q
+    return best_q, float(best_d)
+
+
+def _project_t(p, a, b):
+    e = b - a
+    L2 = float(e @ e)
+    if L2 == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, float((p - a) @ e) / L2))
+
+
+def _elements_crossed(mesh, path):
+    """Elements whose interior is crossed by the path polyline."""
+    h = np.sqrt(np.abs(mesh.areas())) + 1e-300
+    return np.flatnonzero(_crossings(mesh, path, h, 1e-12)[0]).tolist()
+
+
+def snap_nodes(mesh, path, threshold_rule="nearest"):
+    """Move mesh nodes onto the layer characteristic.
+
+    threshold_rule:
+      'nearest'      move the closest vertex of every crossed element;
+                     this pulls nodes off grid lines, which on regular
+                     grids widens an embedded layer to about two cells
+      'hmin2/10'     move vertices closer than (h_min(tau))^2 / 10
+      '2hmin2'       move vertices closer than 2 h_min(tau)^2
+      a float        fixed distance threshold
+    Snaps that would invert an element are skipped and reported.
+    Returns (mesh, moved node list, skipped node list).
+    """
+    nodes = mesh.nodes.copy()
+    nmap = node_to_elements(mesh)
+    bnodes = mesh.boundary_node_set()
+    badj = {}
+    for i, j, _t in mesh.boundary_edges:
+        badj.setdefault(i, []).append(j)
+        badj.setdefault(j, []).append(i)
+
+    def boundary_snap_ok(v, q):
+        # a boundary node may move only along its own boundary segments
+        for u in badj.get(v, ()):
+            a = nodes[v] - nodes[u]
+            c = (q[0] - nodes[u][0]) * a[1] - (q[1] - nodes[u][1]) * a[0]
+            if abs(c) > 1e-12 * (np.linalg.norm(a) ** 2 + 1.0):
+                return False
+        return True
+
+    moved, skipped = [], []
+    candidates = {}
+    for k in _elements_crossed(mesh, path):
+        tri = mesh.elements[k]
+        pts = nodes[tri]
+        hmin = min(np.linalg.norm(pts[a] - pts[(a + 1) % 3]) for a in range(3))
+        dists = []
+        for v in tri:
+            _q, d = closest_point(path, nodes[v])
+            dists.append((d, int(v)))
+        dists.sort()
+        if threshold_rule == "nearest":
+            sel = [dists[0][1]]
+        else:
+            if threshold_rule == "hmin2/10":
+                thr = hmin * hmin / 10.0
+            elif threshold_rule == "2hmin2":
+                thr = 2.0 * hmin * hmin
+            else:
+                thr = float(threshold_rule)
+            sel = [v for d, v in dists if d <= thr]
+        for v in sel:
+            candidates[v] = True
+    for v in sorted(candidates):
+        q, d = closest_point(path, nodes[v])
+        if d == 0.0:
+            continue
+        if v in bnodes and not boundary_snap_ok(v, q):
+            skipped.append(v)
+            continue
+        old = nodes[v].copy()
+        nodes[v] = q
+        sub = mesh.elements[nmap[v]]
+        if np.all(_signed_areas(nodes, sub) > 0):
+            moved.append(v)
+        else:
+            nodes[v] = old
+            skipped.append(v)
+    out = Triangulation(nodes, mesh.elements, mesh.boundary_edges,
+                        mesh.constraint_edges, mesh.node_values)
+    return out, moved, skipped
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -676,3 +804,85 @@ def test_perturb_resumes_the_draws_after_a_rejection(monkeypatch):
     # every check outside the batch pass is a node drawn again
     assert len(checks) >= 2
     assert _bytes(got) == _bytes(perturb_structured(mesh, 1.0 / 3.0, 10))
+
+
+def _snap_path(mesh, kind, rng):
+    """A path of the given kind over the unit-square grid `mesh`."""
+    if kind == "boundary-to-boundary":
+        ends = rng.uniform(0.0, 1.0, (2, 2))
+        ends[0, 0] = rng.integers(2)
+        ends[1, 1] = rng.integers(2)
+    elif kind == "into-interior":
+        ends = rng.uniform(0.0, 1.0, (2, 2))
+        ends[0, rng.integers(2)] = rng.integers(2)
+    elif kind == "along-boundary":
+        # parallel to a side at a tiny or small offset: the boundary
+        # nodes near it may not leave their side
+        y = rng.choice([0.0, 1e-13, 1e-3, 0.02])
+        ends = np.array([[-0.2, y], [1.2, y]])
+        if rng.random() < 0.5:
+            ends = ends[:, ::-1]
+    elif kind == "through-nodes":
+        ends = mesh.nodes[rng.choice(mesh.n_nodes, 2, replace=False)]
+    else:
+        # a polyline with a zero-length segment
+        points = rng.uniform(0.0, 1.0, (3, 2))
+        points[0, 0] = 0.0
+        points = np.insert(points, 2, points[1], axis=0)
+        return layers.LayerCharacteristic(points, rng.uniform(size=4),
+                                          points[0].copy())
+    return layers.straight_characteristic(ends[0], ends[1], 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 14), st.sampled_from(["SW-NE", "NW-SE"]),
+       st.sampled_from([0.0, 0.2, 1.0 / 3.0]), st.integers(0, 2 ** 16),
+       st.sampled_from(["boundary-to-boundary", "into-interior",
+                        "along-boundary", "through-nodes", "polyline"]),
+       st.sampled_from(["nearest", "hmin2/10", "2hmin2", 0.0, 1e-9, 0.01,
+                        0.05, 1.0, "0.02"]))
+def test_snap_matches_loop(n, diagonal, amplitude, seed, kind, rule):
+    mesh = _grid(n, diagonal, amplitude, seed)
+    path = _snap_path(mesh, kind, np.random.default_rng(seed))
+    got = _outcome(layers.snap_nodes, mesh, path, rule)
+    want = _outcome(snap_nodes, mesh, path, rule)
+    if isinstance(want[0], Triangulation):
+        assert _bytes(got[0]) == _bytes(want[0])
+        assert got[1:] == want[1:]
+    else:
+        assert got == want
+
+
+def test_snap_matches_loop_on_the_channel():
+    # curved boundary, boundary nodes on the layers' start points
+    for theta in (0.0, 0.3, 0.7):
+        mesh = experiments.hemker_layered_mesh(theta)
+        b = np.array([np.cos(theta), np.sin(theta)])
+        for origin in problems.hemker_layer_origins(theta):
+            path = layers.straight_characteristic(
+                origin, experiments._hemker_exit(origin, b), 0.5)
+            for rule in ("nearest", "2hmin2", 0.05):
+                got = layers.snap_nodes(mesh, path, rule)
+                want = snap_nodes(mesh, path, rule)
+                assert _bytes(got[0]) == _bytes(want[0])
+                assert got[1:] == want[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(2, 6), st.booleans())
+def test_nearest_matches_point_loops(seed, n_points, repeat):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 2.0, (n_points, 2))
+    if repeat:
+        points = np.insert(points, 1, points[0], axis=0)
+    path = layers.LayerCharacteristic(points, rng.normal(size=len(points)),
+                                      points[0].copy())
+    queries = np.concatenate([rng.uniform(-2.0, 3.0, (30, 2)), points,
+                              0.5 * (points[:-1] + points[1:])])
+    q, d, value = path.nearest(queries)
+    for k, p in enumerate(queries):
+        want_q, want_d = closest_point(path, p)
+        assert q[k].tobytes() == want_q.tobytes()
+        assert d[k] == want_d
+        assert value[k] == value_at(path, p)
+

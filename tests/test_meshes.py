@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from smsfem import fixtures
 from smsfem.meshes import (ArgumentError, GenerationError, MeshFileError,
                            Mesh1D, ShishkinSpec1D, Triangulation,
                            perturb_structured, read_mesh, red_refine,
@@ -266,3 +267,33 @@ def test_trochoid_point_shapes():
     assert p.shape == (2,)
     ps = trochoid_point(np.linspace(0, 2 * np.pi, 10))
     assert ps.shape == (10, 2)
+
+
+# -- packaged meshes ----------------------------------------------------------
+
+
+def test_fixture_meshes_are_parsed_once_and_loaded_as_copies(
+        monkeypatch, tmp_path):
+    reads = []
+    monkeypatch.setattr(fixtures, "read_mesh",
+                        lambda path: reads.append(path) or read_mesh(path))
+    fixtures._parsed.cache_clear()
+    first = fixtures.load("channel_hole")
+    second = fixtures.load("channel_hole")
+    assert len(reads) == 1
+    write_mesh(first, tmp_path / "first.mesh")
+    write_mesh(second, tmp_path / "second.mesh")
+    want = (tmp_path / "second.mesh").read_bytes()
+    assert (tmp_path / "first.mesh").read_bytes() == want
+    # changing one result leaks into no other load
+    first.nodes[0] += 1.0
+    first.elements[0] = first.elements[1]
+    first.boundary_edges.pop()
+    first.constraint_edges.append((0, 1, 0.5))
+    first.node_values[0] = 7.0
+    for mesh in (second, fixtures.load("channel_hole")):
+        write_mesh(mesh, tmp_path / "again.mesh")
+        assert (tmp_path / "again.mesh").read_bytes() == want
+    assert len(reads) == 1
+    with pytest.raises(FileNotFoundError):
+        fixtures.load("no_such_mesh")

@@ -2,6 +2,7 @@
 fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from smsfem.assembly import ProblemSpec
 from smsfem.meshes import Triangulation, perturb_structured, \
-    structured_triangulation
+    structured_triangulation, tensor_triangulation
 from smsfem import metrics
 from smsfem.metrics import (ArgumentError, NOT_CROSSED,
                             convective_residual_l2, element_gradients,
@@ -135,6 +136,109 @@ def test_locate_point_in_sliver_matches_full_scan():
     assert _locate_reference(m, far)[0] == 0
     _check_locations(m, u, [far, (0.35, 0.35 * 1.1), m.nodes[1]])
     _check_locations(m, u, [far, (9.0, 0.0)])
+
+
+def _needle_grid(n, kappa, angle, diagonal):
+    """An n-column tensor grid whose bottom row of cells is so flat that
+    its elements have kappa = 2 s^2 / |det| near the given value, turned
+    by the given angle (slivers, kappa > 1e14, are not turned, which
+    could flatten them to nothing)."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gap = 2.0 / (n * kappa)
+    mesh = tensor_triangulation(xs, np.r_[0.0, gap, np.linspace(0.3, 1.0, n)],
+                                diagonal)
+    if kappa > 1e14:
+        return mesh
+    c, s = math.cos(angle), math.sin(angle)
+    return Triangulation(mesh.nodes @ np.array([[c, s], [-s, c]]),
+                         mesh.elements, mesh.boundary_edges, audit=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), log_kappa=st.floats(2.0, 13.0),
+       sliver=st.booleans(), angle=st.floats(0.0, 2.0 * math.pi),
+       diagonal=st.sampled_from(["SW-NE", "NW-SE"]),
+       seed=st.integers(0, 10 ** 6))
+def test_locate_on_needles_matches_full_scan(n, log_kappa, sliver, angle,
+                                             diagonal, seed):
+    # needles across the widening bounds of _locate's boxes, or slivers;
+    # points at random, on vertices, on edges, on each element's longest
+    # edge line just past its ends (where rounding lets a needle pass
+    # outside its box, ahead of the higher-index element that holds the
+    # point) and pushed out of the boundary by 1e-18 to 1e-9 of an edge,
+    # within TOL or beyond it
+    kappa = 10.0 ** (15.0 + log_kappa % 2.0 if sliver else log_kappa)
+    mesh = _needle_grid(n, kappa, angle, diagonal)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=mesh.n_nodes)
+    tri = mesh.nodes[mesh.elements]
+    s = rng.uniform(size=(mesh.n_elements, 3, 1))
+    on_edges = (s * tri + (1.0 - s) * np.roll(tri, -1, axis=1)).reshape(-1, 2)
+    low, high = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    inside = np.concatenate([tri.mean(axis=1), mesh.nodes, on_edges])
+    _check_locations(mesh, u, inside)
+    _check_locations(mesh, u, rng.uniform(low, high, size=(20, 2)))
+    side = np.roll(tri, -1, axis=1) - tri
+    longest = np.argmax(np.vecdot(side, side), axis=1)
+    at = np.arange(mesh.n_elements)
+    start, side = tri[at, longest], side[at, longest]
+    past = 10.0 ** rng.uniform(-17.0, -1.0, (mesh.n_elements, 2, 1))
+    _check_locations(mesh, u, np.concatenate(
+        [start + (1.0 + past[:, 0]) * side, start - past[:, 1] * side]))
+    ends = np.array([(i, j) for i, j, _t in mesh.boundary_edges])
+    pi, pj = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
+    q = pi + rng.uniform(size=(len(ends), 1)) * (pj - pi)
+    # the outward normal: the boundary runs counterclockwise or not
+    normal = (pj - pi)[:, ::-1] * np.array([1.0, -1.0])
+    normal *= np.sign(np.vecdot(normal, q - tri.mean(axis=(0, 1))))[:, None]
+    pushed = q + 10.0 ** rng.uniform(-18.0, -9.0, (len(ends), 1)) * normal
+    for pt in pushed:
+        _check_locations(mesh, u, np.concatenate([inside[:2], [pt]]))
+
+
+def test_locate_non_finite_and_empty_points_warn_nothing():
+    for mesh in (structured_triangulation(3, 3),
+                 _needle_grid(3, 1e10, 0.7, "SW-NE"),
+                 _needle_grid(2, 1e15, 0.0, "NW-SE"),
+                 _needle_grid(1, 1e16, 0.0, "SW-NE")):
+        centroid = mesh.nodes[mesh.elements[-1]].mean(axis=0)
+        u = np.zeros(mesh.n_nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k, lam = metrics._locate(mesh, np.empty((0, 2)))
+            assert (k.shape, lam.shape) == ((0,), (0, 3))
+            assert evaluate_p1(mesh, u, []).shape == (0,)
+            for bad, text in (((math.nan, 0.5), "nan, 0.5"),
+                              ((math.inf, 0.5), "inf, 0.5"),
+                              ((0.5, -math.inf), "0.5, -inf"),
+                              ((math.nan, math.inf), "nan, inf")):
+                with pytest.raises(ArgumentError,
+                                   match=r"point \(%s\) outside" % text):
+                    evaluate_p1(mesh, u, [centroid, bad, (9.0, 9.0)])
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_osc_smear_needs_two_samples(n):
+    m = structured_triangulation(4, 4)
+    with pytest.raises(ArgumentError, match="n >= 2"):
+        osc_smear(m, m.nodes[:, 1], n=n)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, 2.0, math.nan, math.inf,
+                                  -math.inf])
+def test_osc_int_smear_int_needs_a_step_in_zero_one(step):
+    m = structured_triangulation(4, 4)
+    with pytest.raises(ArgumentError, match="step"):
+        osc_int_smear_int(m, m.nodes[:, 0], step=step)
+
+
+def test_layer_metrics_take_their_smallest_sample_counts():
+    m = structured_triangulation(4, 4)
+    assert osc_smear(m, m.nodes[:, 1], n=2) == (0.0, 0.0)
+    # samples at x = 0 and 1 only: w = x reaches 0.1 and 0.9 between them
+    osc, smear = osc_int_smear_int(m, m.nodes[:, 0], step=1.0)
+    assert osc == 0.0
+    assert smear == pytest.approx(0.8)
 
 
 def test_element_gradients_linear():

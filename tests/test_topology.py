@@ -330,9 +330,10 @@ def _assert_same_maps(mesh):
             t.edge_elements[t.edge_ptr[e]:t.edge_ptr[e + 1]].tolist())
            for e in np.argsort(t.first).tolist()]
     assert got == list(edge_map_loop(mesh).items())
-    nmap = mesh.node_to_elements()
-    assert nmap == node_map_loop(mesh)
-    assert {type(k) for elems in nmap for k in elems} <= {int}
+    # and the elements of each node
+    elems, ptr = t.node_elements.tolist(), t.node_ptr.tolist()
+    assert ([elems[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+            == node_map_loop(mesh))
 
 
 def _assert_same_split(mesh, b):
