@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, metrics, problems
+from . import experiments, fixtures, metrics, problems
 from .experiments import ConfigError, _option, parse_config
 from .layers import DegenerateCrossingError
 from .meshes import (ArgumentError, GenerationError, MeshFileError,
@@ -21,15 +21,13 @@ from .meshes import (ArgumentError, GenerationError, MeshFileError,
 from .problems import UnknownProblemError
 from .solvers import SolveError
 from .sparse import RankDeficiencyError, StructuralError
-from .wind import RemediationError, ValidationError, diagnose
+from .wind import RemediationError, ValidationError, decompose, diagnose
 
 _CONFIG_ERRORS = (ConfigError, UnknownProblemError, MeshFileError,
                   ArgumentError, GenerationError, ValidationError,
                   FileNotFoundError, IsADirectoryError)
 _SOLVER_ERRORS = (SolveError, RankDeficiencyError, RemediationError,
                   DegenerateCrossingError, StructuralError)
-
-_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _load_config(path):
@@ -68,10 +66,7 @@ def _mesh_from_config(raw, seed):
         name = _option(raw, "fixture")
         if not name:
             raise ConfigError("kind=fixture requires a fixture name")
-        path = os.path.join(_FIXTURES, "%s.mesh" % name)
-        if not os.path.exists(path):
-            raise ConfigError("unknown fixture %r" % name)
-        mesh = read_mesh(path)
+        mesh = fixtures.load(name)
     elif kind == "file":
         path = _option(raw, "path")
         if not path:
@@ -141,7 +136,7 @@ def _problem_setup(raw, seed):
         amp = _option(raw, "perturb", 0.0, float)
         if amp:
             mesh = perturb_structured(mesh, amp, seed)
-    dec = experiments._decomposition(mesh, spec.b)
+    dec = decompose(mesh, spec.b)
     return mesh, spec, dec
 
 
@@ -193,7 +188,7 @@ def _cmd_diagnose(args):
     else:
         mesh = _mesh_from_config(raw, args.seed)
         b = _wind_from_config(raw)
-        dec = experiments._decomposition(mesh, b)
+        dec = decompose(mesh, b)
     report = diagnose(dec, mesh, b)
     sys.stdout.write(report.to_text())
     return 0

@@ -26,9 +26,8 @@ from .layers import embed_characteristic, snap_nodes, straight_characteristic
 from .meshes import (Triangulation, perturb_structured,
                      structured_triangulation, tensor_triangulation,
                      write_node_values_csv)
-from .wind import (absorb_isolated, build_omega_plus,
-                   build_omega_plus_shrunk, classify_boundary, diagnose,
-                   remediate)
+from .wind import (absorb_isolated, build_omega_plus_shrunk, decompose,
+                   diagnose, remediate)
 
 
 class ConfigError(Exception):
@@ -224,10 +223,6 @@ def _solve_method(mesh, spec, method, decomposition=None, parameters=None):
     raise ConfigError("method %r not runnable here" % method)
 
 
-def _decomposition(mesh, b):
-    return build_omega_plus(mesh, classify_boundary(mesh, b), b)
-
-
 def _safe_decomposition(mesh, b):
     """Decomposition with uniqueness defects repaired; returns the
     (possibly refined) mesh and its decomposition.
@@ -236,14 +231,14 @@ def _safe_decomposition(mesh, b):
     pockets) are absorbed into Omega_h+; wind-parallel downwind edges
     are cured by upwind refinement.
     """
-    dec = _decomposition(mesh, b)
+    dec = decompose(mesh, b)
     report = diagnose(dec, mesh, b)
     if report.isolated_components:
         dec = absorb_isolated(mesh, dec, report, b)
         report = diagnose(dec, mesh, b)
     if report.parallel_edges:
         mesh = remediate(mesh, dec, report, b)
-        dec = _decomposition(mesh, b)
+        dec = decompose(mesh, b)
     return mesh, dec
 
 
@@ -318,14 +313,14 @@ def hemker_layered_mesh(theta=0.0, snap_rule=SNAP_RULE):
     The layers are snapped with SNAP_RULE, 'hmin2/10', by default."""
     mesh = fixtures.load("channel_hole")
     if theta > 0.0:
-        edges = []
-        for i, j, t in mesh.boundary_edges:
-            mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-            if abs(mid[1] + 3.0) < 1e-9:
-                t = "D"
-            edges.append((i, j, t))
+        # only tags change, and the audit reads none
+        y = mesh.nodes[[e[:2] for e in mesh.boundary_edges], 1]
+        bottom = np.abs(0.5 * (y[:, 0] + y[:, 1]) + 3.0) < 1e-9
+        edges = [(i, j, "D" if low else t) for (i, j, t), low
+                 in zip(mesh.boundary_edges, bottom.tolist())]
         mesh = Triangulation(mesh.nodes, mesh.elements, edges,
-                             mesh.constraint_edges, mesh.node_values)
+                             mesh.constraint_edges, mesh.node_values,
+                             audit=False)
     b = np.array([math.cos(theta), math.sin(theta)])
     for origin in problems.hemker_layer_origins(theta):
         path = straight_characteristic(origin, _hemker_exit(origin, b),
@@ -395,19 +390,19 @@ def _ex1_coarse(options, case):
     mesh = structured_triangulation(
         case.N, case.N, domain=((0.0, 0.0), (1.0 - sx, 1.0 - sy)))
     coarse_spec = ProblemSpec(eps=case.eps, b=spec.b, f=spec.f)
-    return mesh, coarse_spec, _decomposition(mesh, spec.b)
+    return mesh, coarse_spec, decompose(mesh, spec.b)
 
 
 def _unit_square(options, case, spec_of):
     spec = spec_of(case.eps)
     mesh = structured_triangulation(case.N, case.N)
-    return mesh, spec, _decomposition(mesh, spec.b)
+    return mesh, spec, decompose(mesh, spec.b)
 
 
 def _random_grid(options, case, spec_of):
     spec = spec_of(case.eps)
     mesh = mild_random_grid(case.N, spec.b, seed=case.seed)
-    return mesh, spec, _decomposition(mesh, spec.b)
+    return mesh, spec, decompose(mesh, spec.b)
 
 
 def _interior_layer(options, case, snap_rule):
@@ -436,8 +431,7 @@ def _vortex(options, case):
     mesh = structured_triangulation(case.N, case.N,
                                     domain=problems.GLAZING_DOMAIN)
     delta = _option(options, "shrink_delta", 2.0 / case.N, float)
-    return mesh, spec, build_omega_plus_shrunk(mesh, spec.b, delta,
-                                               bounds=(-1.0, 1.0))
+    return mesh, spec, build_omega_plus_shrunk(mesh, spec.b, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,11 @@ nodal errors, convective-derivative residuals, layer oscillation and
 smearing indicators, and log-log rate fits."""
 
 import math
-import weakref
 
 import numpy as np
 
 from . import assembly
-
-
-class ArgumentError(ValueError):
-    pass
+from .meshes import ArgumentError
 
 
 NOT_CROSSED = float("nan")
@@ -20,139 +16,20 @@ NOT_CROSSED = float("nan")
 # ---------------------------------------------------------------------------
 # P1 point evaluation
 
-_BOXES = weakref.WeakKeyDictionary()
-TOL = 1e-12         # barycentric coordinates >= -TOL locate a point
-_U = 2.0 ** -53     # unit roundoff
-
-
-def _boxes(mesh):
-    """Vertex a, edges ab, ac and det of each element, the widened boxes
-    of _locate, the slivers, and the bucket grid; once per mesh.
-
-    Coordinates run along the first axis.  The grid is anchored at the
-    lowest box corner.  Each box is registered in every cell it overlaps,
-    from floor((low - origin) / cell) to floor((high - origin) / cell),
-    taken by truncation as both are >= 0.  That rounded map is monotone,
-    so a point inside a box lies in one of the box's cells.  L boxes of
-    widths w and heights v overlap about sum (w / cell + 1) (v / cell + 1)
-    cells, and at most sum (w / cell + 2) (v / cell + 2); the square cells
-    are as wide as makes the first sum 2 L, which keeps the second below
-    6 L, but no narrower than a square of the span's area divided by L,
-    so there are at most L cells.
-    """
-    if mesh not in _BOXES:
-        p = np.take(mesh.nodes.T, mesh.elements.T, axis=1)   # (2, 3, K)
-        a, ab, ac = p[:, 0], p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        det = ab[0] * ac[1] - ac[0] * ab[1]
-        low, high = p.min(axis=1), p.max(axis=1)
-        s = np.maximum(*(high - low))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kappa = 2.0 * s * s / np.abs(det)
-        sliver = ~(kappa <= 1e14)
-        live = np.flatnonzero(~sliver)
-        low, high = low.take(live, axis=1), high.take(live, axis=1)
-        s, kappa = s.take(live), kappa.take(live)
-        grow = (s * np.minimum(2.0, 2.0 * TOL + 64.0 * _U * kappa)
-                + 2.0 * _U * np.maximum(*np.maximum(-low, high)))
-        low, high = low - grow, high + grow
-        if len(live):
-            origin = low.min(axis=1)
-            span = high.max(axis=1) - origin
-            w, v = high - low
-            area, sides = float((w * v).sum()), float(w.sum() + v.sum())
-            cell = max((sides + math.sqrt(sides ** 2 + 4 * len(live) * area))
-                       / (2 * len(live)),
-                       math.sqrt(span[0] * span[1] / len(live)))
-        else:
-            origin, cell = np.zeros(2), 1.0
-        first = ((low - origin[:, None]) / cell).astype(np.int64)
-        last = ((high - origin[:, None]) / cell).astype(np.int64)
-        shape = last.max(axis=1, initial=-1) + 1
-        # box b covers rows first[1, b] .. last[1, b] of the cells, and in
-        # each the columns first[0, b] .. last[0, b]: list them row by row
-        rows = last[1] - first[1] + 1
-        box = np.repeat(np.arange(len(live)), rows)
-        start = _runs(first[1], rows) * shape[0] + first[0, box]
-        cols = (last[0] - first[0] + 1)[box]
-        box = np.repeat(box, cols)
-        cells = _runs(start, cols)
-        ptr = np.r_[0, np.cumsum(np.bincount(cells,
-                                             minlength=shape.prod() + 1))]
-        members = box[np.argsort(cells)]
-        _BOXES[mesh] = (a, ab, ac, det, np.flatnonzero(sliver), live,
-                        (low, high), (origin, cell, shape, ptr, members))
-    return _BOXES[mesh]
-
-
-def _runs(starts, lengths):
-    """start, start + 1, ..., start + n - 1 for each start and length n,
-    concatenated."""
-    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-            + np.arange(lengths.sum()))
-
-
-def _locate(mesh, points):
-    """For each point, the lowest-index element whose barycentric
-    coordinates are all >= -TOL, and those coordinates clipped to [0, 1].
-
-    Only elements whose widened bounding box holds the point are tested;
-    no other can pass.  With u = 2^-53 the computed numerators of l1, l2
-    and det err by at most 8u s |p - a| and 8u s^2 (s the element's longer
-    box side, |p - a| the max-norm distance to vertex a).  A passing
-    element has computed |l1| + |l2| <= 1 + 5 TOL, so while kappa = 2 s^2
-    / |det| <= 1e14 the exact sum is below 1.2 and |p - a| < 1.2 s.  Then
-    l1 and l2 err by at most 9.6 u kappa + 1.2 u and l0 = 1 - l1 - l2 by
-    19.2 u kappa + 6 u, below 22 u kappa as kappa >= 2.  The exact
-    coordinates of a passing element are >= -(TOL + 22 u kappa); they sum
-    to 1 with at most two negative, so the point lies within 2 s (TOL +
-    22 u kappa) of the box.  Boxes are widened by s min(2, 2 TOL + 64 u
-    kappa), at most the 2 s that |p - a| < 1.2 s allows, plus 2u times
-    their largest coordinate for the rounding of the widened edges.
-    Slivers (kappa > 1e14) are tested against every point.  Non-finite
-    points are tested against none, so they are reported outside.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    a, ab, ac, det, slivers, live, (low, high), grid = _boxes(mesh)
-    origin, cell, shape, ptr, members = grid
-    n = len(pts)
-    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
-    q = (pts[finite] - origin) / cell
-    ok = ((q >= 0) & (q < shape)).all(axis=1)
-    ij = q[ok].astype(np.int64)
-    cells = np.full(n, shape.prod())              # an empty cell
-    cells[finite[ok]] = ij[:, 1] * shape[0] + ij[:, 0]
-    # the boxes of each point's cell that hold it, then each finite point
-    # with every sliver
-    counts = ptr[cells + 1] - ptr[cells]
-    owner = np.repeat(np.arange(n), counts)
-    b = members[_runs(ptr[cells], counts)]
-    x, y = pts.T.take(owner, axis=1)
-    lo, hi = low.take(b, axis=1), high.take(b, axis=1)
-    box = (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1])
-    owner = np.r_[owner[box], np.repeat(finite, len(slivers))]
-    k = np.r_[live[b[box]], np.tile(slivers, len(finite))]
-    x, y = pts.T.take(owner, axis=1)
-    (ax, ay), (abx, aby), (acx, acy) = (e.take(k, axis=1)
-                                        for e in (a, ab, ac))
-    dx, dy = x - ax, y - ay
-    l1 = (dx * acy - acx * dy) / det[k]
-    l2 = (abx * dy - dx * aby) / det[k]
-    lam = np.stack([1.0 - l1 - l2, l1, l2])
-    # the passing pair of each point with the lowest element index
-    hit = np.flatnonzero((lam >= -TOL).all(axis=0))
-    hit = hit[np.lexsort((k[hit], owner[hit]))]
-    found, first = np.unique(owner[hit], return_index=True)
-    if len(found) < n:
-        raise ArgumentError("point (%g, %g) outside the mesh" % tuple(
-            pts[np.setdiff1d(np.arange(n), found)[0]]))
-    return k[hit[first]], np.clip(lam.T[hit[first]], 0.0, 1.0)
-
 
 def evaluate_p1(mesh, u, points):
-    """Evaluate the P1 function with nodal values u at the given points."""
-    k, lam = _locate(mesh, points)
+    """Evaluate the P1 function with nodal values u at the given points,
+    each in the lowest-index element that `mesh.locate` finds for it,
+    with its barycentric coordinates clipped to [0, 1]."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    owner, k, lam = mesh.locate(pts)
+    found, first = np.unique(owner, return_index=True)
+    if len(found) < len(pts):
+        raise ArgumentError("point (%g, %g) outside the mesh" % tuple(
+            pts[np.setdiff1d(np.arange(len(pts)), found)[0]]))
     # np.vecdot rounds as the 1-D np.dot of each pair
-    return np.vecdot(lam, np.asarray(u, dtype=float)[mesh.elements[k]])
+    return np.vecdot(np.clip(lam[first], 0.0, 1.0),
+                     np.asarray(u, dtype=float)[mesh.elements[k[first]]])
 
 
 def element_gradients(mesh, u):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, sparse
-from .wind import build_omega_plus, classify_boundary
+from .wind import decompose
 
 
 class SolveError(RuntimeError):
@@ -53,11 +53,6 @@ def solve_supg(mesh, spec, parameters=None, with_constraints=False):
         mesh, spec, parameters, with_constraints=with_constraints))
 
 
-def default_decomposition(mesh, spec):
-    classification = classify_boundary(mesh, spec.b)
-    return build_omega_plus(mesh, classification, spec.b)
-
-
 def solve_sms(mesh, spec, decomposition=None, base="galerkin",
               parameters=None):
     """Solve the SMS optimality system on the given decomposition.
@@ -67,7 +62,7 @@ def solve_sms(mesh, spec, decomposition=None, base="galerkin",
     the plain convective operator).
     """
     if decomposition is None:
-        decomposition = default_decomposition(mesh, spec)
+        decomposition = decompose(mesh, spec.b)
     if base == "galerkin":
         ops = assembly.assemble_galerkin(mesh, spec, decomposition,
                                          with_constraints=True)

@@ -200,6 +200,12 @@ def _extract_n_delta(mesh, omega_plus_set):
     return np.intersect1d(mesh.elements[plus], np.flatnonzero(keep)).tolist()
 
 
+def decompose(mesh, b):
+    """The decomposition of mesh for the wind b: `classify_boundary`, then
+    `build_omega_plus`."""
+    return build_omega_plus(mesh, classify_boundary(mesh, b), b)
+
+
 def build_omega_plus(mesh, classification, b):
     """B_h = elements meeting Gamma_D^{0+}; remove the upwind triangle of
     every node interior to B_h; extract N_delta."""
@@ -230,44 +236,29 @@ def _remove_upwind(mesh, plus, b_h, winds, removed=()):
                                   b_h, sorted(removed))
 
 
-def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
-                            samples_per_side=800):
-    """Omega_h+ = elements intersecting the outflow part (b.n >= 0, n the
-    outward normal of the inset square) of the boundary of the square
-    shrunk by delta.  Used for winds tangent to the physical boundary."""
-    lo, hi = bounds
-    if not delta > 0 or lo + delta >= hi - delta:
+INSET_SAMPLES = 800   # sample points per side of the inset square
+
+
+def build_omega_plus_shrunk(mesh, b, delta):
+    """Omega_h+ = elements holding a sample of the outflow part (b.n >= 0,
+    n the outward normal of the inset square) of the boundary of the
+    mesh's bounding box shrunk by delta.  Used for winds tangent to the
+    physical boundary."""
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    if not delta > 0 or np.any(lo + delta >= hi - delta):
         raise ValidationError("inset delta empties the domain")
     bf = vector_field(b)
-    a, c = lo + delta, hi - delta
-    sides = [
-        (np.array([c, a]), np.array([c, c]), np.array([1.0, 0.0])),    # right
-        (np.array([a, c]), np.array([c, c]), np.array([0.0, 1.0])),    # top
-        (np.array([a, a]), np.array([a, c]), np.array([-1.0, 0.0])),   # left
-        (np.array([a, a]), np.array([c, a]), np.array([0.0, -1.0])),   # bottom
-    ]
-    pts = []
-    for p0, p1, n in sides:
-        ts = (np.arange(samples_per_side) + 0.5) / samples_per_side
-        seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-        keep = np.vecdot(bf.array(seg), n) >= 0.0
-        pts.extend(seg[keep])
-    if not pts:
+    (ax, ay), (cx, cy) = lo + delta, hi - delta
+    # right, top, left and bottom: start, end and outward normal
+    p0 = np.array([[cx, ay], [ax, cy], [ax, ay], [ax, ay]])
+    p1 = np.array([[cx, cy], [cx, cy], [ax, cy], [cx, ay]])
+    n = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    ts = (np.arange(INSET_SAMPLES) + 0.5) / INSET_SAMPLES
+    seg = p0[:, None] + ts[:, None] * (p1 - p0)[:, None]
+    keep = np.vecdot(bf.array(seg), n[:, None]) >= 0.0
+    if not keep.any():
         raise ValidationError("outflow portion of the inset square is empty")
-    pts = np.asarray(pts)
-    omega_plus = set()
-    p0 = mesh.nodes[mesh.elements[:, 0]]
-    p1 = mesh.nodes[mesh.elements[:, 1]]
-    p2 = mesh.nodes[mesh.elements[:, 2]]
-    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-    for q in pts:
-        l1 = ((q[0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-              - (p2[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])) / det
-        l2 = ((p1[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])
-              - (q[0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])) / det
-        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
-        omega_plus.update(np.nonzero(inside)[0].tolist())
+    omega_plus = set(mesh.locate(seg[keep])[1].tolist())
     # windless nodes have no upwind element to remove
     winds = [(v, bf(mesh.nodes[v]))
              for v in _interior_nodes_of(mesh, omega_plus)]
@@ -559,8 +550,7 @@ def remediate(mesh, decomposition, report, b, max_rounds=2):
         if not targets:
             raise RemediationError("no refinable upwind elements found")
         current = red_refine(current, targets)
-        classification = classify_boundary(current, b)
-        decomposition = build_omega_plus(current, classification, b)
+        decomposition = decompose(current, b)
         report = diagnose(decomposition, current, b)
         if not report.has_defects():
             return current

@@ -6,14 +6,13 @@ import math
 
 import numpy as np
 
-from smsfem import (assembly, defects, experiments, metrics, problems,
-                    solvers, sparse)
+from smsfem import (assembly, defects, metrics, problems, solvers,
+                    sparse)
 from smsfem.analysis1d import (build_q_h, convergence_study, random_mesh_1d,
                                verify_stability)
 from smsfem.experiments import ExperimentConfig, run
 from smsfem.meshes import Mesh1D, structured_triangulation, uniform_mesh_1d
-from smsfem.wind import build_omega_plus, classify_boundary, diagnose, \
-    remediate
+from smsfem.wind import decompose, diagnose, remediate
 
 
 def _check(n, ok, detail):
@@ -103,7 +102,7 @@ def test_criterion_5_coarse_errors_vs_oracle(tmp_path):
 def test_criterion_6_parabolic_layer_measures():
     mesh = structured_triangulation(64, 64)
     spec = problems.ex4_spec(1e-8)
-    dec = experiments._decomposition(mesh, spec.b)
+    dec = decompose(mesh, spec.b)
     u_supg = solvers.solve_supg(mesh, spec, with_constraints=True)
     osc_supg, _ = metrics.osc_smear(mesh, u_supg)
     ok = abs(osc_supg - 0.134) <= 0.01
@@ -201,20 +200,14 @@ def test_criterion_10_uniqueness_diagnostics():
         if cure == "build":
             naive = defects.band_decomposition(mesh, defects.WIND)
             before = kkt_min_singular(mesh, defects.WIND, naive)
-            dec = build_omega_plus(mesh,
-                                   classify_boundary(mesh, defects.WIND),
-                                   defects.WIND)
+            dec = decompose(mesh, defects.WIND)
             after = kkt_min_singular(mesh, defects.WIND, dec)
         else:
-            dec = build_omega_plus(mesh,
-                                   classify_boundary(mesh, defects.WIND),
-                                   defects.WIND)
+            dec = decompose(mesh, defects.WIND)
             before = kkt_min_singular(mesh, defects.WIND, dec)
             report = diagnose(dec, mesh, defects.WIND)
             fixed = remediate(mesh, dec, report, defects.WIND)
-            dec2 = build_omega_plus(fixed,
-                                    classify_boundary(fixed, defects.WIND),
-                                    defects.WIND)
+            dec2 = decompose(fixed, defects.WIND)
             after = kkt_min_singular(fixed, defects.WIND, dec2)
         ok = ok and before <= 1e-12 and after >= 1e-8
         parts.append("%s %.1e -> %.1e" % (name, before, after))

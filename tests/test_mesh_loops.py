@@ -4,15 +4,16 @@ replaced.
 Below, verbatim, are the per-element implementations of `wind.diagnose`,
 `wind._refinement_targets` (with `first_upwind_hit`),
 `meshes.red_refine`, `meshes.perturb_structured` (with `_all_positive`),
-`layers.embed_characteristic` and `layers.snap_nodes` (with the per-point
-`LayerCharacteristic.closest_point` and `value_at`) as they were before
-the array passes.  The deleted `Triangulation.edge_to_elements()` and
+`layers.embed_characteristic`, `layers.snap_nodes` (with the per-point
+`LayerCharacteristic.closest_point` and `value_at`) and
+`wind.build_omega_plus_shrunk` (with its own barycentric scan of every
+element per sample) as they were before the array passes.  The deleted `Triangulation.edge_to_elements()` and
 `node_to_elements()` are kept as the functions `edge_to_elements(mesh)`
 and `node_to_elements(mesh)`, and the deleted methods `closest_point` and
 `value_at` as functions of the path, which they call in their place.
 The array versions must give the same reports (fields and `to_text()`),
 the same refinement targets, the same `write_mesh` bytes, the same moved
-and skipped nodes and the same errors.
+and skipped nodes, the same decompositions and the same errors.
 """
 
 import heapq
@@ -28,8 +29,10 @@ from smsfem.meshes import (ArgumentError, GenerationError, Topology,
                            Triangulation, _edge_key, _mask, _signed_areas,
                            structured_triangulation, write_mesh)
 from smsfem.wind import (PARALLEL_RTOL, DiagnosticsReport,
-                         OmegaPlusDecomposition, build_omega_plus,
-                         classify_boundary, upwind_hits, vector_field)
+                         OmegaPlusDecomposition, ValidationError,
+                         _interior_nodes_of, _remove_upwind,
+                         build_omega_plus, classify_boundary, upwind_hits,
+                         vector_field)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +655,51 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
     return out, moved, skipped
 
 
+def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
+                            samples_per_side=800):
+    """Omega_h+ = elements intersecting the outflow part (b.n >= 0, n the
+    outward normal of the inset square) of the boundary of the square
+    shrunk by delta.  Used for winds tangent to the physical boundary."""
+    lo, hi = bounds
+    if not delta > 0 or lo + delta >= hi - delta:
+        raise ValidationError("inset delta empties the domain")
+    bf = vector_field(b)
+    a, c = lo + delta, hi - delta
+    sides = [
+        (np.array([c, a]), np.array([c, c]), np.array([1.0, 0.0])),    # right
+        (np.array([a, c]), np.array([c, c]), np.array([0.0, 1.0])),    # top
+        (np.array([a, a]), np.array([a, c]), np.array([-1.0, 0.0])),   # left
+        (np.array([a, a]), np.array([c, a]), np.array([0.0, -1.0])),   # bottom
+    ]
+    pts = []
+    for p0, p1, n in sides:
+        ts = (np.arange(samples_per_side) + 0.5) / samples_per_side
+        seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
+        keep = np.vecdot(bf.array(seg), n) >= 0.0
+        pts.extend(seg[keep])
+    if not pts:
+        raise ValidationError("outflow portion of the inset square is empty")
+    pts = np.asarray(pts)
+    omega_plus = set()
+    p0 = mesh.nodes[mesh.elements[:, 0]]
+    p1 = mesh.nodes[mesh.elements[:, 1]]
+    p2 = mesh.nodes[mesh.elements[:, 2]]
+    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    for q in pts:
+        l1 = ((q[0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+              - (p2[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])) / det
+        l2 = ((p1[:, 0] - p0[:, 0]) * (q[1] - p0[:, 1])
+              - (q[0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])) / det
+        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
+        omega_plus.update(np.nonzero(inside)[0].tolist())
+    # windless nodes have no upwind element to remove
+    winds = [(v, bf(mesh.nodes[v]))
+             for v in _interior_nodes_of(mesh, omega_plus)]
+    return _remove_upwind(mesh, omega_plus, sorted(omega_plus),
+                          [w for w in winds if np.linalg.norm(w[1]) != 0.0])
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -886,3 +934,26 @@ def test_nearest_matches_point_loops(seed, n_points, repeat):
         assert d[k] == want_d
         assert value[k] == value_at(path, p)
 
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(4, 14), st.sampled_from(["SW-NE", "NW-SE"]),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 16),
+       st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+       st.one_of(st.integers(1, 3), st.floats(0.001, 0.55)),
+       st.sampled_from(_WINDS + [problems.glazing_wind]))
+def test_inset_square_matches_loop(n, diagonal, amplitude, seed, bounds,
+                                   delta, b):
+    # an integer delta is that many grid steps, putting the inset square's
+    # sides (and, where the steps divide evenly, samples) on grid lines;
+    # from n / 2 steps on the inset empties the domain
+    lo, hi = bounds
+    mesh = meshes.perturb_structured(
+        structured_triangulation(n, n, diagonal=diagonal,
+                                 domain=((lo, lo), (hi, hi))),
+        amplitude, seed)
+    if isinstance(delta, int):
+        delta = delta * (hi - lo) / n
+    else:
+        delta *= hi - lo
+    got = _outcome(wind.build_omega_plus_shrunk, mesh, b, delta)
+    assert got == _outcome(build_omega_plus_shrunk, mesh, b, delta, bounds)

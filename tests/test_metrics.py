@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from smsfem.assembly import ProblemSpec
 from smsfem.meshes import Triangulation, perturb_structured, \
     structured_triangulation, tensor_triangulation
-from smsfem import metrics
 from smsfem.metrics import (ArgumentError, NOT_CROSSED,
                             convective_residual_l2, element_gradients,
                             evaluate_p1, fit_rate, h1_seminorm_error,
@@ -31,17 +30,22 @@ def test_evaluate_p1_linear_exact():
 
 def test_locate_point_outside():
     m = structured_triangulation(3, 3)
+    owner, k, lam = m.locate([np.array([1.5, 0.5])])
+    assert (owner.shape, k.shape, lam.shape) == ((0,), (0,), (0, 3))
     with pytest.raises(ArgumentError, match=r"point \(1\.5, 0\.5\) outside"):
-        metrics._locate(m, [np.array([1.5, 0.5])])
+        evaluate_p1(m, np.zeros(m.n_nodes), [np.array([1.5, 0.5])])
 
 
 # ---------------------------------------------------------------------------
 # The full scan over all elements that point location replaced, kept as
-# its reference: the batched locator must give the same element (the
-# lowest index on ties), the same coordinates and the same errors.
+# its reference: `Triangulation.locate` must find the same elements with
+# the same coordinates, and evaluate_p1 must take the lowest index on
+# ties and raise the same errors.
 
 
-def _locate_reference(mesh, point, tol=1e-12):
+def _scan_reference(mesh, point, tol=1e-12):
+    """The elements whose barycentric coordinates of point are all >=
+    -tol, and those coordinates."""
     p = mesh.nodes[mesh.elements]
     a, b, c = p[:, 0], p[:, 1], p[:, 2]
     det = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
@@ -53,31 +57,38 @@ def _locate_reference(mesh, point, tol=1e-12):
     l0 = 1.0 - l1 - l2
     lam = np.stack([l0, l1, l2], axis=1)
     hits = np.nonzero((lam >= -tol).all(axis=1))[0]
+    return hits, lam[hits]
+
+
+def _locate_reference(mesh, point):
+    hits, lam = _scan_reference(mesh, point)
     if hits.size == 0:
         raise ArgumentError("point (%g, %g) outside the mesh"
                             % (point[0], point[1]))
-    k = int(hits[0])
-    return k, np.clip(lam[k], 0.0, 1.0)
+    return int(hits[0]), np.clip(lam[0], 0.0, 1.0)
 
 
-def _locate_one(mesh, point):
-    k, lam = metrics._locate(mesh, [point])
-    return int(k[0]), lam[0]
-
-
-def _outcome(locate, mesh, point):
+def _outcome(mesh, point):
     try:
-        k, lam = locate(mesh, point)
+        k, lam = _locate_reference(mesh, point)
     except ArgumentError as err:
         return str(err)
     return k, lam.tobytes()
 
 
 def _check_locations(mesh, u, points):
-    """_locate and evaluate_p1 against the full scan, point by point
-    and all at once (where the first outside point must raise)."""
-    want = [_outcome(_locate_reference, mesh, pt) for pt in points]
-    assert [_outcome(_locate_one, mesh, pt) for pt in points] == want
+    """Triangulation.locate and evaluate_p1 against the full scan, point
+    by point and all at once (where the first outside point must raise)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    owner, k, lam = mesh.locate(points)
+    for i, pt in enumerate(points):
+        hits, want = _scan_reference(mesh, pt)
+        one = mesh.locate([pt])
+        assert one[0].tolist() == [0] * len(hits)
+        for got_k, got_lam in ((k[owner == i], lam[owner == i]), one[1:]):
+            assert got_k.tolist() == hits.tolist()
+            assert got_lam.tobytes() == want.tobytes()
+    want = [_outcome(mesh, pt) for pt in points]
     errors = [w for w in want if isinstance(w, str)]
     if errors:
         with pytest.raises(ArgumentError) as err:
@@ -161,7 +172,7 @@ def _needle_grid(n, kappa, angle, diagonal):
        seed=st.integers(0, 10 ** 6))
 def test_locate_on_needles_matches_full_scan(n, log_kappa, sliver, angle,
                                              diagonal, seed):
-    # needles across the widening bounds of _locate's boxes, or slivers;
+    # needles across the widening bounds of locate's boxes, or slivers;
     # points at random, on vertices, on edges, on each element's longest
     # edge line just past its ends (where rounding lets a needle pass
     # outside its box, ahead of the higher-index element that holds the
@@ -205,13 +216,14 @@ def test_locate_non_finite_and_empty_points_warn_nothing():
         u = np.zeros(mesh.n_nodes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            k, lam = metrics._locate(mesh, np.empty((0, 2)))
-            assert (k.shape, lam.shape) == ((0,), (0, 3))
+            owner, k, lam = mesh.locate(np.empty((0, 2)))
+            assert (owner.shape, k.shape, lam.shape) == ((0,), (0,), (0, 3))
             assert evaluate_p1(mesh, u, []).shape == (0,)
             for bad, text in (((math.nan, 0.5), "nan, 0.5"),
                               ((math.inf, 0.5), "inf, 0.5"),
                               ((0.5, -math.inf), "0.5, -inf"),
                               ((math.nan, math.inf), "nan, inf")):
+                assert mesh.locate([bad])[0].shape == (0,)
                 with pytest.raises(ArgumentError,
                                    match=r"point \(%s\) outside" % text):
                     evaluate_p1(mesh, u, [centroid, bad, (9.0, 9.0)])

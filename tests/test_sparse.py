@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from smsfem import analysis1d, assembly, problems, solvers, sparse
+from smsfem import analysis1d, assembly, problems, solvers, sparse, wind
 from smsfem.meshes import (perturb_structured, structured_triangulation,
                            uniform_mesh_1d)
 
@@ -164,8 +164,7 @@ def test_solve_nonfinite_factor_raises(monkeypatch):
 def _small_kkt_system():
     mesh = structured_triangulation(4, 4)
     spec = assembly.ProblemSpec(eps=0.0, b=np.array([1.0, 1.0]), f=1.0)
-    from smsfem.wind import classify_boundary, build_omega_plus
-    dec = build_omega_plus(mesh, classify_boundary(mesh, spec.b), spec.b)
+    dec = wind.decompose(mesh, spec.b)
     ops = assembly.assemble_galerkin(mesh, spec, dec)
     return sparse.SaddleSystem(ops.S, ops.A, ops.E,
                                ops.residual_load, ops.load)
@@ -228,7 +227,7 @@ def test_saddle_matrix_matches_bmat_2d(perturbed, base):
     if perturbed:
         mesh = perturb_structured(mesh, 0.3, 4)
     spec = problems.ex4_spec(1e-8)
-    dec = solvers.default_decomposition(mesh, spec)
+    dec = wind.decompose(mesh, spec.b)
     assemble = {"galerkin": assembly.assemble_galerkin,
                 "supg": assembly.assemble_supg}[base]
     ops = assemble(mesh, spec, decomposition=dec)
@@ -239,7 +238,7 @@ def test_saddle_matrix_matches_bmat_2d(perturbed, base):
 def test_saddle_matrix_matches_bmat_without_n_delta():
     mesh = structured_triangulation(6, 6)
     spec = problems.ex4_spec(1e-8)
-    dec = dataclasses.replace(solvers.default_decomposition(mesh, spec),
+    dec = dataclasses.replace(wind.decompose(mesh, spec.b),
                               n_delta=[])
     ops = assembly.assemble_galerkin(mesh, spec, dec)
     assert ops.E.shape[1] == 0
@@ -395,7 +394,7 @@ def test_kkt_path_equals_reference_bitwise_2d(N, perturbed, seed, eps, base):
         mesh = perturb_structured(mesh, 0.3, seed)
     spec = assembly.ProblemSpec(eps=eps, b=np.array([2.0, 3.0]), f=1.0,
                                 g1=0.5)
-    dec = solvers.default_decomposition(mesh, spec)
+    dec = wind.decompose(mesh, spec.b)
     assemble = {"galerkin": assembly.assemble_galerkin,
                 "supg": assembly.assemble_supg}[base]
     ops = assemble(mesh, spec, decomposition=dec)

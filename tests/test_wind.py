@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smsfem import defects, metrics, wind
+from smsfem import defects, wind
 from smsfem.meshes import (Triangulation, perturb_structured,
                            structured_triangulation)
 from smsfem.problems import glazing_wind
@@ -93,7 +93,7 @@ def test_upwind_element_matches_point_location():
             continue  # on-edge ray handled below
         k = upwind_element(m, v, b)
         probe = m.nodes[v] - 1e-9 * h * b
-        k_ref, _lam = metrics._locate(m, [probe])
+        _owner, k_ref, _lam = m.locate([probe])
         assert k == k_ref[0]
 
 
@@ -165,11 +165,11 @@ def test_build_omega_plus_removes_upwind_of_interior_node():
 
 def test_shrunk_band_partition_and_guard():
     m = structured_triangulation(10, 10, domain=((-1.0, -1.0), (1.0, 1.0)))
-    dec = build_omega_plus_shrunk(m, glazing_wind, 0.2, bounds=(-1.0, 1.0))
+    dec = build_omega_plus_shrunk(m, glazing_wind, 0.2)
     _partition_ok(m, dec)
     assert dec.omega_plus and dec.n_delta
     with pytest.raises(ValidationError):
-        build_omega_plus_shrunk(m, glazing_wind, 1.5, bounds=(-1.0, 1.0))
+        build_omega_plus_shrunk(m, glazing_wind, 1.5)
 
 
 def test_diagnose_isolated_component():
