@@ -40,12 +40,13 @@ def scalar_field(c):
     return fn
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Data of -eps*Lap(u) + b.grad(u) + c*u = f with mixed BCs.
 
     Boundary Dirichlet/Neumann partition lives on the mesh (edge tags);
     g1 is the Dirichlet datum, g2 the Neumann datum in eps*<g2, phi>.
+    Frozen: `assemble` keeps a mesh's forms per spec object.
     """
 
     eps: float
@@ -64,11 +65,10 @@ class ProblemSpec:
             if not callable(value) and not np.all(np.isfinite(value)):
                 raise ValidationError("%s must be finite, got %r"
                                       % (name, value))
-        self.b_fn = vector_field(self.b)
-        self.c_fn = scalar_field(self.c)
-        self.f_fn = scalar_field(self.f)
-        self.g1_fn = scalar_field(self.g1)
-        self.g2_fn = scalar_field(self.g2)
+        object.__setattr__(self, "b_fn", vector_field(self.b))
+        for name in ("c", "f", "g1", "g2"):
+            object.__setattr__(self, name + "_fn",
+                               scalar_field(getattr(self, name)))
 
 
 @dataclass
@@ -204,14 +204,8 @@ def dirichlet_lift(mesh, spec, with_constraints=True):
     override g1.
     """
     u_d = np.zeros(mesh.n_nodes)
-    dir_nodes = set()
-    for i, j, t in mesh.boundary_edges:
-        if t == "D":
-            dir_nodes.add(i)
-            dir_nodes.add(j)
-    if with_constraints:
-        dir_nodes |= mesh.constraint_node_set()
-    dir_nodes = sorted(dir_nodes)
+    dir_nodes = sorted(mesh.dirichlet_node_set() if with_constraints else {
+        v for i, j, t in mesh.boundary_edges if t == "D" for v in (i, j)})
     given = [v for v in dir_nodes if v not in mesh.node_values]
     u_d[given] = spec.g1_fn.array(mesh.nodes[given])
     for v in dir_nodes:
@@ -221,21 +215,20 @@ def dirichlet_lift(mesh, spec, with_constraints=True):
 
 
 def _neumann_load(mesh, spec, load):
-    """eps * <g2, phi> over Neumann edges via 2-point Gauss."""
+    """eps * <g2, phi> over Neumann edges via 2-point Gauss, added in
+    (edge, point, i/j) order, as a loop over the edges adds."""
     if spec.eps == 0.0:
         return
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    for i, j, t in mesh.boundary_edges:
-        if t != "N":
-            continue
-        pi, pj = mesh.nodes[i], mesh.nodes[j]
-        length = np.linalg.norm(pj - pi)
-        for s in gp:
-            q = pi + s * (pj - pi)
-            w = 0.5 * length
-            g = spec.g2_fn(q)
-            load[i] += spec.eps * w * g * (1.0 - s)
-            load[j] += spec.eps * w * g * s
+    ij = np.array([(i, j) for i, j, t in mesh.boundary_edges if t == "N"],
+                  dtype=np.int64).reshape(-1, 2)
+    pi = mesh.nodes[ij[:, 0]]
+    d = mesh.nodes[ij[:, 1]] - pi
+    w = 0.5 * np.sqrt(np.vecdot(d, d))   # rounds as one edge's linalg.norm
+    g = spec.g2_fn.array(pi[:, None] + gp[:, None] * d[:, None])
+    shares = np.stack([1.0 - gp, gp], axis=1)   # (point, i/j)
+    np.add.at(load, np.broadcast_to(ij[:, None], (len(ij), 2, 2)).ravel(),
+              (((spec.eps * w)[:, None] * g)[:, :, None] * shares).ravel())
 
 
 def _coo(elements, blocks, n):
@@ -262,69 +255,128 @@ def _scatter(nodes, values, n):
                        minlength=n)
 
 
+def _read_only(*arrays):
+    """The arrays, and the arrays of the CSR matrices, made read-only."""
+    for x in arrays:
+        for a in (x.data, x.indices, x.indptr) if sp.issparse(x) else (x,):
+            a.flags.writeable = False
+    return arrays
+
+
+class _Forms:
+    """What all 2D methods assemble alike on (mesh, spec), as a fresh pass
+    does: mid-edge weights, f, b.grad(phi), L phi, Galerkin element blocks
+    and loads, lift and free nodes; then, as asked, the default SUPG
+    parameters, (A, load) of Galerkin and SUPG, S, residual load and E."""
+
+    def __init__(self, mesh, spec, with_constraints):
+        rule = midedge_rule(mesh, spec)
+        w, phi = rule.area / 3.0, _MIDEDGE_PHI.T[None]   # phi: (1, q, i)
+        self.bgrad = np.vecdot(rule.b[:, :, None, :],
+                               rule.grads[:, None, :, :])
+        # L phi_i at the quadrature points: b.grad + c*phi, shape (K, q, i)
+        self.lq = self.bgrad + rule.c[:, :, None] * phi
+        # local[k, i, j] = (L phi_j, phi_i); add exact diffusion
+        local = w[:, None, None] * _qsum(self.lq, phi).transpose(0, 2, 1)
+        if spec.eps != 0.0:
+            local = local + (spec.eps * rule.area)[:, None, None] * np.vecdot(
+                rule.grads[:, :, None, :], rule.grads[:, None, :, :])
+        self.load = w[:, None] * (rule.f[:, :, None] * phi).sum(axis=1)
+        self.lifting, dir_nodes = dirichlet_lift(mesh, spec, with_constraints)
+        self.free = np.setdiff1d(np.arange(mesh.n_nodes), dir_nodes)
+        self.spec, self.w, self.f, self.local = spec, w, rule.f, local
+        _read_only(w, rule.f, self.bgrad, self.lq, local, self.load,
+                   self.lifting, self.free)
+        # ops: "galerkin" | "supg" -> (A, load); residual: (key, S, load, E)
+        self.supg, self.ops, self.residual = None, {}, (None,)
+
+
+_FORMS = weakref.WeakKeyDictionary()
+
+
+def _kept_forms(mesh, spec):
+    """The kept forms of (mesh, spec): one per mesh, dying with it."""
+    if getattr(_FORMS.get(mesh), "spec", None) is not spec:
+        _FORMS.pop(mesh, None)   # the old record goes before the new is built
+        _FORMS[mesh] = _Forms(mesh, spec, True)
+    return _FORMS[mesh]
+
+
+def _restricted(forms, full, load):
+    """Matrix and load on the free nodes, lift applied, read-only.  Called
+    after the builder returns, so that its freed temporaries make room for
+    these on the heap; inside it, the paper ex1 peak rose by 85 MB."""
+    free, u_d = forms.free, forms.lifting
+    return _read_only(full[free][:, free], load[free] - full[free] @ u_d)
+
+
+def _operator(mesh, spec, forms, supg):
+    """Full (A, load) of Galerkin, or of SUPG with supg."""
+    n, tri = mesh.n_nodes, mesh.elements
+    local, load_nodes, load = forms.local, tri, forms.load
+    if supg is not None:
+        # test function b.grad(phi_i) (+ delta_c dx(phi_i)); elements
+        # with delta = 0 keep their Galerkin block as it is
+        on = supg.delta != 0.0
+        wq = forms.bgrad[on]
+        if supg.delta_c != 0.0:
+            grads = element_geometry(mesh)[1]
+            wq = wq + supg.delta_c * grads[on][:, None, :, 0]
+        dw = supg.multiplier * supg.delta[on] * forms.w[on]
+        local = local.copy()
+        local[on] = local[on] + dw[:, None, None] * _qsum(
+            forms.lq[on], wq).transpose(0, 2, 1)
+        # per element, the SUPG load comes before the Galerkin load
+        supg_load = np.zeros_like(load)
+        supg_load[on] = dw[:, None] * (
+            forms.f[on][:, :, None] * wq).sum(axis=1)
+        load_nodes = np.concatenate([tri, tri], axis=1)
+        load = np.concatenate([supg_load, load], axis=1)
+    load = _scatter(load_nodes, load, n)
+    _neumann_load(mesh, spec, load)
+    return _coo(tri, local, n), load
+
+
+def _residual(mesh, forms, omega_hat, n_delta):
+    """Full S and residual load of one decomposition."""
+    pinned = np.setdiff1d(n_delta, forms.free)
+    if pinned.size:
+        raise ValueError("constraint node %d is Dirichlet" % pinned[0])
+    n, tri, w = mesh.n_nodes, mesh.elements, forms.w
+    hat = np.zeros(mesh.n_elements, dtype=bool)
+    hat[omega_hat] = True
+    lh = forms.lq[hat]
+    S = _coo(tri[hat], w[hat, None, None] * _qsum(lh, lh), n)
+    return S, _scatter(tri[hat], w[hat, None]
+                       * (forms.f[hat][:, :, None] * lh).sum(axis=1), n)
+
+
 def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     """Assemble the discrete operators.
 
     supg: SupgParameters to build the SUPG-stabilized form; None for
     plain Galerkin.  If a decomposition is given, the residual Gram S,
     the residual load and the constraint selector E are also built.
+    A constrained assembly keeps the shared forms for the next method on
+    the mesh (`_Forms`); the returned arrays are read-only.
     """
-    n = mesh.n_nodes
-    tri = mesh.elements
-    rule = midedge_rule(mesh, spec)
-    w = rule.area / 3.0
-    phi = _MIDEDGE_PHI.T[None]                       # (1, q, i)
-    bgrad = np.vecdot(rule.b[:, :, None, :], rule.grads[:, None, :, :])
-    # L phi_i at the quadrature points: b.grad + c*phi, shape (K, q, i)
-    lq = bgrad + rule.c[:, :, None] * phi
-    # local[k, i, j] = (L phi_j, phi_i); add exact diffusion
-    local = w[:, None, None] * _qsum(lq, phi).transpose(0, 2, 1)
-    if spec.eps != 0.0:
-        local = local + (spec.eps * rule.area)[:, None, None] * np.vecdot(
-            rule.grads[:, :, None, :], rule.grads[:, None, :, :])
-    load_nodes, load = tri, w[:, None] * (rule.f[:, :, None] * phi).sum(axis=1)
-    if supg is not None:
-        # test function b.grad(phi_i) (+ delta_c dx(phi_i)); elements
-        # with delta = 0 keep their Galerkin block as it is
-        on = supg.delta != 0.0
-        wq = bgrad[on]
-        if supg.delta_c != 0.0:
-            wq = wq + supg.delta_c * rule.grads[on][:, None, :, 0]
-        dw = supg.multiplier * supg.delta[on] * w[on]
-        local[on] = local[on] + dw[:, None, None] * _qsum(
-            lq[on], wq).transpose(0, 2, 1)
-        # per element, the SUPG load comes before the Galerkin load
-        supg_load = np.zeros_like(load)
-        supg_load[on] = dw[:, None] * (rule.f[on][:, :, None] * wq).sum(axis=1)
-        load_nodes = np.concatenate([tri, tri], axis=1)
-        load = np.concatenate([supg_load, load], axis=1)
-    load = _scatter(load_nodes, load, n)
-    _neumann_load(mesh, spec, load)
-
-    u_d, dir_nodes = dirichlet_lift(mesh, spec, with_constraints)
-    is_free = np.ones(n, dtype=bool)
-    is_free[dir_nodes] = False
-    free = np.flatnonzero(is_free)
-
-    A_full = _coo(tri, local, n)
-    ops = DiscreteOperators(A=A_full[free][:, free],
-                            load=load[free] - A_full[free] @ u_d,
-                            lifting=u_d, free_nodes=free)
+    forms = (_kept_forms(mesh, spec) if with_constraints
+             else _Forms(mesh, spec, False))
+    key = ("galerkin" if supg is None
+           else "supg" if supg is forms.supg else None)
+    A, load = forms.ops.get(key) or _restricted(
+        forms, *_operator(mesh, spec, forms, supg))
+    if key is not None:
+        forms.ops[key] = A, load
+    ops = DiscreteOperators(A, load, forms.lifting, forms.free)
     if decomposition is not None:
-        hat = np.zeros(mesh.n_elements, dtype=bool)
-        hat[list(decomposition.omega_hat)] = True
-        lh = lq[hat]
-        S_full = _coo(tri[hat], w[hat, None, None] * _qsum(lh, lh), n)
-        resload = _scatter(tri[hat], w[hat, None]
-                           * (rule.f[hat][:, :, None] * lh).sum(axis=1), n)
-        ops.S = S_full[free][:, free]
-        ops.residual_load = resload[free] - S_full[free] @ u_d
-        nd = list(decomposition.n_delta)
-        for v in nd:
-            if not is_free[v]:
-                raise ValueError("constraint node %d is Dirichlet" % v)
-        ops.E = constraint_selector(free, nd)
-        ops.n_delta = nd
+        hat, nd = list(decomposition.omega_hat), list(decomposition.n_delta)
+        if forms.residual[0] != (hat, nd):
+            forms.residual = ((hat, nd), *_restricted(
+                forms, *_residual(mesh, forms, hat, nd)),
+                *_read_only(constraint_selector(forms.free, nd)))
+        ops.S, ops.residual_load, ops.E = forms.residual[1:]
+        ops.n_delta = list(nd)
     return ops
 
 
@@ -338,7 +390,13 @@ def assemble_supg(mesh, spec, parameters=None, decomposition=None,
     if spec.eps <= 0.0:
         raise ValidationError(
             "SUPG requires eps > 0; use the Galerkin eps=0 mode")
-    if parameters is None:
+    if parameters is None and with_constraints:
+        forms = _kept_forms(mesh, spec)   # assemble knows its default by id
+        if forms.supg is None:
+            forms.supg = compute_supg_parameters(mesh, spec)
+            _read_only(forms.supg.delta, forms.supg.pe, forms.supg.diam)
+        parameters = forms.supg
+    elif parameters is None:
         parameters = compute_supg_parameters(mesh, spec)
     return assemble(mesh, spec, decomposition, supg=parameters,
                     with_constraints=with_constraints)

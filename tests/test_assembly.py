@@ -1,15 +1,18 @@
 """P1 assembly: bilinear forms, stabilization parameters, residual Gram
 matrix, load vectors and the Dirichlet lifting."""
 
+import dataclasses
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smsfem import analysis1d, assembly, experiments, metrics, problems, \
-    sparse
+    solvers, sparse, wind
 from smsfem.assembly import (ProblemSpec, assemble_galerkin, assemble_supg,
                              compute_supg_parameters, dirichlet_lift,
                              hat_moments_1d, scalar_field)
@@ -144,6 +147,15 @@ def test_problem_spec_takes_callables_and_zero_diffusion():
     spec = ProblemSpec(eps=0.0, b=lambda p: np.array([math.nan, 0.0]),
                        f=lambda p: math.inf)
     assert spec.eps == 0.0
+
+
+def test_problem_spec_is_frozen_and_replace_validates():
+    spec = ProblemSpec(eps=1e-3, b=np.array([1.0, 0.0]), f=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.eps = 1e-2
+    with pytest.raises(ValidationError):
+        dataclasses.replace(spec, eps=math.nan)
+    assert dataclasses.replace(spec, eps=1e-2).eps == 1e-2
 
 
 def test_dirichlet_lift_homogeneous():
@@ -407,8 +419,16 @@ def _assert_same_csr(got, want, what):
                            "%s.%s" % (what, part))
 
 
+def _fresh(mesh):
+    """The same mesh as a new object, on which assemble keeps no forms."""
+    return Triangulation(mesh.nodes, mesh.elements, mesh.boundary_edges,
+                         mesh.constraint_edges, mesh.node_values, audit=False)
+
+
 def _array_assembly(mesh, spec, dec, supg=None):
-    """assemble() and the full (pre-restriction) A and S it built."""
+    """assemble() on a fresh copy of the mesh, and the full
+    (pre-restriction) A and S it built."""
+    mesh = _fresh(mesh)
     built = []
     coo = assembly._coo
 
@@ -594,8 +614,9 @@ def test_constant_coefficients_match_lambdas_without_calls(
     for spec, calls in ((const, const_calls), (lambdas, lambda_calls)):
         for name, field in (("b_fn", vector_field), ("c_fn", scalar_field),
                             ("f_fn", scalar_field)):
-            setattr(spec, name, _counting(getattr(spec, name), calls, field,
-                                          spec is const))
+            # a frozen spec: its derived field is replaced on purpose
+            object.__setattr__(spec, name, _counting(
+                getattr(spec, name), calls, field, spec is const))
     hat = list(rng.permutation(mesh.n_elements)[:rng.integers(
         0, mesh.n_elements + 1)])
     dec = OmegaPlusDecomposition(omega_plus=[], omega_hat=hat, n_delta=[],
@@ -623,3 +644,157 @@ def test_constant_coefficients_match_lambdas_without_calls(
         _assert_same_bytes(g.residual_load, w.residual_load, "residual load")
     assert const_calls == []
     assert len(lambda_calls) >= 3 * 3 * mesh.n_elements
+
+
+# ---------------------------------------------------------------------------
+# The forms kept per mesh against a fresh assembly
+
+
+_METHODS = ("galerkin", "supg", "sms-galerkin", "sms-supg")
+
+
+def _assemble_method(method, mesh, spec, dec, with_constraints=True):
+    """The assembly each driver in `solvers` makes for the method."""
+    if method == "galerkin":
+        return assemble_galerkin(mesh, spec,
+                                 with_constraints=with_constraints)
+    if method == "supg":
+        return assemble_supg(mesh, spec, with_constraints=with_constraints)
+    if method == "sms-galerkin":
+        return assemble_galerkin(mesh, spec, dec)
+    return assemble_supg(mesh, spec, None, dec)
+
+
+def _assert_same_operators(got, want):
+    for part in ("A", "S", "E"):
+        if getattr(want, part) is None:
+            assert getattr(got, part) is None, part
+        else:
+            _assert_same_csr(getattr(got, part), getattr(want, part), part)
+    for part in ("load", "residual_load", "lifting", "free_nodes"):
+        if getattr(want, part) is None:
+            assert getattr(got, part) is None, part
+        else:
+            _assert_same_bytes(getattr(got, part), getattr(want, part), part)
+    assert got.n_delta == want.n_delta
+
+
+def _kept_and_fresh(method, mesh, spec, dec, **kw):
+    """The method's operators on the mesh, which may hold kept forms, and
+    on a fresh copy of it, which holds none; they must be equal."""
+    got = _assemble_method(method, mesh, spec, dec, **kw)
+    want = _assemble_method(method, _fresh(mesh), spec, dec, **kw)
+    _assert_same_operators(got, want)
+    return got
+
+
+def _record_case(kind, n, seed, eps):
+    if kind == "structured":
+        spec = problems.ex4_spec(eps)
+        mesh = structured_triangulation(n, n, diagonal=("SW-NE", "NW-SE")[
+            seed % 2])
+    elif kind == "random":
+        spec = problems.ex3_spec(eps)
+        mesh = experiments.mild_random_grid(n, spec.b, seed)
+    else:
+        # snapped and embedded interior layer: constraint edges pin nodes
+        spec = problems.ex5_spec(eps)
+        mesh = experiments.interior_layer_mesh(24, snap_rule="2hmin2",
+                                               seed=1)
+    return mesh, spec, wind.decompose(mesh, spec.b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["structured", "random", "embedded"]),
+       n=st.integers(3, 10), seed=st.integers(0, 50),
+       eps=st.sampled_from([1e-8, 1e-2]),
+       order=st.permutations(_METHODS), repeat=st.booleans())
+def test_kept_forms_equal_a_fresh_assembly(kind, n, seed, eps, order,
+                                           repeat):
+    mesh, spec, dec = _record_case(kind, n, seed, eps)
+    for method in order + (order if repeat else []):
+        _kept_and_fresh(method, mesh, spec, dec)
+    assert assembly._FORMS[mesh].spec is spec
+
+
+def test_kept_forms_serve_nothing_stale():
+    mesh, spec, dec = _record_case("embedded", 0, 1, 1e-8)
+    for method in _METHODS:
+        _kept_and_fresh(method, mesh, spec, dec)
+    # another spec object, equal or not, replaces the record
+    for other in (problems.ex5_spec(1e-8), problems.ex5_spec(1e-2)):
+        for method in _METHODS:
+            _kept_and_fresh(method, mesh, other, dec)
+        assert assembly._FORMS[mesh].spec is other
+    spec = other
+    # a decomposition of other content: omega_hat as absorb_isolated
+    # leaves it (same size, same N_delta), then a shorter N_delta
+    report = wind.diagnose(dec, mesh, spec.b)
+    absorbed = wind.absorb_isolated(mesh, dec, report, spec.b)
+    assert absorbed.omega_hat != dec.omega_hat
+    assert len(absorbed.omega_hat) == len(dec.omega_hat)
+    fewer = dataclasses.replace(dec, n_delta=dec.n_delta[1:])
+    for d in (absorbed, dec, fewer, dec):
+        for method in ("sms-galerkin", "sms-supg"):
+            _kept_and_fresh(method, mesh, spec, d)
+    # explicit SUPG parameters reuse no kept A
+    default = assemble_supg(mesh, spec)
+    for delta_c, multiplier in ((0.7, 1.0), (0.0, 1.5), (0.0, 1.0)):
+        params = compute_supg_parameters(mesh, spec, delta_c, multiplier)
+        got = assemble_supg(mesh, spec, params, dec)
+        want = assemble_supg(_fresh(mesh), spec, params, dec)
+        _assert_same_operators(got, want)
+        assert got.A is not default.A
+        if delta_c:
+            assert got.A.data.tobytes() != default.A.data.tobytes()
+    # unconstrained assemblies neither use nor leave a record
+    for method in ("galerkin", "supg"):
+        got = _kept_and_fresh(method, mesh, spec, dec,
+                              with_constraints=False)
+        assert got.free_nodes.size > default.free_nodes.size
+    bare = _fresh(mesh)
+    assemble_galerkin(bare, spec, with_constraints=False)
+    assemble_supg(bare, spec, with_constraints=False)
+    assert bare not in assembly._FORMS
+
+
+def test_kept_forms_are_read_only_and_die_with_the_mesh():
+    mesh, spec, dec = _record_case("structured", 6, 0, 1e-2)
+    ops = assemble_supg(mesh, spec, None, dec)
+    for array in (ops.load, ops.residual_load, ops.lifting, ops.free_nodes,
+                  ops.A.data, ops.A.indices, ops.A.indptr, ops.S.data,
+                  ops.S.indptr, ops.E.data, ops.E.indices):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    ref = weakref.ref(mesh)
+    del mesh, ops
+    gc.collect()
+    assert ref() is None
+
+
+def test_four_methods_build_each_shared_form_once():
+    mesh, spec, dec = _record_case("random", 8, 3, 1e-8)
+    midedge, coo = [], []
+    array, build = spec.b_fn.array, assembly._coo
+
+    def counted_array(points):
+        if np.shape(points) == (mesh.n_elements, 3, 2):
+            midedge.append(points)
+        return array(points)
+
+    def counted_coo(elements, blocks, n):
+        coo.append(len(elements))
+        return build(elements, blocks, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spec.b_fn, "array", counted_array)
+        mp.setattr(assembly, "_coo", counted_coo)
+        # the call order of the benchmark and the experiments
+        solves = [solvers.solve_galerkin(mesh, spec, with_constraints=True),
+                  solvers.solve_supg(mesh, spec, None, with_constraints=True)]
+        solves += [solvers.solve_sms(mesh, spec, dec, base=base).u
+                   for base in ("galerkin", "supg")]
+    assert all(np.all(np.isfinite(u)) for u in solves)
+    assert len(midedge) == 1
+    # A of Galerkin, A of SUPG, and S over Omega_hat
+    assert coo == [mesh.n_elements, mesh.n_elements, len(dec.omega_hat)]

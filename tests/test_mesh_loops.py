@@ -7,7 +7,8 @@ Below, verbatim, are the per-element implementations of `wind.diagnose`,
 `layers.embed_characteristic`, `layers.snap_nodes` (with the per-point
 `LayerCharacteristic.closest_point` and `value_at`) and
 `wind.build_omega_plus_shrunk` (with its own barycentric scan of every
-element per sample) as they were before the array passes.  The deleted `Triangulation.edge_to_elements()` and
+element per sample) and `assembly._neumann_load` (g2 called per Gauss
+point) as they were before the array passes.  The deleted `Triangulation.edge_to_elements()` and
 `node_to_elements()` are kept as the functions `edge_to_elements(mesh)`
 and `node_to_elements(mesh)`, and the deleted methods `closest_point` and
 `value_at` as functions of the path, which they call in their place.
@@ -23,7 +24,8 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from smsfem import defects, experiments, layers, meshes, problems, wind
+from smsfem import assembly, defects, experiments, layers, meshes, \
+    problems, wind
 from smsfem.layers import DegenerateCrossingError, _crossings
 from smsfem.meshes import (ArgumentError, GenerationError, Topology,
                            Triangulation, _edge_key, _mask, _signed_areas,
@@ -700,6 +702,24 @@ def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
                           [w for w in winds if np.linalg.norm(w[1]) != 0.0])
 
 
+def neumann_load(mesh, spec, load):
+    """eps * <g2, phi> over Neumann edges via 2-point Gauss."""
+    if spec.eps == 0.0:
+        return
+    gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    for i, j, t in mesh.boundary_edges:
+        if t != "N":
+            continue
+        pi, pj = mesh.nodes[i], mesh.nodes[j]
+        length = np.linalg.norm(pj - pi)
+        for s in gp:
+            q = pi + s * (pj - pi)
+            w = 0.5 * length
+            g = spec.g2_fn(q)
+            load[i] += spec.eps * w * g * (1.0 - s)
+            load[j] += spec.eps * w * g * s
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -957,3 +977,46 @@ def test_inset_square_matches_loop(n, diagonal, amplitude, seed, bounds,
         delta *= hi - lo
     got = _outcome(wind.build_omega_plus_shrunk, mesh, b, delta)
     assert got == _outcome(build_omega_plus_shrunk, mesh, b, delta, bounds)
+
+
+def _assert_same_neumann_load(mesh, spec, seed):
+    # a nonzero start, so the order of the additions shows
+    start = np.random.default_rng(seed).normal(size=mesh.n_nodes)
+    got, want = start.copy(), start.copy()
+    assembly._neumann_load(mesh, spec, got)
+    neumann_load(mesh, spec, want)
+    assert got.tobytes() == want.tobytes()
+
+
+_G2 = [0.0, 1.0, -2.5, lambda p: np.sin(3.0 * p[0]) * p[1] + 0.25,
+       lambda p: p[0] * p[0] - 1.0 / 3.0]
+
+
+def test_neumann_load_matches_loop_on_the_channel():
+    # the ex6 channel at theta = pi/4: 47 Neumann edges on the outflow side
+    mesh = experiments.hemker_layered_mesh(np.pi / 4, snap_rule="hmin2/10")
+    assert sum(t == "N" for _i, _j, t in mesh.boundary_edges) == 47
+    for eps in (0.0, 1e-8, 1e-2, 1.0):
+        for seed, g2 in enumerate(_G2):
+            spec = assembly.ProblemSpec(eps=eps, b=np.array([1.0, 1.0]),
+                                        g2=g2)
+            _assert_same_neumann_load(mesh, spec, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.sampled_from(["SW-NE", "NW-SE"]),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2 ** 16),
+       st.sets(st.integers(0, 3)), st.sampled_from([1e-8, 1e-2, 3.0]),
+       st.sampled_from(_G2))
+def test_neumann_load_matches_loop(n, diagonal, amplitude, seed, sides, eps,
+                                   g2):
+    # Neumann on the chosen sides of the unit square (0: x = 1, 1: y = 1,
+    # 2: x = 0, 3: y = 0); none is a mesh without Neumann edges
+    def tag(p):
+        on = (p[0] > 1 - 1e-9, p[1] > 1 - 1e-9, p[0] < 1e-9, p[1] < 1e-9)
+        return "N" if any(on[k] for k in sides) else "D"
+    mesh = meshes.perturb_structured(
+        structured_triangulation(n, n, diagonal=diagonal, tag_fn=tag),
+        amplitude, seed)
+    spec = assembly.ProblemSpec(eps=eps, b=np.array([1.0, 0.0]), g2=g2)
+    _assert_same_neumann_load(mesh, spec, seed)
