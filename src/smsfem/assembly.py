@@ -372,9 +372,9 @@ def assemble(mesh, spec, decomposition=None, supg=None, with_constraints=True):
     if decomposition is not None:
         hat, nd = list(decomposition.omega_hat), list(decomposition.n_delta)
         if forms.residual[0] != (hat, nd):
-            forms.residual = ((hat, nd), *_restricted(
-                forms, *_residual(mesh, forms, hat, nd)),
-                *_read_only(constraint_selector(forms.free, nd)))
+            S, resload = _restricted(forms, *_residual(mesh, forms, hat, nd))
+            E, = _read_only(constraint_selector(forms.free, nd))
+            forms.residual = (hat, nd), S, resload, E
         ops.S, ops.residual_load, ops.E = forms.residual[1:]
         ops.n_delta = list(nd)
     return ops

@@ -697,7 +697,8 @@ def _record_case(kind, n, seed, eps):
         spec = problems.ex3_spec(eps)
         mesh = experiments.mild_random_grid(n, spec.b, seed)
     else:
-        # snapped and embedded interior layer: constraint edges pin nodes
+        # one mesh, whatever n and seed: the benchmark's ex5 grid 1, with
+        # an embedded layer whose constraint edges pin nodes
         spec = problems.ex5_spec(eps)
         mesh = experiments.interior_layer_mesh(24, snap_rule="2hmin2",
                                                seed=1)

@@ -8,10 +8,11 @@ Below, verbatim, are the per-element implementations of `wind.diagnose`,
 `LayerCharacteristic.closest_point` and `value_at`) and
 `wind.build_omega_plus_shrunk` (with its own barycentric scan of every
 element per sample) and `assembly._neumann_load` (g2 called per Gauss
-point) as they were before the array passes.  The deleted `Triangulation.edge_to_elements()` and
-`node_to_elements()` are kept as the functions `edge_to_elements(mesh)`
-and `node_to_elements(mesh)`, and the deleted methods `closest_point` and
-`value_at` as functions of the path, which they call in their place.
+point) as they were before the array passes.  The deleted
+`Triangulation.edge_to_elements()` and `node_to_elements()` are kept as
+the functions `edge_to_elements(mesh)` and `node_to_elements(mesh)`, and
+the deleted methods `closest_point` and `value_at` as functions of the
+path, which they call in their place.
 The array versions must give the same reports (fields and `to_text()`),
 the same refinement targets, the same `write_mesh` bytes, the same moved
 and skipped nodes, the same decompositions and the same errors.
