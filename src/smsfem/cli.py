@@ -106,8 +106,12 @@ def _describe(mesh):
 
 def _wind_from_config(raw, spec=None):
     if "bx" in raw or "by" in raw:
-        return np.array([_option(raw, "bx", 0.0, float),
-                         _option(raw, "by", 0.0, float)])
+        b = np.array([_option(raw, "bx", 0.0, float),
+                      _option(raw, "by", 0.0, float)])
+        if not np.isfinite(b).all():
+            raise ConfigError("bx and by must be finite, got %r"
+                              % b.tolist())
+        return b
     if spec is not None:
         return spec.b
     raise ConfigError("wind required: set bx/by or problem")

@@ -506,12 +506,15 @@ def _crosswind_parameters(cfg, mesh, spec, N):
         for item in (raw if isinstance(raw, list) else [raw]):
             try:
                 n_txt, val = str(item).split(":", 1)
-                pair = list(table.get(int(n_txt), (None, None)))
-                pair[idx] = float(val)
-                table[int(n_txt)] = tuple(pair)
+                n, value = int(n_txt), float(val)
             except (ValueError, TypeError):
                 raise ConfigError("expected %s = N:value, got %r"
                                   % (key, item))
+            if not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (key, item))
+            pair = list(table.get(n, (None, None)))
+            pair[idx] = value
+            table[n] = tuple(pair)
     if N not in table or None in table[N]:
         raise ConfigError("no crosswind parameters for N=%d; supply "
                           "delta_c and delta_multiplier" % N)

@@ -7,11 +7,12 @@ polyline and embed it into the triangulation as a chain of element
 edges carrying Dirichlet values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Triangulation, _edge_key, _signed_areas
+from .meshes import ArgumentError, Triangulation, _edge_key, _signed_areas
 from . import wind
 
 
@@ -104,7 +105,7 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
                      grids widens an embedded layer to about two cells
       'hmin2/10'     move vertices closer than (h_min(tau))^2 / 10
       '2hmin2'       move vertices closer than 2 h_min(tau)^2
-      a float        fixed distance threshold
+      a float        fixed distance threshold, finite and >= 0
     Snaps that would invert an element are skipped and reported.
     Returns (mesh, moved node list, skipped node list).
 
@@ -132,7 +133,14 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
         elif threshold_rule == "2hmin2":
             thr = 2.0 * hmin * hmin
         else:
-            thr = float(threshold_rule)
+            try:
+                thr = float(threshold_rule)
+            except (TypeError, ValueError):
+                thr = math.nan
+            if not 0.0 <= thr < math.inf:
+                raise ArgumentError(
+                    "snap rule must be 'nearest', 'hmin2/10', '2hmin2' or "
+                    "a finite distance >= 0, got %r" % (threshold_rule,))
         chosen = at[d <= thr]
     chosen = np.unique(chosen)
 
@@ -220,6 +228,15 @@ def embed_characteristic(mesh, path):
         edge_points.setdefault(key, []).append((t, idx))
         return idx
 
+    def pieces(i, j):
+        """The sub-edges of (i, j) between its registered points, from its
+        lower-index node; (i, j) itself if it has none."""
+        key = _edge_key(i, j)
+        if key not in edge_points:
+            return [(i, j)]
+        chain = [key[0]] + [idx for _t, idx in sorted(edge_points[key])]
+        return list(zip(chain, chain[1:] + [key[1]]))
+
     corner = mesh.nodes[mesh.elements]
     e = np.roll(corner, -1, axis=1) - corner
     hs = np.sqrt(np.vecdot(e, e)).max(axis=1)
@@ -236,11 +253,18 @@ def embed_characteristic(mesh, path):
     off = np.abs(q[..., 0] * side[..., 1] - q[..., 1] * side[..., 0]) / length
     t = np.vecdot(q, side) / (length * length)
     r = p - (pts + t[..., None] * side)
+    dist = np.sqrt(np.vecdot(q, q))
     # the first vertex each chord end is at, the first side it is on and
     # the first side the chord runs along, -1 for none
-    vertex = _first(np.sqrt(np.vecdot(q, q)) <= tol)
+    vertex = _first(dist <= tol)
     on = _first((-1e-9 < t) & (t < 1 + 1e-9)
                 & (np.sqrt(np.vecdot(r, r)) <= tol))
+    # a path origin inside an element (e.g. a layer starting on a curved
+    # boundary between nodes) attaches to the nearest vertex, perturbing
+    # the origin by at most h
+    origin = ((vertex[:, 0] < 0) & (on[:, 0] < 0)
+              & np.isclose(chords[cut, 0], path.points[0]).all(axis=1))
+    vertex[origin, 0] = dist[origin, 0].argmin(axis=1)
     along = _first((off <= tol).all(axis=1)).tolist()
     # the side (i, j) each chord end is on, its parameter there from the
     # side's lower-index node, and the point at that parameter
@@ -276,26 +300,22 @@ def embed_characteristic(mesh, path):
         if along[row] >= 0:
             # the clipped chord endpoints are unreliable when the path is
             # collinear with the edge (degenerate half-plane clipping), so
-            # recompute the covered part as the 1d overlap of the path
-            # with the edge; it may be partial (a path end mid-edge)
+            # recompute the covered part as the 1d overlap with the edge
+            # of the path segments with both ends on its line; it may be
+            # partial (a path end mid-edge)
             a = along[row]
             key = _edge_key(tri[a], tri[(a + 1) % 3])
             pa, pb = mesh.nodes[key[0]], mesh.nodes[key[1]]
             e = pb - pa
             L = np.linalg.norm(e)
-            h = hs[k]
-            t0, t1 = np.inf, -np.inf
-            for s in range(len(path.points) - 1):
-                q0, q1 = path.points[s], path.points[s + 1]
-                d0 = abs((q0 - pa)[0] * e[1] - (q0 - pa)[1] * e[0]) / L
-                d1 = abs((q1 - pa)[0] * e[1] - (q1 - pa)[1] * e[0]) / L
-                if d0 > 1e-9 * h or d1 > 1e-9 * h:
-                    continue
-                s0 = float((q0 - pa) @ e) / (L * L)
-                s1 = float((q1 - pa) @ e) / (L * L)
-                lo, hi = min(s0, s1), max(s0, s1)
-                t0 = min(t0, max(lo, 0.0))
-                t1 = max(t1, min(hi, 1.0))
+            w = path.points - pa
+            near = np.abs(w[:, 0] * e[1] - w[:, 1] * e[0]) / L <= 1e-9 * hs[k]
+            s = np.vecdot(w, e) / (L * L)
+            both = near[:-1] & near[1:]
+            lo = np.minimum(s[:-1], s[1:])[both]
+            hi = np.maximum(s[:-1], s[1:])[both]
+            t0 = np.maximum(lo, 0.0).min(initial=np.inf)
+            t1 = np.minimum(hi, 1.0).max(initial=-np.inf)
             if t1 > t0:
                 ts, points = edge_param(key[0], key[1],
                                         pa + np.array([[t0], [t1]]) * e)
@@ -305,18 +325,7 @@ def embed_characteristic(mesh, path):
                     on_path_edges.append((n_in, n_out, value))
             new_elements.append(tri)
             continue
-        try:
-            kin = classify_point(row, 0)
-        except DegenerateCrossingError:
-            p_in = chords[k, 0]
-            if not np.allclose(p_in, path.points[0]):
-                raise
-            # path origin interior to the element (e.g. a layer starting
-            # on a curved boundary between nodes): attach it to the
-            # nearest vertex, perturbing the origin by at most h
-            a = int(np.argmin(np.linalg.norm(corner[k] - p_in, axis=1)))
-            kin = ("vertex", tri[a])
-        kout = classify_point(row, 1)
+        kin, kout = classify_point(row, 0), classify_point(row, 1)
         if kin[0] == "vertex" and kout[0] == "vertex":
             a, b = kin[1], kout[1]
             if a != b:
@@ -390,54 +399,27 @@ def embed_characteristic(mesh, path):
         while stack:
             tri = stack.pop()
             for a in range(3):
-                key = _edge_key(tri[a], tri[(a + 1) % 3])
-                pieces = edge_points.get(key)
-                if not pieces:
-                    continue
-                chain = ([key[0]] + [idx for _t, idx in sorted(pieces)]
-                         + [key[1]])
-                opp = tri[(a + 2) % 3]
-                for c in range(len(chain) - 1):
-                    stack.append((opp, chain[c], chain[c + 1]))
-                break
+                split = pieces(tri[a], tri[(a + 1) % 3])
+                if len(split) > 1:
+                    stack += [(tri[(a + 2) % 3], i, j) for i, j in split]
+                    break
             else:
                 done.append(tri)
         resolved.append(np.array(done, dtype=np.int64))
     resolved.append(new_elements[:stop][::-1])
     new_elements = np.concatenate(resolved)
 
-    # split boundary and constraint edges that received new nodes
-    def split_tagged(edge_list, rebuild):
-        out = []
-        stack = list(edge_list)
-        while stack:
-            entry = stack.pop()
-            i, j = entry[0], entry[1]
-            key = _edge_key(i, j)
-            if key in edge_points and edge_points[key]:
-                pieces = sorted(edge_points[key])
-                chain = [key[0]] + [idx for _t, idx in pieces] + [key[1]]
-                for a in range(len(chain) - 1):
-                    out.append(rebuild(chain[a], chain[a + 1], entry))
-            else:
-                out.append(entry)
-        out.sort(key=lambda e: (e[0], e[1]))
-        return out
-
-    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
-    constraints = split_tagged(mesh.constraint_edges,
-                               lambda i, j, e: (i, j, e[2]))
+    # split boundary and constraint edges that received new nodes; an
+    # edge listed twice keeps the reverse list order among its pieces
+    boundary, constraints = (
+        sorted(((a, b, e[2]) for e in reversed(edges)
+                for a, b in pieces(e[0], e[1])), key=lambda e: (e[0], e[1]))
+        for edges in (mesh.boundary_edges, mesh.constraint_edges))
     # dedupe on-path edges (interior ones are seen from both sides)
     seen = {}
     for i, j, v in on_path_edges:
-        key = _edge_key(i, j)
-        pieces = edge_points.get(key)
-        if pieces:
-            chain = [key[0]] + [idx for _t, idx in sorted(pieces)] + [key[1]]
-            for a in range(len(chain) - 1):
-                seen[_edge_key(chain[a], chain[a + 1])] = v
-        else:
-            seen[key] = v
+        for a, b in pieces(i, j):
+            seen[_edge_key(a, b)] = v
     node_values = dict(mesh.node_values)
     on_path_nodes = set()
     path_edges = sorted(seen.items())

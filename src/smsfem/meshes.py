@@ -342,8 +342,10 @@ class Triangulation:
 
     def audit_conformity(self):
         """Raise GenerationError at the first failed check, in the order
-        areas, duplicates, edges by first appearance, tagged edges."""
-        if np.any(self.areas() <= 0):
+        areas, duplicates, edges by first appearance, tagged edges; an
+        area must be a finite positive number."""
+        areas = self.areas()
+        if not np.all((areas > 0) & (areas < np.inf)):
             raise GenerationError("degenerate or inverted element")
         t = self.topology
         bkeys = [_edge_key(i, j) for i, j, _t in self.boundary_edges]
@@ -573,14 +575,14 @@ def red_refine(mesh, elements):
             nodes.append([0.5 * (xi + xj), 0.5 * (yi + yj)])
         return midpoint[key]
 
-    pieces, start = [], 0
+    blocks, start = [], 0
     for k in subset:
         a, b, c = mesh.elements[k].tolist()
         mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        pieces += [mesh.elements[start:k], [(a, mab, mca), (mab, b, mbc),
+        blocks += [mesh.elements[start:k], [(a, mab, mca), (mab, b, mbc),
                                            (mca, mbc, c), (mab, mbc, mca)]]
         start = k + 1
-    tris = np.concatenate(pieces + [mesh.elements[start:]])
+    tris = np.concatenate(blocks + [mesh.elements[start:]])
 
     # closure: bisect the longest edge of any element with a hanging node,
     # in list order, so a midpoint made in a round hangs the later
@@ -598,7 +600,7 @@ def red_refine(mesh, elements):
         corner = np.asarray(nodes)[ends]
         d = corner[:, :, 0] - corner[:, :, 1]
         length = np.sqrt(np.vecdot(d, d)).tolist()
-        pieces, start = [], 0
+        blocks, start = [], 0
         while heap:
             p = heapq.heappop(heap)
             if p < start:
@@ -616,30 +618,20 @@ def red_refine(mesh, elements):
                 for q in (by_code[lo:hi] // 3).tolist():
                     if q > p:
                         heapq.heappush(heap, q)
-            pieces += [tris[start:p], [(i, m, opp), (m, j, opp)]]
+            blocks += [tris[start:p], [(i, m, opp), (m, j, opp)]]
             start = p + 1
-        tris = np.concatenate(pieces + [tris[start:]])
+        tris = np.concatenate(blocks + [tris[start:]])
     else:
         raise GenerationError("hanging-node closure did not terminate")
 
-    def split_tagged(edge_list, make):
-        out = []
-        stack = list(edge_list)
-        while stack:
-            entry = stack.pop()
-            i, j = entry[0], entry[1]
-            key = _edge_key(i, j)
-            if key in midpoint:
-                m = midpoint[key]
-                stack.append(make(i, m, entry))
-                stack.append(make(m, j, entry))
-            else:
-                out.append(entry)
-        out.sort()
-        return out
+    def pieces(i, j):
+        """The sub-edges of (i, j), in its orientation."""
+        m = midpoint.get(_edge_key(i, j))
+        return [(i, j)] if m is None else pieces(i, m) + pieces(m, j)
 
-    boundary = split_tagged(mesh.boundary_edges, lambda i, j, e: (i, j, e[2]))
-    constraints = split_tagged(mesh.constraint_edges, lambda i, j, e: (i, j, e[2]))
+    boundary, constraints = (
+        sorted((a, b, e[2]) for e in edges for a, b in pieces(e[0], e[1]))
+        for edges in (mesh.boundary_edges, mesh.constraint_edges))
     return Triangulation(np.asarray(nodes), tris, boundary,
                          constraints, mesh.node_values)
 
@@ -704,9 +696,12 @@ def read_mesh(path):
         if len(parts) != 2:
             raise MeshFileError("expected 'x y'", ln)
         try:
-            nodes.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise MeshFileError("bad coordinate", ln)
+        nodes.append((x, y))
         pos += 1
 
     m = expect_header("ELEMENTS")
@@ -751,6 +746,8 @@ def read_mesh(path):
             try:
                 value = float(parts[3])
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise MeshFileError("bad value", ln)
         tagged.append((ln, i, j, parts[2], value))
         pos += 1

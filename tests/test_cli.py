@@ -5,6 +5,7 @@ import os
 import pytest
 
 from smsfem import cli
+from smsfem.meshes import structured_triangulation, write_mesh
 
 
 def _write(tmp_path, name, text):
@@ -91,6 +92,67 @@ def test_mesh_domain_must_be_numbers(tmp_path, capsys):
         assert cli.main(["mesh", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: domain needs four numbers" in err
+
+
+def _grid_file(tmp_path, n, line, text):
+    """A file mesh of the n x n unit-square grid with its line-th line
+    (from 1) replaced by text."""
+    path = tmp_path / "grid.mesh"
+    write_mesh(structured_triangulation(n, n), str(path))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+_SOLVE_EX4 = "problem = ex4\nmethod = galerkin\neps = 0.01\n"
+
+
+# line 3 holds node 0 at (0, 0), the last node line (1, 1), and the first
+# boundary line the edge 0 1 (line 11 at n = 1, 62 at n = 4)
+@pytest.mark.parametrize("command, n, line, text, message", [
+    ("mesh", 1, 3, "nan 0", "line 3: bad coordinate"),
+    ("mesh", None, None, None, "degenerate or inverted element"),
+    ("solve", 1, 11, "0 1 D nan", "line 11: bad value"),
+    ("solve", 4, 62, "0 1 D nan", "line 62: bad value"),
+    ("solve", 4, 27, "inf 1", "line 27: bad coordinate"),
+], ids=["nan-node", "nan-domain", "nan-edge-value-2-elements",
+        "nan-edge-value-4x4", "inf-node-4x4"])
+def test_non_finite_mesh_input_is_a_config_error(tmp_path, capsys, command,
+                                                 n, line, text, message):
+    if n is None:
+        cfg = "nx = 2\ndomain = 0 0 nan 1\n"
+    else:
+        cfg = "kind = file\npath = %s\n" % _grid_file(tmp_path, n, line,
+                                                        text)
+    if command == "solve":
+        cfg += _SOLVE_EX4
+    path = _write(tmp_path, "m.cfg", cfg)
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("solve", _SOLVE_EX4.replace("ex4", "ex5") + "N = 8\nsnap_rule = bogus\n",
+     "snap rule must be"),
+    ("experiment ex5", "N = 16\nsnap_rule = bogus\n", "snap rule must be"),
+    ("experiment ex5", "N = 16\nsnap_rule = nan\n", "snap rule must be"),
+    ("experiment ex2", "N = 10\ndelta_c = 10:nan\n",
+     "delta_c must be finite"),
+    ("experiment comp-ex2", "N = 10\ndelta_multiplier = 10:inf\n",
+     "delta_multiplier must be finite"),
+    ("diagnose", "nx = 4\nbx = nan\nby = 1\n", "bx and by must be finite"),
+    ("diagnose", "nx = 4\nbx = 1\nby = inf\n", "bx and by must be finite"),
+], ids=["solve-snap-bogus", "ex5-snap-bogus", "ex5-snap-nan",
+        "ex2-delta-c-nan", "comp-ex2-multiplier-inf", "diagnose-bx-nan",
+        "diagnose-by-inf"])
+def test_bad_numeric_options_are_config_errors(tmp_path, capsys, command,
+                                               cfg, message):
+    path = _write(tmp_path, "o.cfg", cfg)
+    assert cli.main(command.split() + ["--config", path,
+                                       "--out", str(tmp_path / "out")]) == 2
+    assert "config error: " + message in capsys.readouterr().err
 
 
 def test_solve_rejects_oracle_method(tmp_path, capsys):

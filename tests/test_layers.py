@@ -3,13 +3,14 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsfem import experiments, wind
 from smsfem.layers import (DegenerateCrossingError, LayerCharacteristic,
                            _crossings, embed_characteristic, snap_nodes,
                            straight_characteristic)
-from smsfem.meshes import (Triangulation, perturb_structured,
+from smsfem.meshes import (ArgumentError, Triangulation, perturb_structured,
                            structured_triangulation)
 from smsfem.problems import EX5_LAYER_VALUE, EX5_WIND
 
@@ -40,6 +41,9 @@ def test_snap_numeric_threshold_rule():
     path = straight_characteristic((0.0, 0.55), (1.0, 0.55), 0.5)
     _snapped, moved, _skipped = snap_nodes(m, path, threshold_rule=1e-6)
     assert moved == []  # nothing within the tight threshold
+    for rule in ("bogus", "nan", np.inf, -1e-6):
+        with pytest.raises(ArgumentError, match="snap rule must be"):
+            snap_nodes(m, path, threshold_rule=rule)
 
 
 def test_embed_two_edge_crossing():

@@ -18,6 +18,7 @@ the same refinement targets, the same `write_mesh` bytes, the same moved
 and skipped nodes, the same decompositions and the same errors.
 """
 
+import functools
 import heapq
 import os
 import tempfile
@@ -793,14 +794,40 @@ def test_diagnose_matches_loop_on_defect_fixtures():
             _assert_same_diagnosis(mesh, dec, b)
 
 
+@functools.cache
+def _embedded_mesh(name):
+    if name == "interior":
+        return experiments.interior_layer_mesh(8)
+    return experiments.hemker_layered_mesh(0.3)
+
+
+def _on_edges(mesh, edges):
+    """The elements with a side among the node pairs of edges."""
+    keys = {_edge_key(i, j) for i, j, _x in edges}
+    return [k for k, tri in enumerate(mesh.elements.tolist())
+            if any(_edge_key(tri[a - 1], tri[a]) in keys for a in range(3))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.sampled_from([0.0, 0.3]),
-       st.integers(0, 2 ** 16), st.floats(0.0, 0.4))
-def test_red_refine_matches_loop(n, amplitude, seed, share):
-    mesh = _grid(n, "SW-NE", amplitude, seed)
+       st.integers(0, 2 ** 16), st.floats(0.0, 0.4),
+       st.sampled_from([None, "interior", "channel"]))
+def test_red_refine_matches_loop(n, amplitude, seed, share, embedded):
     rng = np.random.default_rng(seed)
+    if embedded is None:
+        mesh = _grid(n, "SW-NE", amplitude, seed)
+        pools = []
+    else:
+        # embedded layers: also refine elements on the split boundary
+        # pieces listed higher index first, and on the constraint edges
+        mesh = _embedded_mesh(embedded)
+        pools = [_on_edges(mesh, [e for e in mesh.boundary_edges
+                                  if e[0] > e[1]]),
+                 _on_edges(mesh, mesh.constraint_edges)]
     size = max(1, int(share * mesh.n_elements))
-    subset = rng.choice(mesh.n_elements, size=size, replace=False)
+    subset = np.concatenate(
+        [rng.choice(mesh.n_elements, size=size, replace=False)]
+        + [rng.choice(pool, size=rng.integers(1, 4)) for pool in pools])
     assert (_bytes(meshes.red_refine(mesh, subset))
             == _bytes(red_refine(mesh, subset)))
 
@@ -823,16 +850,21 @@ def test_red_refine_requeues_elements_hung_in_the_same_round(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 14), st.sampled_from([0.0, 0.3]),
        st.integers(0, 2 ** 16),
-       st.sampled_from([None, "nearest", "hmin2/10", "2hmin2"]))
-def test_embed_matches_loop_on_straight_paths(n, amplitude, seed, rule):
+       st.sampled_from([None, "nearest", "hmin2/10", "2hmin2"]),
+       st.sampled_from(["ends", "along-boundary", "through-nodes",
+                        "along-grid-line"]))
+def test_embed_matches_loop_on_straight_paths(n, amplitude, seed, rule, kind):
     mesh = _grid(n, "SW-NE", amplitude, seed)
     rng = np.random.default_rng(seed)
-    # from the boundary to the boundary or to an interior point
-    ends = rng.uniform(0.0, 1.0, (2, 2))
-    ends[0, rng.integers(2)] = rng.integers(2)
-    if rng.random() < 0.7:
-        ends[1, rng.integers(2)] = rng.integers(2)
-    path = layers.straight_characteristic(ends[0], ends[1], 1.0)
+    if kind == "ends":
+        # from the boundary to the boundary or to an interior point
+        ends = rng.uniform(0.0, 1.0, (2, 2))
+        ends[0, rng.integers(2)] = rng.integers(2)
+        if rng.random() < 0.7:
+            ends[1, rng.integers(2)] = rng.integers(2)
+        path = layers.straight_characteristic(ends[0], ends[1], 1.0)
+    else:
+        path = _snap_path(mesh, kind, rng)
     if rule is not None:
         mesh = layers.snap_nodes(mesh, path, rule)[0]
     got = _outcome(layers.embed_characteristic, mesh, path)
@@ -893,6 +925,18 @@ def _snap_path(mesh, kind, rng):
             ends = ends[:, ::-1]
     elif kind == "through-nodes":
         ends = mesh.nodes[rng.choice(mesh.n_nodes, 2, replace=False)]
+    elif kind == "along-grid-line":
+        # two collinear legs along the grid line y = k / n, joined inside
+        # an edge and ending at a node or an edge midpoint, then a bend to
+        # the top or bottom side: on an unperturbed grid the along-edge
+        # overlap takes one edge's ends from two path segments
+        n = round(np.sqrt(mesh.n_nodes)) - 1
+        y = rng.integers(1, n) / n
+        x = (rng.integers(1, n) + rng.choice([0.0, 0.5])) / n
+        points = np.array([[0.0, y], [rng.uniform(0.0, x), y], [x, y],
+                           [rng.uniform(), rng.integers(2)]])
+        return layers.LayerCharacteristic(points, rng.uniform(size=4),
+                                          points[0].copy())
     else:
         # a polyline with a zero-length segment
         points = rng.uniform(0.0, 1.0, (3, 2))
