@@ -134,7 +134,7 @@ def test_non_finite_mesh_input_is_a_config_error(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command, cfg, message", [
-    ("solve", _SOLVE_EX4.replace("ex4", "ex5") + "N = 8\nsnap_rule = bogus\n",
+    ("solve", "problem = ex5\nmethod = galerkin\nN = 8\nsnap_rule = bogus\n",
      "snap rule must be"),
     ("experiment ex5", "N = 16\nsnap_rule = bogus\n", "snap rule must be"),
     ("experiment ex5", "N = 16\nsnap_rule = nan\n", "snap rule must be"),
