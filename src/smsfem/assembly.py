@@ -27,17 +27,13 @@ from .wind import ValidationError, array_form, vector_field
 
 
 def scalar_field(c):
-    """Coefficient as a callable point -> float, with the array form
-    `array` of (..., 2) points -> (...) (see `wind.array_form`); a
-    constant is broadcast, not called."""
+    """Coefficient as an array function of (..., 2) points -> (...), one
+    point (2,) included: a callable by `wind.array_form`; a constant is
+    broadcast, not called."""
     if callable(c):
-        fn = lambda p: float(c(np.asarray(p, dtype=float)))
-        fn.array = array_form(c)
-        return fn
+        return array_form(c)
     value = float(c)
-    fn = lambda p: value
-    fn.array = lambda points: np.full(np.shape(points)[:-1], value)
-    return fn
+    return lambda points: np.full(np.shape(points)[:-1], value)
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,9 @@ def midedge_rule(mesh, spec=None, elements=None):
         area, grads, p = area[elements], grads[elements], p[elements]
     rule = MidEdgeRule(area, grads, 0.5 * (p + np.roll(p, -1, axis=1)))
     if spec is not None:
-        rule.b = spec.b_fn.array(rule.points)
-        rule.c = spec.c_fn.array(rule.points)
-        rule.f = spec.f_fn.array(rule.points)
+        rule.b = spec.b_fn(rule.points)
+        rule.c = spec.c_fn(rule.points)
+        rule.f = spec.f_fn(rule.points)
     return rule
 
 
@@ -164,7 +160,7 @@ def compute_supg_parameters(mesh, spec, delta_c=0.0, multiplier=1.0):
     if spec.eps <= 0:
         raise ValidationError("SUPG parameters require eps > 0")
     _area, grads, p = element_geometry(mesh)
-    b = spec.b_fn.array(p.mean(axis=1))
+    b = spec.b_fn(p.mean(axis=1))
     nb = np.sqrt(np.vecdot(b, b))
     on = nb != 0.0
     nb, b, grads = nb[on], b[on], grads[on]
@@ -207,7 +203,7 @@ def dirichlet_lift(mesh, spec, with_constraints=True):
     dir_nodes = sorted(mesh.dirichlet_node_set() if with_constraints else {
         v for i, j, t in mesh.boundary_edges if t == "D" for v in (i, j)})
     given = [v for v in dir_nodes if v not in mesh.node_values]
-    u_d[given] = spec.g1_fn.array(mesh.nodes[given])
+    u_d[given] = spec.g1_fn(mesh.nodes[given])
     for v in dir_nodes:
         if v in mesh.node_values:
             u_d[v] = mesh.node_values[v]
@@ -225,7 +221,7 @@ def _neumann_load(mesh, spec, load):
     pi = mesh.nodes[ij[:, 0]]
     d = mesh.nodes[ij[:, 1]] - pi
     w = 0.5 * np.sqrt(np.vecdot(d, d))   # rounds as one edge's linalg.norm
-    g = spec.g2_fn.array(pi[:, None] + gp[:, None] * d[:, None])
+    g = spec.g2_fn(pi[:, None] + gp[:, None] * d[:, None])
     shares = np.stack([1.0 - gp, gp], axis=1)   # (point, i/j)
     np.add.at(load, np.broadcast_to(ij[:, None], (len(ij), 2, 2)).ravel(),
               (((spec.eps * w)[:, None] * g)[:, :, None] * shares).ravel())

@@ -27,7 +27,7 @@ from .meshes import (Triangulation, perturb_structured,
                      structured_triangulation, tensor_triangulation,
                      write_node_values_csv)
 from .wind import (absorb_isolated, build_omega_plus_shrunk, decompose,
-                   diagnose, remediate)
+                   diagnose, remediate, vector_field)
 
 
 class ConfigError(Exception):
@@ -94,6 +94,8 @@ class ExperimentConfig:
             self.eps = list(defaults["eps"])
         if self.grids is None:
             self.grids = defaults["grids"]
+        if self.grids is not None and self.grids < 0:
+            raise ConfigError("grids must be nonnegative, got %r" % self.grids)
         for m in self.methods:
             if m not in _METHODS:
                 raise ConfigError("unknown method %r (known: %s)"
@@ -253,10 +255,9 @@ def mild_random_grid(N, b, seed, amplitude=1.0 / 3.0):
     h = 1.0 / N
     lines = np.concatenate([np.linspace(0.0, 1.0 - h, N), [1.0]])
     base = tensor_triangulation(lines, lines)
-    bf = b if callable(b) else (lambda p, v=np.asarray(b, float): v)
 
     # the strip nodes on the sides the wind leaves through
-    outflow = np.asarray(bf(np.array([0.5, 0.5])), dtype=float)[:2] > 0.0
+    outflow = vector_field(b)(np.array([0.5, 0.5])) > 0.0
     strip = base.nodes >= 1.0 - h - 1e-12
     frozen = np.flatnonzero((strip & outflow).any(axis=1))
     return perturb_structured(base, amplitude, seed, frozen=frozen)

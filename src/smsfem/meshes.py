@@ -429,6 +429,8 @@ def structured_triangulation(nx, ny, diagonal="SW-NE",
 
     `tag_fn(midpoint) -> 'D' | 'N'` assigns boundary tags; default all 'D'.
     """
+    if nx < 1 or ny < 1:
+        raise ArgumentError("need at least one cell per direction")
     xs = np.linspace(domain[0][0], domain[1][0], nx + 1)
     ys = np.linspace(domain[0][1], domain[1][1], ny + 1)
     return tensor_triangulation(xs, ys, diagonal=diagonal, tag_fn=tag_fn)
@@ -471,13 +473,13 @@ def shishkin_lines(N, sigma, L=1.0):
     return np.concatenate([coarse, fine])
 
 
-def tensor_shishkin_2d(Nx, Ny, sigma_x, sigma_y, diagonal="SW-NE", tag_fn=None):
+def tensor_shishkin_2d(Nx, Ny, sigma_x, sigma_y):
     """Tensor product of two 1D Shishkin partitions of [0, 1]."""
     if not (0.0 < sigma_x < 1.0 and 0.0 < sigma_y < 1.0):
         raise ArgumentError("transitions must lie in (0, 1)")
     xs = shishkin_lines(Nx, sigma_x)
     ys = shishkin_lines(Ny, sigma_y)
-    return tensor_triangulation(xs, ys, diagonal=diagonal, tag_fn=tag_fn)
+    return tensor_triangulation(xs, ys)
 
 
 def perturb_structured(mesh, amplitude_fraction, seed, frozen=(), max_retries=200):
@@ -670,7 +672,9 @@ def read_mesh(path):
             lines.append((ln, text))
     pos = 0
 
-    def expect_header(name):
+    def section(name, row):
+        """The rows of the section '<name> <count>' at pos, each made by
+        row(ln, parts) from its line number and fields."""
         nonlocal pos
         if pos >= len(lines):
             raise MeshFileError("missing %s section" % name,
@@ -684,15 +688,16 @@ def read_mesh(path):
         except ValueError:
             raise MeshFileError("bad %s count" % name, ln)
         pos += 1
-        return count
+        rows = []
+        for _ in range(count):
+            if pos >= len(lines):
+                raise MeshFileError("unexpected end of %s" % name, len(raw))
+            ln, text = lines[pos]
+            rows.append(row(ln, text.split()))
+            pos += 1
+        return rows
 
-    n = expect_header("NODES")
-    nodes = []
-    for _ in range(n):
-        if pos >= len(lines):
-            raise MeshFileError("unexpected end of NODES", len(raw))
-        ln, text = lines[pos]
-        parts = text.split()
+    def node(ln, parts):
         if len(parts) != 2:
             raise MeshFileError("expected 'x y'", ln)
         try:
@@ -701,16 +706,9 @@ def read_mesh(path):
             x = y = math.nan
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MeshFileError("bad coordinate", ln)
-        nodes.append((x, y))
-        pos += 1
+        return x, y
 
-    m = expect_header("ELEMENTS")
-    elements = []
-    for _ in range(m):
-        if pos >= len(lines):
-            raise MeshFileError("unexpected end of ELEMENTS", len(raw))
-        ln, text = lines[pos]
-        parts = text.split()
+    def element(ln, parts):
         if len(parts) != 3:
             raise MeshFileError("expected 'i j k'", ln)
         try:
@@ -720,16 +718,9 @@ def read_mesh(path):
         for v in tri:
             if not 0 <= v < n:
                 raise MeshFileError("element references node %d" % v, ln)
-        elements.append(tri)
-        pos += 1
+        return tri
 
-    b = expect_header("BOUNDARY")
-    tagged = []
-    for _ in range(b):
-        if pos >= len(lines):
-            raise MeshFileError("unexpected end of BOUNDARY", len(raw))
-        ln, text = lines[pos]
-        parts = text.split()
+    def edge(ln, parts):
         if len(parts) not in (3, 4) or parts[2] not in ("D", "N"):
             raise MeshFileError("expected 'i j D|N [value]'", ln)
         try:
@@ -749,8 +740,12 @@ def read_mesh(path):
                 value = math.nan
             if not math.isfinite(value):
                 raise MeshFileError("bad value", ln)
-        tagged.append((ln, i, j, parts[2], value))
-        pos += 1
+        return ln, i, j, parts[2], value
+
+    nodes = section("NODES", node)
+    n = len(nodes)
+    elements = section("ELEMENTS", element)
+    tagged = section("BOUNDARY", edge)
     if pos != len(lines):
         raise MeshFileError("trailing content", lines[pos][0])
 

@@ -50,7 +50,7 @@ def linf_nodal_error(mesh, u, exact, nodes=None):
     nodes = np.asarray(nodes, dtype=int)
     if nodes.size == 0:
         raise ArgumentError("empty node subset")
-    ex = assembly.scalar_field(exact).array(mesh.nodes[nodes])
+    ex = assembly.scalar_field(exact)(mesh.nodes[nodes])
     return float(np.abs(np.asarray(u)[nodes] - ex).max())
 
 
@@ -82,7 +82,7 @@ def h1_seminorm_error(mesh, u, exact_gradient, region=None):
     rule = assembly.midedge_rule(mesh, elements=elements)
     uk = np.asarray(u, dtype=float)[mesh.elements[elements]]
     d = (rule.gradient(uk)[:, None, :]
-         - assembly.vector_field(exact_gradient).array(rule.points))
+         - assembly.vector_field(exact_gradient)(rule.points))
     return math.sqrt(assembly.ordered_sum(
         rule.area[:, None] / 3.0 * np.vecdot(d, d)))
 

@@ -151,14 +151,12 @@ def solve_shishkin_oracle_1d(N, eps, b, f, sigma):
     return u, u[:N + 1].copy(), float(alpha_star), mesh
 
 
-def solve_shishkin_oracle_2d(problem_spec, N, sigma_x, sigma_y,
-                             diagonal="SW-NE", tag_fn=None):
+def solve_shishkin_oracle_2d(problem_spec, N, sigma_x, sigma_y):
     """SUPG on the tensor 2Nx2N Shishkin grid; returns the solution, the
     mesh, and the coarse-node restriction mask (x <= 1-sx, y <= 1-sy)."""
     from .meshes import tensor_shishkin_2d
 
-    mesh = tensor_shishkin_2d(N, N, sigma_x, sigma_y,
-                              diagonal=diagonal, tag_fn=tag_fn)
+    mesh = tensor_shishkin_2d(N, N, sigma_x, sigma_y)
     u = solve_supg(mesh, problem_spec)
     coarse = ((mesh.nodes[:, 0] <= 1.0 - sigma_x + 1e-14)
               & (mesh.nodes[:, 1] <= 1.0 - sigma_y + 1e-14))

@@ -52,17 +52,15 @@ def array_form(fn, point_shape=(2,), shape=()):
 
 
 def vector_field(b):
-    """Wind as a callable point -> (2,) array, with the array form
-    `array` of (..., 2) points -> (..., 2) (see `array_form`); a constant
-    keeps `constant` for the ray casting and is broadcast, not called."""
+    """Wind as an array function of (..., 2) points -> (..., 2), one point
+    (2,) included: a callable by `array_form`; a constant is broadcast,
+    not called, and kept as `constant` for the ray casting."""
     if callable(b):
-        fn = lambda p: np.asarray(b(np.asarray(p, dtype=float)), dtype=float)
-        fn.array = array_form(b, shape=(2,))
-        return fn
-    fn = lambda p: fn.constant
-    fn.constant = np.asarray(b, dtype=float)
-    fn.array = lambda points: np.full(
-        np.shape(points)[:-1] + fn.constant.shape, fn.constant)
+        return array_form(b, shape=(2,))
+    constant = np.asarray(b, dtype=float)
+    fn = lambda points: np.full(np.shape(points)[:-1] + constant.shape,
+                                constant)
+    fn.constant = constant
     return fn
 
 
@@ -76,13 +74,6 @@ class BoundaryClassification:
     gamma_d_0plus: list   # node pairs (i, j) of (outflow u char) n Dirichlet,
                           # plus interior constraint edges (both-side walls)
 
-    def gamma_d_0plus_nodes(self):
-        out = set()
-        for i, j in self.gamma_d_0plus:
-            out.add(i)
-            out.add(j)
-        return out
-
 
 def classify_boundary(mesh, b):
     """Classify boundary edges by the sign of b.n at the edge midpoint.
@@ -90,7 +81,6 @@ def classify_boundary(mesh, b):
     Raises ValidationError if some inflow edge is not Dirichlet
     (Gamma- must be contained in Gamma_D).
     """
-    bf = vector_field(getattr(b, "b", b))
     t, x = mesh.topology, mesh.nodes
     pairs = np.array([(i, j) for i, j, _tag in mesh.boundary_edges],
                      dtype=np.int64).reshape(-1, 2)
@@ -98,7 +88,7 @@ def classify_boundary(mesh, b):
         raise ValidationError("a boundary edge is not the side of one element")
     i, j = pairs.T
     opp = mesh.elements[t.first[t.find(pairs)] // 3].sum(axis=1) - i - j
-    bmid = bf.array(0.5 * (x[i] + x[j]))
+    bmid = vector_field(b)(0.5 * (x[i] + x[j]))
     # np.vecdot rounds as np.dot and np.linalg.norm on one edge
     e = x[j] - x[i]
     n = np.column_stack([-e[:, 1], e[:, 0]])
@@ -121,39 +111,48 @@ def classify_boundary(mesh, b):
         np.flatnonzero(~charac & ~(bn < 0)).tolist(), gplus)
 
 
-def upwind_element(mesh, node, b):
-    """Element containing x_i - lambda*b for all small lambda > 0.
+def upwind_elements(mesh, nodes, winds):
+    """Per node, the element containing x_i - lambda*b_i for all small
+    lambda > 0, b_i the node's row of the (n, 2) winds.
 
     When the ray runs along an edge, the lowest-index adjacent element
-    is selected.  Raises UpwindNotFound when no element qualifies.
+    is selected.  At the first node in order that fails, raises
+    ValidationError for a zero wind and UpwindNotFound when no element
+    qualifies.  One pass over the (node, incident element) pairs;
+    np.vecdot rounds as np.dot and np.linalg.norm on one pair.
     """
-    bvec = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(bvec)
-    if nb == 0.0:
-        raise ValidationError("wind vanishes at node %d" % node)
-    d = -bvec / nb
-    x = mesh.nodes[node]
-    hits = []
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size == 0:
+        return nodes
+    winds = np.asarray(winds, dtype=float)
+    nb = np.sqrt(np.vecdot(winds, winds))
     t = mesh.topology
-    for k in t.node_elements[t.node_ptr[node]:t.node_ptr[node + 1]].tolist():
-        tri = mesh.elements[k]
-        others = [v for v in tri if v != node]
-        e1 = mesh.nodes[others[0]] - x
-        e2 = mesh.nodes[others[1]] - x
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        if det == 0.0:
-            continue
+    start, count = t.node_ptr[nodes], np.diff(t.node_ptr)[nodes]
+    row = np.repeat(np.arange(nodes.size), count)
+    k = t.node_elements[np.arange(row.size)
+                        + np.repeat(start - np.cumsum(count) + count, count)]
+    tri = mesh.elements[k]
+    others = tri[tri != nodes[row, None]].reshape(-1, 2)
+    x = mesh.nodes[nodes[row]]
+    e1, e2 = mesh.nodes[others[:, 0]] - x, mesh.nodes[others[:, 1]] - x
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0, d1 = (-winds[row] / nb[row, None]).T
         # d = alpha*e1 + beta*e2; inside the cone iff alpha, beta >= 0
-        alpha = (d[0] * e2[1] - d[1] * e2[0]) / det
-        beta = (e1[0] * d[1] - e1[1] * d[0]) / det
-        scale = abs(alpha) + abs(beta) + 1.0 / min(
-            np.linalg.norm(e1), np.linalg.norm(e2))
-        tol = 1e-12 * scale
-        if alpha >= -tol and beta >= -tol:
-            hits.append(k)
-    if not hits:
-        raise UpwindNotFound("no upwind element at node %d" % node)
-    return min(hits)
+        alpha = (d0 * e2[:, 1] - d1 * e2[:, 0]) / det
+        beta = (e1[:, 0] * d1 - e1[:, 1] * d0) / det
+        scale = np.abs(alpha) + np.abs(beta) + 1.0 / np.minimum(
+            np.sqrt(np.vecdot(e1, e1)), np.sqrt(np.vecdot(e2, e2)))
+    tol = 1e-12 * scale
+    hit = (det != 0.0) & (alpha >= -tol) & (beta >= -tol)
+    up = np.full(nodes.size, mesh.n_elements)
+    np.minimum.at(up, row[hit], k[hit])
+    bad = np.flatnonzero((nb == 0.0) | (up == mesh.n_elements))
+    if bad.size and nb[bad[0]] == 0.0:
+        raise ValidationError("wind vanishes at node %d" % nodes[bad[0]])
+    if bad.size:
+        raise UpwindNotFound("no upwind element at node %d" % nodes[bad[0]])
+    return up
 
 
 @dataclass
@@ -188,7 +187,7 @@ def _interior_nodes_of(mesh, element_set):
     # a node of an element outside the set is not interior to it
     excluded[mesh.elements[~_mask(mesh.n_elements, element_set)]] = True
     return np.flatnonzero((np.diff(mesh.topology.node_ptr) > 0)
-                          & ~excluded).tolist()
+                          & ~excluded)
 
 
 def _extract_n_delta(mesh, omega_plus_set):
@@ -209,31 +208,27 @@ def decompose(mesh, b):
 def build_omega_plus(mesh, classification, b):
     """B_h = elements meeting Gamma_D^{0+}; remove the upwind triangle of
     every node interior to B_h; extract N_delta."""
-    b_h, bf = band_elements(mesh, classification), vector_field(b)
-    winds = [(v, bf(mesh.nodes[v]))
-             for v in _interior_nodes_of(mesh, set(b_h))]
-    return _remove_upwind(mesh, set(b_h), b_h, winds)
+    b_h = band_elements(mesh, classification)
+    nodes = _interior_nodes_of(mesh, set(b_h))
+    return _remove_upwind(mesh, set(b_h), b_h, nodes,
+                          vector_field(b)(mesh.nodes[nodes]))
 
 
 def band_elements(mesh, classification):
     """B_h: the elements with a vertex on Gamma_D^{0+}."""
-    gnodes = list(classification.gamma_d_0plus_nodes())
+    gnodes = np.ravel(classification.gamma_d_0plus)
     return np.flatnonzero(np.isin(mesh.elements, gnodes).any(axis=1)).tolist()
 
 
-def _remove_upwind(mesh, plus, b_h, winds, removed=()):
-    """Omega_h+ = plus less the upwind element of each node v in the
-    (v, wind at v) pairs of winds, and N_delta."""
-    removed = list(removed)
-    for v, bv in winds:
-        up = upwind_element(mesh, v, bv)
-        if up in plus:
-            plus.discard(up)
-            removed.append(up)
+def _remove_upwind(mesh, plus, b_h, nodes, winds, removed=()):
+    """Omega_h+ = plus less the upwind element of each of the nodes, the
+    (n, 2) winds at them, and N_delta."""
+    up = plus.intersection(upwind_elements(mesh, nodes, winds).tolist())
+    plus -= up
     omega_hat = np.flatnonzero(~_mask(mesh.n_elements, plus)).tolist()
     return OmegaPlusDecomposition(sorted(plus), omega_hat,
                                   _extract_n_delta(mesh, plus),
-                                  b_h, sorted(removed))
+                                  b_h, sorted(list(removed) + list(up)))
 
 
 INSET_SAMPLES = 800   # sample points per side of the inset square
@@ -255,15 +250,16 @@ def build_omega_plus_shrunk(mesh, b, delta):
     n = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     ts = (np.arange(INSET_SAMPLES) + 0.5) / INSET_SAMPLES
     seg = p0[:, None] + ts[:, None] * (p1 - p0)[:, None]
-    keep = np.vecdot(bf.array(seg), n[:, None]) >= 0.0
+    keep = np.vecdot(bf(seg), n[:, None]) >= 0.0
     if not keep.any():
         raise ValidationError("outflow portion of the inset square is empty")
     omega_plus = set(mesh.locate(seg[keep])[1].tolist())
+    nodes = _interior_nodes_of(mesh, omega_plus)
+    winds = bf(mesh.nodes[nodes])
     # windless nodes have no upwind element to remove
-    winds = [(v, bf(mesh.nodes[v]))
-             for v in _interior_nodes_of(mesh, omega_plus)]
-    return _remove_upwind(mesh, omega_plus, sorted(omega_plus),
-                          [w for w in winds if np.linalg.norm(w[1]) != 0.0])
+    lit = np.vecdot(winds, winds) != 0.0
+    return _remove_upwind(mesh, omega_plus, sorted(omega_plus), nodes[lit],
+                          winds[lit])
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +323,6 @@ def _clip_rays(x, d, tri, interval=(1e-12, np.inf), tol=1e-14):
     return hit & (lo <= hi), lo, hi
 
 
-def _winds(bf, points):
-    """The wind at each of the (n, 2) points: a constant one broadcast,
-    else by `array_form`."""
-    constant = getattr(bf, "constant", None)
-    if constant is not None:
-        return np.broadcast_to(constant, points.shape)
-    return array_form(bf, shape=(2,))(points)
-
-
 def upwind_hits(mesh, decomposition, elements, bf):
     """Clip the upwind ray from each element's barycenter against Omega_h+.
 
@@ -361,7 +348,7 @@ def upwind_hits(mesh, decomposition, elements, bf):
     plus = np.asarray(decomposition.omega_plus, dtype=np.int64)
     x = mesh.nodes[mesh.elements[elements]].mean(axis=1)
     d = np.zeros_like(x)
-    b = _winds(bf, x)
+    b = bf(x)
     nb = np.sqrt(np.vecdot(b, b))
     lit = nb != 0.0
     d[lit] = -b[lit] / nb[lit, None]
@@ -448,7 +435,7 @@ def diagnose(decomposition, mesh, b):
     others = np.array([[1, 2], [0, 2], [0, 1]])
     tri = mesh.elements[hat]
     corner = mesh.nodes[tri]
-    wind = _winds(bf, corner.mean(axis=1))
+    wind = bf(corner.mean(axis=1))
     side = corner[:, others[:, 1]] - corner[:, others[:, 0]]
     cross = wind[:, None, 0] * side[..., 1] - wind[:, None, 1] * side[..., 0]
     norm_b = np.sqrt(np.vecdot(wind, wind))[:, None]
@@ -483,59 +470,52 @@ def absorb_isolated(mesh, decomposition, report, b):
     """
     if not report.isolated_components:
         return decomposition
-    bf = vector_field(b)
     plus = decomposition.omega_plus_set()
     for comp in report.isolated_components:
         plus |= set(comp)
     # enlargement can strip free nodes of all Omega_hat support; restore
     # an anchor by removing their upwind elements, as in build_omega_plus
-    winds = [(v, bf(mesh.nodes[v])) for v in _interior_nodes_of(mesh, plus)]
-    return _remove_upwind(mesh, plus, decomposition.b_h, winds,
+    nodes = _interior_nodes_of(mesh, plus)
+    return _remove_upwind(mesh, plus, decomposition.b_h, nodes,
+                          vector_field(b)(mesh.nodes[nodes]),
                           decomposition.removed_upwind)
 
 
 def _refinement_targets(mesh, decomposition, report, bf):
-    """Omega_h+ elements upwind of each defect element."""
-    plus = decomposition.omega_plus_set()
-    defects = [(k, False) for comp in report.isolated_components
-               for k in comp]
-    defects += [(k, True) for k, _e in report.parallel_edges]
-    elements = np.array([k for k, _p in defects], dtype=np.int64)
+    """Omega_h+ elements upwind of each defect element: the Omega_h+
+    element across each side the wind enters by, and for a parallel edge
+    the Omega_h+ element its upwind ray enters first; failing both, every
+    Omega_h+ element across a side, else that first ray hit."""
+    plus = _mask(mesh.n_elements, decomposition.omega_plus)
+    k = np.array([k for comp in report.isolated_components for k in comp]
+                 + [k for k, _e in report.parallel_edges], dtype=np.int64)
     # the Omega_h+ element each defect's upwind ray enters first, or -1
-    first = upwind_hits(mesh, decomposition, elements, bf)[1].tolist()
-    t = mesh.topology
-    tri = mesh.elements[elements]
-    sides = t.find(np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1))
-    ptr, around = t.edge_ptr.tolist(), t.edge_elements.tolist()
-    targets = set()
-    for (k, is_parallel), hit, edges in zip(defects, first,
-                                            sides.reshape(-1, 3).tolist()):
-        local = set()
-        a, bb, c = mesh.elements[k]
-        bary = mesh.nodes[[a, bb, c]].mean(axis=0)
-        bvec = bf(bary)
-        # the other elements on each side, in increasing order
-        adjacent = [[e for e in around[ptr[s]:ptr[s + 1]] if e != k]
-                    for s in edges]
-        for (i, j), adj in zip(((a, bb), (bb, c), (c, a)), adjacent):
-            if not adj or adj[0] not in plus:
-                continue
-            e = mesh.nodes[j] - mesh.nodes[i]
-            n = np.array([-e[1], e[0]])
-            opp = [v for v in (a, bb, c) if v not in (i, j)][0]
-            if np.dot(n, mesh.nodes[opp] - mesh.nodes[i]) > 0:
-                n = -n  # outward from the defect element
-            if np.dot(bvec, n) <= 1e-12 * np.linalg.norm(bvec) * np.linalg.norm(n):
-                local.add(adj[0])
-        if is_parallel and hit >= 0:
-            local.add(hit)
-        if not local:
-            # fallback: every Omega_h+ edge-neighbor, else the first ray hit
-            local = {e for adj in adjacent for e in adj if e in plus}
-            if not local and hit >= 0:
-                local.add(hit)
-        targets |= local
-    return sorted(targets)
+    hit = upwind_hits(mesh, decomposition, k, bf)[1]
+    parallel = np.arange(k.size) >= k.size - len(report.parallel_edges)
+    ray = parallel & (hit >= 0)
+    # side a of a defect runs from its vertex a to a + 1, opposite a + 2
+    tri = mesh.elements[k]
+    i, j, opp = tri, np.roll(tri, -1, axis=1), np.roll(tri, 1, axis=1)
+    t, x = mesh.topology, mesh.nodes
+    # the element across each side, the defect itself where none: a
+    # conforming side has one or two
+    s = t.find(np.stack([i, j], axis=-1)).reshape(tri.shape)
+    lo = t.edge_elements[t.edge_ptr[s]]
+    hi = t.edge_elements[t.edge_ptr[s + 1] - 1]
+    across = np.where(lo == k[:, None], hi, lo)
+    near = (across != k[:, None]) & plus[across]
+    e = x[j] - x[i]
+    n = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+    n[np.vecdot(n, x[opp] - x[i]) > 0] *= -1.0  # outward from the defect
+    bvec = bf(x[tri].mean(axis=1))[:, None]
+    upwind = near & (np.vecdot(bvec, n) <= 1e-12 * np.sqrt(
+        np.vecdot(bvec, bvec)) * np.sqrt(np.vecdot(n, n)))
+    found = upwind.any(axis=1) | ray
+    # the fallbacks: every Omega_h+ edge-neighbour, else the first ray hit
+    near &= ~found[:, None]
+    last = ~found & ~near.any(axis=1) & (hit >= 0)
+    return np.unique(np.concatenate([across[upwind], hit[ray], across[near],
+                                     hit[last]])).tolist()
 
 
 def remediate(mesh, decomposition, report, b, max_rounds=2):

@@ -1,7 +1,8 @@
 """Array forms of coefficients: `fn.array(points)` gives the bits of the
 per-point call for every coefficient that carries one, and of the scalar
-formulas the experiments were pinned with; the array negative norm gives
-the bits of its loop."""
+formulas the experiments were pinned with; each field (`vector_field`,
+`scalar_field`) gives the bits of the user's own point function; the
+array negative norm gives the bits of its loop."""
 
 import math
 
@@ -99,12 +100,12 @@ def test_ex1_array_forms_equal_their_scalar_forms(case, chunk):
         _same(fn.array(points[None]), want[None])
     saved, wind.POINT_CHUNK = wind.POINT_CHUNK, chunk
     try:
-        # the wrapped fields evaluate chunk by chunk
-        _same(spec.f_fn.array(points[None]),
-              [[spec.f_fn(p) for p in points]])
-        _same(spec.g1_fn.array(points), [spec.g1_fn(p) for p in points])
-        _same(wind.vector_field(problems.ex1_exact_gradient(eps)).array(
-            points), [ref["gradient"](p) for p in points])
+        # the fields evaluate chunk by chunk
+        _same(spec.f_fn(points[None]), [[spec.f(p) for p in points]])
+        _same(spec.g1_fn(points), [spec.g1(p) for p in points])
+        _same([spec.g1_fn(p) for p in points], [spec.g1(p) for p in points])
+        _same(wind.vector_field(problems.ex1_exact_gradient(eps))(points),
+              [ref["gradient"](p) for p in points])
     finally:
         wind.POINT_CHUNK = saved
 
@@ -119,7 +120,7 @@ def test_glazing_wind_array_form_equals_its_scalar_form(points):
     _same([problems.glazing_wind(tuple(p)) for p in points], want)
     _same(problems.glazing_wind.array(points), want)
     _same([bf(p) for p in points], want)
-    _same(bf.array(points.reshape(1, -1, 2)), want[None])
+    _same(bf(points.reshape(1, -1, 2)), want[None])
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,12 +149,17 @@ def test_random_load_array_form_equals_its_scalar_form(seed, xs):
 def test_constant_and_plain_fields_array_forms(c, b, lead, seed):
     points = np.random.default_rng(seed).uniform(-1.0, 1.0, lead + (2,))
     flat = points.reshape(-1, 2)
-    fields = [(assembly.scalar_field(c), ()), (wind.vector_field(b), (2,)),
-              (assembly.scalar_field(lambda p: c * p[0] - p[1]), ()),
-              (wind.vector_field(lambda p: (p[1], c * p[0])), (2,))]
-    for fn, shape in fields:
-        want = np.array([fn(p) for p in flat], dtype=float)
-        _same(fn.array(points), want.reshape(lead + shape))
+    users = [(assembly.scalar_field, c, ()), (wind.vector_field, b, (2,)),
+             (assembly.scalar_field, lambda p: c * p[0] - p[1], ()),
+             (wind.vector_field, lambda p: (p[1], c * p[0]), (2,))]
+    for field, user, shape in users:
+        fn = field(user)
+        want = np.array([user(p) if callable(user) else user for p in flat],
+                        dtype=float).reshape((-1,) + shape)
+        _same(fn(points), want.reshape(lead + shape))
+        # one point in, one value out
+        for p, value in zip(flat[:3], want):
+            _same(fn(p), value)
 
 
 @settings(max_examples=40, deadline=None)

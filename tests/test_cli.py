@@ -144,9 +144,18 @@ def test_non_finite_mesh_input_is_a_config_error(tmp_path, capsys, command,
      "delta_multiplier must be finite"),
     ("diagnose", "nx = 4\nbx = nan\nby = 1\n", "bx and by must be finite"),
     ("diagnose", "nx = 4\nbx = 1\nby = inf\n", "bx and by must be finite"),
+    ("mesh", "nx = -3\n", "need at least one cell per direction"),
+    ("solve", "problem = ex4\nN = -3\n",
+     "need at least one cell per direction"),
+    ("experiment ex2", "N = -3\n", "need at least one cell per direction"),
+    ("experiment ex3", "grids = -1\n", "grids must be nonnegative"),
+    ("experiment comp-ex5", "grids = -2\n", "grids must be nonnegative"),
+    ("experiment comp-ex6", "grids = -2\n", "grids must be nonnegative"),
 ], ids=["solve-snap-bogus", "ex5-snap-bogus", "ex5-snap-nan",
         "ex2-delta-c-nan", "comp-ex2-multiplier-inf", "diagnose-bx-nan",
-        "diagnose-by-inf"])
+        "diagnose-by-inf", "mesh-nx-negative", "solve-N-negative",
+        "ex2-N-negative", "ex3-grids-negative", "comp-ex5-grids-negative",
+        "comp-ex6-grids-negative"])
 def test_bad_numeric_options_are_config_errors(tmp_path, capsys, command,
                                                cfg, message):
     path = _write(tmp_path, "o.cfg", cfg)

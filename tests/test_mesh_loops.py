@@ -2,7 +2,9 @@
 replaced.
 
 Below, verbatim, are the per-element implementations of `wind.diagnose`,
-`wind._refinement_targets` (with `first_upwind_hit`),
+`wind._refinement_targets` (with `first_upwind_hit`), the per-node
+`wind.upwind_element` and `_remove_upwind` that `wind.upwind_elements`
+replaced,
 `meshes.red_refine`, `meshes.perturb_structured` (with `_all_positive`),
 `layers.embed_characteristic`, `layers.snap_nodes` (with the per-point
 `LayerCharacteristic.closest_point` and `value_at`) and
@@ -24,7 +26,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsfem import assembly, defects, experiments, layers, meshes, \
     problems, wind
@@ -33,10 +35,10 @@ from smsfem.meshes import (ArgumentError, GenerationError, Topology,
                            Triangulation, _edge_key, _mask, _signed_areas,
                            structured_triangulation, write_mesh)
 from smsfem.wind import (PARALLEL_RTOL, DiagnosticsReport,
-                         OmegaPlusDecomposition, ValidationError,
-                         _interior_nodes_of, _remove_upwind,
-                         build_omega_plus, classify_boundary, upwind_hits,
-                         vector_field)
+                         OmegaPlusDecomposition, UpwindNotFound,
+                         ValidationError, _extract_n_delta,
+                         _interior_nodes_of, build_omega_plus,
+                         classify_boundary, upwind_hits, vector_field)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,56 @@ def diagnose(decomposition, mesh, b):
                    for kk in nmap[opp] if kk in hat_set):
                 parallel.append((int(k), key))
     return DiagnosticsReport(components, isolated, sorted(parallel), downwind)
+
+
+def upwind_element(mesh, node, b):
+    """Element containing x_i - lambda*b for all small lambda > 0.
+
+    When the ray runs along an edge, the lowest-index adjacent element
+    is selected.  Raises UpwindNotFound when no element qualifies.
+    """
+    bvec = np.asarray(b, dtype=float)
+    nb = np.linalg.norm(bvec)
+    if nb == 0.0:
+        raise ValidationError("wind vanishes at node %d" % node)
+    d = -bvec / nb
+    x = mesh.nodes[node]
+    hits = []
+    t = mesh.topology
+    for k in t.node_elements[t.node_ptr[node]:t.node_ptr[node + 1]].tolist():
+        tri = mesh.elements[k]
+        others = [v for v in tri if v != node]
+        e1 = mesh.nodes[others[0]] - x
+        e2 = mesh.nodes[others[1]] - x
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        if det == 0.0:
+            continue
+        # d = alpha*e1 + beta*e2; inside the cone iff alpha, beta >= 0
+        alpha = (d[0] * e2[1] - d[1] * e2[0]) / det
+        beta = (e1[0] * d[1] - e1[1] * d[0]) / det
+        scale = abs(alpha) + abs(beta) + 1.0 / min(
+            np.linalg.norm(e1), np.linalg.norm(e2))
+        tol = 1e-12 * scale
+        if alpha >= -tol and beta >= -tol:
+            hits.append(k)
+    if not hits:
+        raise UpwindNotFound("no upwind element at node %d" % node)
+    return min(hits)
+
+
+def _remove_upwind(mesh, plus, b_h, winds, removed=()):
+    """Omega_h+ = plus less the upwind element of each node v in the
+    (v, wind at v) pairs of winds, and N_delta."""
+    removed = list(removed)
+    for v, bv in winds:
+        up = upwind_element(mesh, v, bv)
+        if up in plus:
+            plus.discard(up)
+            removed.append(up)
+    omega_hat = np.flatnonzero(~_mask(mesh.n_elements, plus)).tolist()
+    return OmegaPlusDecomposition(sorted(plus), omega_hat,
+                                  _extract_n_delta(mesh, plus),
+                                  b_h, sorted(removed))
 
 
 def first_upwind_hit(mesh, decomposition, k, bf):
@@ -679,7 +731,7 @@ def build_omega_plus_shrunk(mesh, b, delta, bounds=(-1.0, 1.0),
     for p0, p1, n in sides:
         ts = (np.arange(samples_per_side) + 0.5) / samples_per_side
         seg = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-        keep = np.vecdot(bf.array(seg), n) >= 0.0
+        keep = np.vecdot(bf(seg), n) >= 0.0
         pts.extend(seg[keep])
     if not pts:
         raise ValidationError("outflow portion of the inset square is empty")
@@ -792,6 +844,61 @@ def test_diagnose_matches_loop_on_defect_fixtures():
         for dec in (build_omega_plus(mesh, classify_boundary(mesh, b), b),
                     defects.band_decomposition(mesh, b)):
             _assert_same_diagnosis(mesh, dec, b)
+
+
+def _upwind_loop(mesh, nodes, winds):
+    return [upwind_element(mesh, v, w) for v, w in zip(nodes, winds)]
+
+
+def _upwind_array(mesh, nodes, winds):
+    return wind.upwind_elements(mesh, nodes, winds).tolist()
+
+
+# besides _WINDS: rays along the NW-SE diagonals, a steep wind, and one
+# that vanishes on the diagonal y = x
+_UPWIND_WINDS = _WINDS + [np.array([1.0, -1.0]), np.array([-1.0, 4.0]),
+                          lambda p: (p[1] - p[0]) * np.ones(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(["SW-NE", "NW-SE"]),
+       st.sampled_from([0.0, 0.2, 1.0 / 3.0]), st.integers(0, 2 ** 16),
+       st.sampled_from(range(len(_UPWIND_WINDS))), st.booleans())
+@example(n=4, diagonal="SW-NE", amplitude=0.0, seed=0, w=2, inside=True)
+@example(n=5, diagonal="NW-SE", amplitude=0.0, seed=1, w=7, inside=True)
+@example(n=4, diagonal="SW-NE", amplitude=0.0, seed=2, w=6, inside=False)
+def test_upwind_elements_match_loop(n, diagonal, amplitude, seed, w, inside):
+    # the nodes in random order; with the boundary nodes, those where the
+    # wind enters the square have no upwind element
+    mesh = _grid(n, diagonal, amplitude, seed)
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(mesh.n_nodes)
+    if inside:
+        nodes = nodes[~np.isin(nodes, list(mesh.boundary_node_set()))]
+    nodes = nodes[:rng.integers(0, len(nodes) + 1)]
+    winds = vector_field(_UPWIND_WINDS[w])(mesh.nodes[nodes])
+    assert (_outcome(_upwind_array, mesh, nodes, winds)
+            == _outcome(_upwind_loop, mesh, nodes.tolist(), winds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.sampled_from(["SW-NE", "NW-SE"]),
+       st.sampled_from([0.0, 0.2]), st.integers(0, 2 ** 16),
+       st.sampled_from(range(len(_WINDS))), st.sampled_from([0.1, 0.4, 0.8]))
+def test_refinement_targets_match_loop_on_drawn_defects(n, diagonal, amplitude,
+                                                        seed, w, share):
+    # defects drawn, not diagnosed, so every branch runs: a sparse Omega_h+
+    # leaves defects with no Omega_h+ neighbour, which take the ray hit
+    mesh, bf = _grid(n, diagonal, amplitude, seed), vector_field(_WINDS[w])
+    rng = np.random.default_rng(seed)
+    plus = np.flatnonzero(rng.random(mesh.n_elements) < share).tolist()
+    hat = sorted(set(range(mesh.n_elements)) - set(plus))
+    dec = OmegaPlusDecomposition(plus, hat, [], plus)
+    drawn = rng.integers(0, mesh.n_elements, (2, 6)).tolist()
+    report = DiagnosticsReport([], [drawn[0][:3], drawn[0][3:]],
+                               [(k, (0, 1)) for k in drawn[1]], [])
+    assert (wind._refinement_targets(mesh, dec, report, bf)
+            == _refinement_targets(mesh, dec, report, bf))
 
 
 @functools.cache
@@ -1006,6 +1113,8 @@ def test_nearest_matches_point_loops(seed, n_points, repeat):
        st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
        st.one_of(st.integers(1, 3), st.floats(0.001, 0.55)),
        st.sampled_from(_WINDS + [problems.glazing_wind]))
+@example(n=5, diagonal="SW-NE", amplitude=0.3, seed=0, bounds=(0.0, 1.0),
+         delta=1, b=_WINDS[6])  # Omega_h+ holds a windless interior node
 def test_inset_square_matches_loop(n, diagonal, amplitude, seed, bounds,
                                    delta, b):
     # an integer delta is that many grid steps, putting the inset square's

@@ -19,7 +19,7 @@ from smsfem.meshes import (GenerationError, Triangulation,
                            perturb_structured, structured_triangulation,
                            tensor_triangulation)
 from smsfem.wind import (BoundaryClassification, build_omega_plus,
-                         classify_boundary, upwind_element, vector_field)
+                         classify_boundary, upwind_elements, vector_field)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,13 @@ def _n_delta_loop(mesh, omega_plus_set):
 def omega_plus_loop(mesh, classification, b):
     """(omega_plus, omega_hat, n_delta, b_h, removed) of the loop split."""
     bf = vector_field(b)
-    gnodes = classification.gamma_d_0plus_nodes()
+    gnodes = {v for pair in classification.gamma_d_0plus for v in pair}
     b_h = sorted(k for k, tri in enumerate(mesh.elements)
                  if any(int(v) in gnodes for v in tri))
     omega_plus = set(b_h)
     removed = []
     for v in _interior_nodes_loop(mesh, set(b_h)):
-        up = upwind_element(mesh, v, bf(mesh.nodes[v]))
+        up = upwind_elements(mesh, [v], [bf(mesh.nodes[v])])[0]
         if up in omega_plus:
             omega_plus.discard(up)
             removed.append(up)

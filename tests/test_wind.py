@@ -15,7 +15,7 @@ from smsfem.problems import glazing_wind
 from smsfem.wind import (OmegaPlusDecomposition, UpwindNotFound,
                          ValidationError, absorb_isolated, build_omega_plus,
                          build_omega_plus_shrunk, classify_boundary, diagnose,
-                         remediate, upwind_element, upwind_hits,
+                         remediate, upwind_elements, upwind_hits,
                          vector_field)
 
 
@@ -34,7 +34,7 @@ def test_classify_diagonal_wind():
         mid = _edge_mid(m, k)
         assert mid[0] > 1.0 - 1e-9 or mid[1] > 1.0 - 1e-9
     assert not c.characteristic
-    gnodes = c.gamma_d_0plus_nodes()
+    gnodes = {v for pair in c.gamma_d_0plus for v in pair}
     for v in gnodes:
         x, y = m.nodes[v]
         assert x > 1.0 - 1e-9 or y > 1.0 - 1e-9
@@ -91,7 +91,7 @@ def test_upwind_element_matches_point_location():
             continue
         if abs(x - y) < 1e-12:
             continue  # on-edge ray handled below
-        k = upwind_element(m, v, b)
+        k = upwind_elements(m, [v], [b])[0]
         probe = m.nodes[v] - 1e-9 * h * b
         _owner, k_ref, _lam = m.locate([probe])
         assert k == k_ref[0]
@@ -110,7 +110,7 @@ def test_upwind_element_on_edge_takes_lowest_index():
         x, y = m.nodes[v]
         if not (0 < x < 1 and 0 < y < 1) or abs(x - y) > 1e-12:
             continue
-        k = upwind_element(m, v, b)
+        k = upwind_elements(m, [v], [b])[0]
         flanking = None
         for key, elems in emap.items():
             if v not in key or len(elems) != 2:
@@ -130,7 +130,7 @@ def test_upwind_element_missing_at_inflow_corner():
     m = structured_triangulation(3, 3)
     corner = int(np.where((np.abs(m.nodes) < 1e-12).all(axis=1))[0][0])
     with pytest.raises(UpwindNotFound):
-        upwind_element(m, corner, np.array([1.0, 1.0]))
+        upwind_elements(m, [corner], [np.array([1.0, 1.0])])
 
 
 def _partition_ok(mesh, dec):
@@ -402,7 +402,7 @@ def _grazing_soup(seed, shifted):
     def bf(p):
         return winds[np.abs(origins - p).sum(axis=1).argmin()]
 
-    return mesh, dec, bf
+    return mesh, dec, vector_field(bf)
 
 
 @settings(max_examples=60, deadline=None)
