@@ -96,6 +96,9 @@ class ExperimentConfig:
             self.grids = defaults["grids"]
         if self.grids is not None and self.grids < 0:
             raise ConfigError("grids must be nonnegative, got %r" % self.grids)
+        if any(n < 1 for n in self.N):
+            raise ConfigError("need at least one cell per direction, got "
+                              "N = %d" % min(self.N))
         for m in self.methods:
             if m not in _METHODS:
                 raise ConfigError("unknown method %r (known: %s)"
@@ -268,6 +271,22 @@ def mild_random_grid(N, b, seed, amplitude=1.0 / 3.0):
 SNAP_RULE = "hmin2/10"
 
 
+def _embed_layers(mesh, origins, b, box, snap_rule):
+    """Snap and embed, one after another, the straight characteristic of
+    the constant wind b from each origin to where it leaves the box
+    ((x0, y0), (x1, y1)), each carrying the interior-layer value."""
+    b = np.asarray(b, dtype=float)
+    for origin in origins:
+        o = np.asarray(origin, dtype=float)
+        t_exit = min((box[int(bk > 0.0)][k] - o[k]) / bk
+                     for k, bk in enumerate(b) if bk != 0.0)
+        path = straight_characteristic(o, o + t_exit * b,
+                                       problems.EX5_LAYER_VALUE)
+        mesh, _moved, _skipped = snap_nodes(mesh, path, snap_rule)
+        mesh, _on_path = embed_characteristic(mesh, path)
+    return mesh
+
+
 def interior_layer_mesh(N, snap_rule=SNAP_RULE, seed=None,
                         amplitude=1.0 / 3.0):
     """Unit-square grid with the oblique interior characteristic of the
@@ -283,29 +302,8 @@ def interior_layer_mesh(N, snap_rule=SNAP_RULE, seed=None,
     mesh = structured_triangulation(N, N)
     if seed is not None:
         mesh = perturb_structured(mesh, amplitude, seed)
-    o = np.asarray(problems.EX5_ORIGIN)
-    b = problems.EX5_WIND
-    t_exit = -o[1] / b[1]          # exits through y = 0
-    path = straight_characteristic(o, o + t_exit * b,
-                                   problems.EX5_LAYER_VALUE)
-    mesh, _moved, _skipped = snap_nodes(mesh, path, snap_rule)
-    mesh, _on_path = embed_characteristic(mesh, path)
-    return mesh
-
-
-_HEMKER_BOX = ((-3.0, -3.0), (9.0, 3.0))
-
-
-def _hemker_exit(origin, b):
-    (x0, y0), (x1, y1) = _HEMKER_BOX
-    ts = []
-    if b[0] > 0:
-        ts.append((x1 - origin[0]) / b[0])
-    if b[1] > 0:
-        ts.append((y1 - origin[1]) / b[1])
-    elif b[1] < 0:
-        ts.append((y0 - origin[1]) / b[1])
-    return np.asarray(origin) + min(ts) * np.asarray(b)
+    return _embed_layers(mesh, [problems.EX5_ORIGIN], problems.EX5_WIND,
+                         ((0.0, 0.0), (1.0, 1.0)), snap_rule)
 
 
 def hemker_layered_mesh(theta=0.0, snap_rule=SNAP_RULE):
@@ -322,13 +320,9 @@ def hemker_layered_mesh(theta=0.0, snap_rule=SNAP_RULE):
         mesh = Triangulation(mesh.nodes, mesh.elements, edges,
                              mesh.constraint_edges, mesh.node_values,
                              audit=False)
-    b = np.array([math.cos(theta), math.sin(theta)])
-    for origin in problems.hemker_layer_origins(theta):
-        path = straight_characteristic(origin, _hemker_exit(origin, b),
-                                       problems.EX5_LAYER_VALUE)
-        mesh, _moved, _skipped = snap_nodes(mesh, path, snap_rule)
-        mesh, _on_path = embed_characteristic(mesh, path)
-    return mesh
+    return _embed_layers(mesh, problems.hemker_layer_origins(theta),
+                         [math.cos(theta), math.sin(theta)],
+                         problems.HEMKER_DOMAIN, snap_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A boundary-data discontinuity launches a layer along the characteristic
 dx/dt = b, which for a constant wind is a straight segment carrying the
 reduced-problem value.  We optionally snap nearby mesh nodes onto that
-polyline and embed it into the triangulation as a chain of element
-edges carrying Dirichlet values.
+segment and embed it into the triangulation as a chain of element edges
+carrying Dirichlet values.
 """
 
 import math
@@ -22,40 +22,33 @@ class DegenerateCrossingError(RuntimeError):
 
 @dataclass
 class LayerCharacteristic:
-    points: np.ndarray    # polyline vertices
-    values: np.ndarray    # reduced-problem value at each vertex
-    origin: np.ndarray
+    p0: np.ndarray        # start, where the layer leaves the data jump
+    p1: np.ndarray        # end, where it leaves the domain
+    value: float          # reduced-problem value along the layer
 
     def nearest(self, points):
-        """Closest polyline point to each of the points (n, 2), its
-        distance and the value interpolated there, as arrays (n, 2), (n,)
-        and (n,); the first closest segment wins.  Each segment is
-        projected on with its parameter clipped to [0, 1] (0 on a
-        zero-length segment); np.vecdot rounds as the np.dot of one pair
-        and as the one inside np.linalg.norm."""
-        p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
-        ends, values = self.points, self.values
-        if len(ends) == 1:
-            # a single vertex is one zero-length segment
-            ends, values = np.repeat(ends, 2, axis=0), np.repeat(values, 2)
-        a, e = ends[:-1], np.diff(ends, axis=0)
-        length2 = np.vecdot(e, e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(np.vecdot(p - a, e) / length2, 0.0, 1.0)
-        t = np.where(length2 == 0.0, 0.0, t)
-        q = a + t[..., None] * e
-        d = np.sqrt(np.vecdot(p - q, p - q))
-        best = np.argmin(d, axis=1)
-        rows = np.arange(len(p))
-        value = values[:-1] + t * np.diff(values)
-        return q[rows, best], d[rows, best], value[rows, best]
+        """Closest segment point to each of the points (n, 2) and its
+        distance, as arrays (n, 2) and (n,).  The projection parameter is
+        clipped to [0, 1]; np.vecdot rounds as the np.dot of one pair and
+        as the one inside np.linalg.norm."""
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        e = self.p1 - self.p0
+        t = np.clip(np.vecdot(p - self.p0, e) / np.vecdot(e, e), 0.0, 1.0)
+        q = self.p0 + t[:, None] * e
+        return q, np.sqrt(np.vecdot(p - q, p - q))
 
 
 def straight_characteristic(p0, p1, value):
-    """Constant-value straight layer characteristic between two points."""
-    pts = np.asarray([p0, p1], dtype=float)
-    return LayerCharacteristic(pts, np.array([value, value]),
-                               pts[0].copy())
+    """Constant-value straight layer characteristic from p0 to p1; the ends
+    must be finite and distinct and the value finite."""
+    p0, p1 = (np.array(p, dtype=float).reshape(2) for p in (p0, p1))
+    e = p1 - p0
+    if not (np.isfinite(e).all() and 0.0 < np.vecdot(e, e) < math.inf
+            and math.isfinite(value)):
+        raise ArgumentError("a layer needs finite, distinct ends and a "
+                            "finite value, got %r, %r and %r"
+                            % (p0.tolist(), p1.tolist(), value))
+    return LayerCharacteristic(p0, p1, float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -63,36 +56,28 @@ def straight_characteristic(p0, p1, value):
 
 
 def _crossings(mesh, path, h, rel):
-    """Whether each element holds a path piece longer than rel * h, and
-    its chord from the first such piece's entry to the last one's exit;
-    wind's kernel clips RAY_CLIP_PAIRS (segment, element) pairs at a
-    time, on the segment parameters [0, 1].  An element whose vertices
-    all lie on one side of every segment's line, farther than 1e-6 of its
-    box, holds no piece and is not clipped."""
-    p = path.points[:-1, None]
-    d = path.points[1:, None] - p
+    """Whether each element holds a piece of the path longer than rel * h,
+    and its chord from entry to exit; wind's kernel clips RAY_CLIP_PAIRS
+    elements at a time, on the segment parameters [0, 1].  An element
+    whose vertices all lie on one side of the path's line, farther than
+    1e-6 of its box, holds no piece and is not clipped."""
+    a, e = path.p0, path.p1 - path.p0
     tri = mesh.nodes[mesh.elements]
     x, y = np.take(mesh.nodes.T, mesh.elements.T, axis=1)   # (3, K) each
     size = np.maximum(np.ptp(x, axis=0), np.ptp(y, axis=0))
-    near = np.zeros(len(tri), dtype=bool)
-    for a, e in zip(path.points[:-1], d[:, 0]):
-        c = e[0] * (y - a[1]) - e[1] * (x - a[0])
-        margin = 1e-6 * np.sqrt(e @ e) * size
-        near |= (c.max(axis=0) >= -margin) & (c.min(axis=0) <= margin)
-    near = np.flatnonzero(near)
+    c = e[0] * (y - a[1]) - e[1] * (x - a[0])
+    margin = 1e-6 * np.sqrt(e @ e) * size
+    near = np.flatnonzero((c.max(axis=0) >= -margin)
+                          & (c.min(axis=0) <= margin))
     crossed, chord = np.zeros(len(tri), dtype=bool), np.zeros((len(tri), 2, 2))
-    step = max(1, wind.RAY_CLIP_PAIRS // max(1, len(p)))
-    for k in range(0, len(near), step):
-        rows = near[k:k + step]
-        hit, lo, hi = wind._clip_rays(p, d, tri[rows], (0.0, 1.0), 1e-12)
+    for k in range(0, len(near), wind.RAY_CLIP_PAIRS):
+        rows = near[k:k + wind.RAY_CLIP_PAIRS]
+        hit, lo, hi = wind._clip_rays(a, e, tri[rows], (0.0, 1.0), 1e-12)
         with np.errstate(invalid="ignore", over="ignore"):
-            start, end = p + lo[..., None] * d, p + hi[..., None] * d
+            start, end = a + lo[:, None] * e, a + hi[:, None] * e
             length = np.sqrt(np.vecdot(end - start, end - start))
-        piece = hit & (length > rel * h[rows])
-        at = np.arange(piece.shape[1])
-        crossed[rows] = piece.any(axis=0)
-        chord[rows, 0] = start[piece.argmax(axis=0), at]
-        chord[rows, 1] = end[-1 - piece[::-1].argmax(axis=0), at]
+        crossed[rows] = hit & (length > rel * h[rows])
+        chord[rows] = np.stack([start, end], axis=1)
     return crossed, chord
 
 
@@ -121,7 +106,7 @@ def snap_nodes(mesh, path, threshold_rule="nearest"):
     hmin = np.sqrt(np.vecdot(side, side)).min(axis=1, keepdims=True)
     verts, at = np.unique(tri.ravel(), return_inverse=True)
     at = at.reshape(tri.shape)
-    closest, dist, _value = path.nearest(mesh.nodes[verts])
+    closest, dist = path.nearest(mesh.nodes[verts])
     d = dist[at]
     if threshold_rule == "nearest":
         # the closest vertex, the lowest index on ties
@@ -263,7 +248,7 @@ def embed_characteristic(mesh, path):
     # boundary between nodes) attaches to the nearest vertex, perturbing
     # the origin by at most h
     origin = ((vertex[:, 0] < 0) & (on[:, 0] < 0)
-              & np.isclose(chords[cut, 0], path.points[0]).all(axis=1))
+              & np.isclose(chords[cut, 0], path.p0).all(axis=1))
     vertex[origin, 0] = dist[origin, 0].argmin(axis=1)
     along = _first((off <= tol).all(axis=1)).tolist()
     # the side (i, j) each chord end is on, its parameter there from the
@@ -276,8 +261,7 @@ def embed_characteristic(mesh, path):
     sides = np.stack([i, j], axis=-1).tolist()
     t_end, p_end = t_end.tolist(), p_end.tolist()
     vertex, on, tris = vertex.tolist(), on.tolist(), tris.tolist()
-    values = path.nearest(
-        0.5 * (chords[cut, 0] + chords[cut, 1]))[2].tolist()
+    value = path.value
 
     def classify_point(row, c):
         """('vertex', node) or ('edge', (side, t, point)) of chord end c."""
@@ -295,28 +279,24 @@ def embed_characteristic(mesh, path):
         new_elements = []
         runs += [mesh.elements[start:k], new_elements]
         start = k + 1
-        tri, value = tris[row], values[row]
+        tri = tris[row]
         # chord lying along an existing edge: record it and keep the element
         if along[row] >= 0:
             # the clipped chord endpoints are unreliable when the path is
             # collinear with the edge (degenerate half-plane clipping), so
-            # recompute the covered part as the 1d overlap with the edge
-            # of the path segments with both ends on its line; it may be
+            # recompute the covered part as the 1d overlap of the path with
+            # the edge, if both its ends are on the edge's line; it may be
             # partial (a path end mid-edge)
             a = along[row]
             key = _edge_key(tri[a], tri[(a + 1) % 3])
             pa, pb = mesh.nodes[key[0]], mesh.nodes[key[1]]
             e = pb - pa
             L = np.linalg.norm(e)
-            w = path.points - pa
+            w = np.stack([path.p0, path.p1]) - pa
             near = np.abs(w[:, 0] * e[1] - w[:, 1] * e[0]) / L <= 1e-9 * hs[k]
             s = np.vecdot(w, e) / (L * L)
-            both = near[:-1] & near[1:]
-            lo = np.minimum(s[:-1], s[1:])[both]
-            hi = np.maximum(s[:-1], s[1:])[both]
-            t0 = np.maximum(lo, 0.0).min(initial=np.inf)
-            t1 = np.minimum(hi, 1.0).max(initial=-np.inf)
-            if t1 > t0:
+            t0, t1 = np.maximum(s.min(), 0.0), np.minimum(s.max(), 1.0)
+            if near.all() and t1 > t0:
                 ts, points = edge_param(key[0], key[1],
                                         pa + np.array([[t0], [t1]]) * e)
                 n_in, n_out = (node_on_edge(key, tt, pp) for tt, pp

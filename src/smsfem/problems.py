@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ProblemSpec
+from .wind import ValidationError
 
 
 class UnknownProblemError(KeyError):
@@ -127,6 +128,8 @@ def hemker_boundary(p, theta=0.0):
 
 
 def ex6_spec(eps, theta=0.0):
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite, got %r" % theta)
     b = np.array([math.cos(theta), math.sin(theta)])
     return ProblemSpec(eps=eps, b=b, f=0.0,
                        g1=lambda p: hemker_boundary(p, theta))

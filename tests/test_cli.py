@@ -151,11 +151,18 @@ def test_non_finite_mesh_input_is_a_config_error(tmp_path, capsys, command,
     ("experiment ex3", "grids = -1\n", "grids must be nonnegative"),
     ("experiment comp-ex5", "grids = -2\n", "grids must be nonnegative"),
     ("experiment comp-ex6", "grids = -2\n", "grids must be nonnegative"),
-], ids=["solve-snap-bogus", "ex5-snap-bogus", "ex5-snap-nan",
-        "ex2-delta-c-nan", "comp-ex2-multiplier-inf", "diagnose-bx-nan",
-        "diagnose-by-inf", "mesh-nx-negative", "solve-N-negative",
-        "ex2-N-negative", "ex3-grids-negative", "comp-ex5-grids-negative",
-        "comp-ex6-grids-negative"])
+    ("solve", "problem = ex6\nmethod = galerkin\ntheta = inf\n",
+     "theta must be finite"),
+] + [("experiment " + e, "N = %d\n" % n,
+      "need at least one cell per direction")
+     for e in ("ex1", "ex3", "comp-ex3", "comp-ex4") for n in (0, -3)],
+    ids=["solve-snap-bogus", "ex5-snap-bogus", "ex5-snap-nan",
+         "ex2-delta-c-nan", "comp-ex2-multiplier-inf", "diagnose-bx-nan",
+         "diagnose-by-inf", "mesh-nx-negative", "solve-N-negative",
+         "ex2-N-negative", "ex3-grids-negative", "comp-ex5-grids-negative",
+         "comp-ex6-grids-negative", "solve-theta-inf"]
+    + ["%s-N-%s" % (e, n) for e in ("ex1", "ex3", "comp-ex3", "comp-ex4")
+       for n in ("zero", "negative")])
 def test_bad_numeric_options_are_config_errors(tmp_path, capsys, command,
                                                cfg, message):
     path = _write(tmp_path, "o.cfg", cfg)

@@ -4,11 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smsfem import experiments, wind
-from smsfem.layers import (DegenerateCrossingError, LayerCharacteristic,
-                           _crossings, embed_characteristic, snap_nodes,
+from smsfem.layers import (_crossings, embed_characteristic, snap_nodes,
                            straight_characteristic)
 from smsfem.meshes import (ArgumentError, Triangulation, perturb_structured,
                            structured_triangulation)
@@ -161,70 +160,62 @@ def _path_point(mesh, kind, rng):
 @given(st.integers(min_value=2, max_value=6),
        st.sampled_from([0.0, 0.3]),
        st.integers(min_value=0, max_value=2 ** 16),
-       st.lists(st.sampled_from(["vertex", "edge", "near-edge", "mid-edge",
-                                 "on-edge", "free"]),
-                min_size=1, max_size=4))
-def test_segment_clip_matches_one_segment_clip(n, amplitude, seed, kinds):
+       st.sampled_from(["vertex", "mid-edge", "on-edge", "free"]),
+       st.sampled_from(["vertex", "edge", "near-edge", "mid-edge",
+                        "on-edge", "free"]))
+def test_segment_clip_matches_one_segment_clip(n, amplitude, seed, start,
+                                               kind):
     # vertex-to-vertex segments on a grid run through vertices and along
-    # edges; 'edge' adds a whole element edge or a part of one ending
-    # mid-edge; a path may start or end mid-edge; 'near-edge' runs
+    # edges; 'edge' is a whole element edge or a part of one ending
+    # mid-edge; a segment may start or end mid-edge; 'near-edge' runs
     # parallel to a row of edges
     mesh = structured_triangulation(n, n)
     if amplitude:
         mesh = perturb_structured(mesh, amplitude, seed)
     rng = np.random.default_rng(seed)
-    points = [_path_point(mesh, "vertex", rng)]
-    for kind in kinds:
-        if kind == "edge":
-            i, j = mesh.elements[rng.integers(mesh.n_elements)][1:]
-            end = rng.choice([1.0, 0.5, rng.uniform(0.0, 1.0)])
-            points += [mesh.nodes[i],
-                       mesh.nodes[i] + end * (mesh.nodes[j] - mesh.nodes[i])]
-        elif kind == "near-edge":
-            # a grid row moved off its line by about the parallel-edge
-            # tolerance 1e-12 (1 + 1/|e|), to either side
-            y = rng.integers(n + 1) / n
-            dy = rng.choice([-1.5, -0.5, 0.5, 1.5]) * 1e-12 * (1.0 + n)
-            points += [np.array([-0.5, y + dy]), np.array([1.5, y + dy])]
-        else:
-            points.append(_path_point(mesh, kind, rng))
-    points = np.array(points)
-    p, d = points[:-1, None], points[1:, None] - points[:-1, None]
+    if kind == "edge":
+        i, j = mesh.elements[rng.integers(mesh.n_elements)][1:]
+        end = rng.choice([1.0, 0.5, rng.uniform(0.0, 1.0)])
+        p0, p1 = mesh.nodes[i], mesh.nodes[i] + end * (mesh.nodes[j]
+                                                       - mesh.nodes[i])
+    elif kind == "near-edge":
+        # a grid row moved off its line by about the parallel-edge
+        # tolerance 1e-12 (1 + 1/|e|), to either side
+        y = rng.integers(n + 1) / n
+        dy = rng.choice([-1.5, -0.5, 0.5, 1.5]) * 1e-12 * (1.0 + n)
+        p0, p1 = np.array([-0.5, y + dy]), np.array([1.5, y + dy])
+    else:
+        p0, p1 = _path_point(mesh, start, rng), _path_point(mesh, kind, rng)
+    assume(not np.array_equal(p0, p1))
     tri = mesh.nodes[mesh.elements]
-    hit, lo, hi = wind._clip_rays(p, d, tri, (0.0, 1.0), 1e-12)
-    refs = [[_clip_segment_to_triangle(a, b, t) for t in tri]
-            for a, b in zip(points[:-1], points[1:])]
-    for s, row in enumerate(refs):
-        for k, ref in enumerate(row):
-            assert bool(hit[s, k]) == (ref is not None)
-            if ref is not None:
-                chord = p[s] + np.array([lo[s, k], hi[s, k]])[:, None] * d[s]
-                assert chord.tobytes() == ref.tobytes()
-    # per element: the first long piece's entry to the last one's exit,
-    # in one chunk and in chunks of 3 pairs
+    hit, lo, hi = wind._clip_rays(p0, p1 - p0, tri, (0.0, 1.0), 1e-12)
+    refs = [_clip_segment_to_triangle(p0, p1, t) for t in tri]
+    for k, ref in enumerate(refs):
+        assert bool(hit[k]) == (ref is not None)
+        if ref is not None:
+            chord = p0 + np.array([lo[k], hi[k]])[:, None] * (p1 - p0)
+            assert chord.tobytes() == ref.tobytes()
+    # per element: the piece longer than 1e-10 h, in one chunk and in
+    # chunks of 3 elements
     h = rng.uniform(0.5, 1.5, mesh.n_elements) / n
-    path = LayerCharacteristic(points, np.zeros(len(points)), points[0])
+    path = straight_characteristic(p0, p1, 0.0)
     for chunk in (wind.RAY_CLIP_PAIRS, 3):
         with mock.patch.object(wind, "RAY_CLIP_PAIRS", chunk):
             crossed, chords = _crossings(mesh, path, h, 1e-10)
-        for k in range(mesh.n_elements):
-            pieces = [row[k] for row in refs if row[k] is not None and
-                      np.linalg.norm(row[k][1] - row[k][0]) > 1e-10 * h[k]]
-            assert crossed[k] == bool(pieces)
-            if pieces:
-                assert chords[k].tobytes() == np.array(
-                    [pieces[0][0], pieces[-1][1]]).tobytes()
+        for k, ref in enumerate(refs):
+            piece = (ref is not None
+                     and np.linalg.norm(ref[1] - ref[0]) > 1e-10 * h[k])
+            assert crossed[k] == piece
+            if piece:
+                assert chords[k].tobytes() == ref.tobytes()
 
 
-def test_a_one_vertex_path_crosses_nothing():
-    m = structured_triangulation(3, 3)
-    path = LayerCharacteristic(np.array([[0.5, 0.4]]), np.array([0.7]),
-                               np.array([0.5, 0.4]))
-    snapped, moved, skipped = snap_nodes(m, path)
-    assert (moved, skipped) == ([], [])
-    assert np.array_equal(snapped.nodes, m.nodes)
-    em, on_path = embed_characteristic(m, path)
-    assert on_path == [] and em.n_elements == m.n_elements
-    q, d, value = path.nearest([(0.5, 0.0)])
-    assert q.tolist() == [[0.5, 0.4]]
-    assert (d.tolist(), value.tolist()) == ([0.4], [0.7])
+def test_straight_characteristic_rejects_degenerate_input():
+    for p0, p1, value in [((0.5, 0.4), (0.5, 0.4), 0.7),
+                          ((0.5, 0.4), (np.inf, 0.4), 0.7),
+                          ((np.nan, 0.4), (0.5, 0.0), 0.7),
+                          ((0.5, 0.4), (0.5, 0.0), np.inf),
+                          ((0.5, 0.4), (0.5, 0.0), np.nan)]:
+        with pytest.raises(ArgumentError,
+                           match="a layer needs finite, distinct ends"):
+            straight_characteristic(p0, p1, value)

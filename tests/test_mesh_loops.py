@@ -7,7 +7,8 @@ Below, verbatim, are the per-element implementations of `wind.diagnose`,
 replaced,
 `meshes.red_refine`, `meshes.perturb_structured` (with `_all_positive`),
 `layers.embed_characteristic`, `layers.snap_nodes` (with the per-point
-`LayerCharacteristic.closest_point` and `value_at`) and
+`LayerCharacteristic.closest_point` and `value_at`, which walk the point
+list [path.p0, path.p1]) and
 `wind.build_omega_plus_shrunk` (with its own barycentric scan of every
 element per sample) and `assembly._neumann_load` (g2 called per Gauss
 point) as they were before the array passes.  The deleted
@@ -445,8 +446,9 @@ def embed_characteristic(mesh, path):
             e = pb - pa
             L = np.linalg.norm(e)
             t0, t1 = np.inf, -np.inf
-            for s in range(len(path.points) - 1):
-                q0, q1 = path.points[s], path.points[s + 1]
+            points = [path.p0, path.p1]
+            for s in range(len(points) - 1):
+                q0, q1 = points[s], points[s + 1]
                 d0 = abs((q0 - pa)[0] * e[1] - (q0 - pa)[1] * e[0]) / L
                 d1 = abs((q1 - pa)[0] * e[1] - (q1 - pa)[1] * e[0]) / L
                 if d0 > 1e-9 * h or d1 > 1e-9 * h:
@@ -466,7 +468,7 @@ def embed_characteristic(mesh, path):
         try:
             kin = classify_point(tri, pts, p_in, h)
         except DegenerateCrossingError:
-            if not np.allclose(p_in, path.points[0]):
+            if not np.allclose(p_in, path.p0):
                 raise
             # path origin interior to the element (e.g. a layer starting
             # on a curved boundary between nodes): attach it to the
@@ -598,24 +600,26 @@ def embed_characteristic(mesh, path):
 def value_at(path, p):
     """Value at the closest polyline point to p."""
     p = np.asarray(p, dtype=float)
-    best_d, best_v = np.inf, path.values[0]
-    for k in range(len(path.points) - 1):
-        a, b = path.points[k], path.points[k + 1]
+    points, values = [path.p0, path.p1], [path.value, path.value]
+    best_d, best_v = np.inf, values[0]
+    for k in range(len(points) - 1):
+        a, b = points[k], points[k + 1]
         t = _project_t(p, a, b)
         q = a + t * (b - a)
         d = np.linalg.norm(p - q)
         if d < best_d:
             best_d = d
-            va, vb = path.values[k], path.values[k + 1]
+            va, vb = values[k], values[k + 1]
             best_v = va + t * (vb - va)
     return float(best_v)
 
 
 def closest_point(path, p):
     p = np.asarray(p, dtype=float)
-    best_d, best_q = np.inf, path.points[0]
-    for k in range(len(path.points) - 1):
-        a, b = path.points[k], path.points[k + 1]
+    points = [path.p0, path.p1]
+    best_d, best_q = np.inf, points[0]
+    for k in range(len(points) - 1):
+        a, b = points[k], points[k + 1]
         t = _project_t(p, a, b)
         q = a + t * (b - a)
         d = np.linalg.norm(p - q)
@@ -959,7 +963,9 @@ def test_red_refine_requeues_elements_hung_in_the_same_round(monkeypatch):
        st.integers(0, 2 ** 16),
        st.sampled_from([None, "nearest", "hmin2/10", "2hmin2"]),
        st.sampled_from(["ends", "along-boundary", "through-nodes",
-                        "along-grid-line"]))
+                        "along-grid-line", "shallow"]))
+@example(8, 0.0, 0, None, "shallow")
+@example(4, 0.3, 0, None, "shallow")
 def test_embed_matches_loop_on_straight_paths(n, amplitude, seed, rule, kind):
     mesh = _grid(n, "SW-NE", amplitude, seed)
     rng = np.random.default_rng(seed)
@@ -1032,25 +1038,26 @@ def _snap_path(mesh, kind, rng):
             ends = ends[:, ::-1]
     elif kind == "through-nodes":
         ends = mesh.nodes[rng.choice(mesh.n_nodes, 2, replace=False)]
-    elif kind == "along-grid-line":
-        # two collinear legs along the grid line y = k / n, joined inside
-        # an edge and ending at a node or an edge midpoint, then a bend to
-        # the top or bottom side: on an unperturbed grid the along-edge
-        # overlap takes one edge's ends from two path segments
+    elif kind == "shallow":
+        # from a node along one of its edges for unit length, turned by
+        # 1e-9: the chords near the node lie within the along-edge
+        # tolerance of the edge's line, but the path's far end does not
+        i, j = mesh.elements[rng.integers(mesh.n_elements)][:2]
+        d = mesh.nodes[j] - mesh.nodes[i]
+        d /= np.linalg.norm(d)
+        turn = rng.choice([-1e-9, 1e-9]) * np.array([-d[1], d[0]])
+        ends = np.array([mesh.nodes[i], mesh.nodes[i] + d + turn])
+    else:
+        # along the grid line y = k / n, from the left side or from inside
+        # an edge, to a node, an edge midpoint or a point inside an edge:
+        # on an unperturbed grid the along-edge overlap is partial at an
+        # end inside an edge
         n = round(np.sqrt(mesh.n_nodes)) - 1
         y = rng.integers(1, n) / n
-        x = (rng.integers(1, n) + rng.choice([0.0, 0.5])) / n
-        points = np.array([[0.0, y], [rng.uniform(0.0, x), y], [x, y],
-                           [rng.uniform(), rng.integers(2)]])
-        return layers.LayerCharacteristic(points, rng.uniform(size=4),
-                                          points[0].copy())
-    else:
-        # a polyline with a zero-length segment
-        points = rng.uniform(0.0, 1.0, (3, 2))
-        points[0, 0] = 0.0
-        points = np.insert(points, 2, points[1], axis=0)
-        return layers.LayerCharacteristic(points, rng.uniform(size=4),
-                                          points[0].copy())
+        x = (rng.integers(1, n) + rng.choice([0.0, 0.5, rng.uniform()])) / n
+        ends = np.array([[rng.choice([0.0, rng.uniform(0.0, x)]), y], [x, y]])
+        if rng.random() < 0.5:
+            ends = ends[::-1]
     return layers.straight_characteristic(ends[0], ends[1], 0.5)
 
 
@@ -1058,7 +1065,8 @@ def _snap_path(mesh, kind, rng):
 @given(st.integers(2, 14), st.sampled_from(["SW-NE", "NW-SE"]),
        st.sampled_from([0.0, 0.2, 1.0 / 3.0]), st.integers(0, 2 ** 16),
        st.sampled_from(["boundary-to-boundary", "into-interior",
-                        "along-boundary", "through-nodes", "polyline"]),
+                        "along-boundary", "through-nodes",
+                        "along-grid-line"]),
        st.sampled_from(["nearest", "hmin2/10", "2hmin2", 0.0, 1e-9, 0.01,
                         0.05, 1.0, "0.02"]))
 def test_snap_matches_loop(n, diagonal, amplitude, seed, kind, rule):
@@ -1073,14 +1081,19 @@ def test_snap_matches_loop(n, diagonal, amplitude, seed, kind, rule):
         assert got == want
 
 
-def test_snap_matches_loop_on_the_channel():
-    # curved boundary, boundary nodes on the layers' start points
+def test_snap_matches_loop_on_the_channel(monkeypatch):
+    # curved boundary, boundary nodes on the layers' start points; the
+    # layers are the ones hemker_layered_mesh embeds
+    paths = []
+    monkeypatch.setattr(experiments, "straight_characteristic",
+                        lambda *args: paths.append(
+                            layers.straight_characteristic(*args))
+                        or paths[-1])
     for theta in (0.0, 0.3, 0.7):
+        paths.clear()
         mesh = experiments.hemker_layered_mesh(theta)
-        b = np.array([np.cos(theta), np.sin(theta)])
-        for origin in problems.hemker_layer_origins(theta):
-            path = layers.straight_characteristic(
-                origin, experiments._hemker_exit(origin, b), 0.5)
+        assert len(paths) == 2
+        for path in paths:
             for rule in ("nearest", "2hmin2", 0.05):
                 got = layers.snap_nodes(mesh, path, rule)
                 want = snap_nodes(mesh, path, rule)
@@ -1089,22 +1102,21 @@ def test_snap_matches_loop_on_the_channel():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 16), st.integers(2, 6), st.booleans())
-def test_nearest_matches_point_loops(seed, n_points, repeat):
+@given(st.integers(0, 2 ** 16), st.sampled_from([1.0, 1e-6, 1e-12]))
+def test_nearest_matches_point_loops(seed, length):
+    # long and very short segments, queried around them, at their ends and
+    # at their midpoint
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-1.0, 2.0, (n_points, 2))
-    if repeat:
-        points = np.insert(points, 1, points[0], axis=0)
-    path = layers.LayerCharacteristic(points, rng.normal(size=len(points)),
-                                      points[0].copy())
-    queries = np.concatenate([rng.uniform(-2.0, 3.0, (30, 2)), points,
-                              0.5 * (points[:-1] + points[1:])])
-    q, d, value = path.nearest(queries)
+    p0 = rng.uniform(-1.0, 2.0, 2)
+    p1 = p0 + length * rng.uniform(-1.0, 1.0, 2)
+    path = layers.straight_characteristic(p0, p1, rng.normal())
+    queries = np.concatenate([rng.uniform(-2.0, 3.0, (30, 2)),
+                              [p0, p1, 0.5 * (p0 + p1)]])
+    q, d = path.nearest(queries)
     for k, p in enumerate(queries):
         want_q, want_d = closest_point(path, p)
         assert q[k].tobytes() == want_q.tobytes()
         assert d[k] == want_d
-        assert value[k] == value_at(path, p)
 
 
 @settings(max_examples=50, deadline=None)
